@@ -7,7 +7,8 @@ map, seed, tool version) so each artifact is self-describing; CSV numbers
 carry 17 significant digits so doubles round-trip exactly.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 usage or domain
-error, 3 series convergence failure.  The HIBSHRINK_THREADS environment
+error (including an output file that cannot be written), 3 series
+convergence failure.  The HIBSHRINK_THREADS environment
 variable caps risk-curve parallelism.
 """
 
@@ -63,8 +64,11 @@ def _manifest(subcommand: str, args: argparse.Namespace, seed: int) -> list[str]
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_prior(text: str) -> HIBParams:

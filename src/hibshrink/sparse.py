@@ -61,12 +61,12 @@ class SparseDataset:
         y = np.asarray(self.y, dtype=float)
         if beta.ndim != 1 or beta.size < 1:
             raise DomainError("beta_true must be a 1-D vector")
+        if not (isinstance(self.n_rep, int) and self.n_rep >= 1):
+            raise DomainError(f"n_rep must be a positive integer, got {self.n_rep!r}")
         if y.shape != (beta.size, self.n_rep):
             raise DomainError(
                 f"y must have shape {(beta.size, self.n_rep)}, got {y.shape}"
             )
-        if not (isinstance(self.n_rep, int) and self.n_rep >= 1):
-            raise DomainError(f"n_rep must be a positive integer, got {self.n_rep!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if np.any(~np.isfinite(beta)) or np.any(~np.isfinite(y)):
@@ -129,13 +129,10 @@ class LogMeanExpAccumulator:
         l = np.asarray(log_values, dtype=float)
         if l.shape != self._max.shape:
             raise DomainError(f"expected shape {self._max.shape}, got {l.shape}")
-        grow = l > self._max
-        self._sum = np.where(
-            grow,
-            self._sum * np.exp(self._max - l) + 1.0,
-            self._sum + np.exp(l - self._max),
-        )
-        self._max = np.maximum(self._max, l)
+        new_max = np.maximum(self._max, l)
+        self._sum *= np.exp(self._max - new_max)
+        self._sum += np.exp(l - new_max)
+        self._max = new_max
         self._count += 1
 
     def log_mean(self) -> np.ndarray:
@@ -158,33 +155,49 @@ def simulate_sparse(seed: int, pure_noise: bool = False) -> SparseDataset:
     return SparseDataset(beta_true=beta, y=beta[:, None] + noise, n_rep=3, sigma=1.0)
 
 
-def _row_sums(data: SparseDataset) -> tuple[np.ndarray, np.ndarray]:
-    return data.y.sum(axis=1), (data.y * data.y).sum(axis=1)
-
-
-def _cll_rows(
-    s1: np.ndarray,
-    s2: np.ndarray,
-    n_rep: int,
-    sigma: float,
-    lam2: np.ndarray,
-    u2: np.ndarray,
-) -> np.ndarray:
-    """Log likelihood with the means integrated out, for each lambda^2.
+class _LikelihoodRows:
+    """Log likelihood with the means integrated out, for each lambda^2 of a grid.
 
     Row i has covariance sigma^2 I + lambda^2 sigma^2 u_i^2 J (J all ones),
     so the rank-one determinant and inverse identities give, per lambda:
     sum_i [ -(n/2) log(2 pi sigma^2) - (1/2) log(1 + n lambda^2 u_i^2)
             - (s2_i - lambda^2 u_i^2 s1_i^2 / (1 + n lambda^2 u_i^2))
               / (2 sigma^2) ].
+    With b_i = n lambda^2 u_i^2 and d_i = 1 + b_i the u-dependent part is
+    sum_i s1_i^2/(2 n sigma^2) b_i/d_i - (1/2) sum_i log d_i, two dot
+    products over the rows; the rest is a constant fixed at construction.
+    The two (p, grid size) work arrays are allocated once and overwritten by
+    every call, and so is the returned row.
     """
-    sigma2 = sigma * sigma
-    a = lam2[None, :] * u2[:, None]
-    denom = 1.0 + n_rep * a
-    quad = (s2[:, None] - a * (s1 * s1)[:, None] / denom) / sigma2
-    rows = -0.5 * np.log(denom) - 0.5 * quad
-    base = -0.5 * n_rep * math.log(2.0 * math.pi * sigma2) * s1.size
-    return rows.sum(axis=0) + base
+
+    def __init__(
+        self, data: SparseDataset, sigma: float, lam2: np.ndarray
+    ) -> None:
+        s1 = data.y.sum(axis=1)
+        s2 = (data.y * data.y).sum(axis=1)
+        sigma2 = sigma * sigma
+        p, g = s1.size, lam2.size
+        self._n_lam2 = data.n_rep * lam2
+        self._quad_weights = 0.5 * s1 * s1 / (sigma2 * data.n_rep)
+        self._logdet_weights = np.full(p, 0.5)
+        self._const = -0.5 * float(s2.sum()) / sigma2 - (
+            0.5 * data.n_rep * math.log(2.0 * math.pi * sigma2) * p
+        )
+        self._b = np.empty((p, g))
+        self._denom = np.empty((p, g))
+        self._row = np.empty(g)
+        self._logdet = np.empty(g)
+
+    def __call__(self, u2: np.ndarray) -> np.ndarray:
+        b, denom = self._b, self._denom
+        np.multiply.outer(u2, self._n_lam2, out=b)
+        np.add(b, 1.0, out=denom)
+        b /= denom
+        np.log(denom, out=denom)
+        row = np.dot(self._quad_weights, b, out=self._row)
+        row -= np.dot(self._logdet_weights, denom, out=self._logdet)
+        row += self._const
+        return row
 
 
 def conditional_log_likelihood(
@@ -198,10 +211,8 @@ def conditional_log_likelihood(
     u2 = np.asarray(u2, dtype=float)
     if u2.shape != (data.beta_true.size,) or np.any(u2 <= 0.0) or np.any(~np.isfinite(u2)):
         raise DomainError("u2 must be a positive vector, one entry per mean")
-    s1, s2 = _row_sums(data)
-    return float(
-        _cll_rows(s1, s2, data.n_rep, sigma, np.array([lam * lam]), u2)[0]
-    )
+    rows = _LikelihoodRows(data, sigma, np.array([lam * lam]))
+    return float(rows(u2)[0])
 
 
 def gibbs_update_means(
@@ -258,22 +269,26 @@ def gibbs_update_global_scale(
 
 
 def horseshoe_gibbs(data: SparseDataset, cfg: GibbsConfig) -> ProfileResult:
-    """Run the sampler and average conditional likelihoods over the grid."""
+    """Run the sampler and average conditional likelihoods over the grid.
+
+    The likelihood-row evaluator and its (p, grid) buffers are built once
+    per chain and reused by every retained sweep.
+    """
     grid = np.asarray(cfg.lambda_grid, dtype=float)
-    lam2_grid = grid * grid
-    s1, s2 = _row_sums(data)
+    s1 = data.y.sum(axis=1)
     p = data.beta_true.size
     rng = stream(cfg.seed, "horseshoe-gibbs")
 
     u2 = np.ones(p)
     lam = 1.0
+    likelihood_rows = _LikelihoodRows(data, data.sigma, grid * grid)
     acc = LogMeanExpAccumulator(grid.size)
     for sweep in range(cfg.n_iter):
         beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
         u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
         lam = gibbs_update_global_scale(rng, beta, data.sigma, u2, grid)
         if sweep >= cfg.burn_in:
-            row = _cll_rows(s1, s2, data.n_rep, data.sigma, lam2_grid, u2)
+            row = likelihood_rows(u2)
             if not np.all(np.isfinite(row)):
                 raise HibshrinkError("non-finite conditional likelihood in sampler")
             acc.add(row)

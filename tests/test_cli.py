@@ -229,6 +229,15 @@ def test_simulate_sparse_seed_changes_values(capsys, tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_simulate_sparse_unwritable_output_exit_code(capsys, tmp_path):
+    out = tmp_path / "missing" / "data.csv"
+    code = main(["simulate-sparse", "--seed", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write ")
+    assert not out.exists()
+
+
 # ---- marglik-profile -----------------------------------------------------------------
 
 
@@ -256,3 +265,12 @@ def test_marglik_profile_rejects_bad_burn_in(capsys, tmp_path):
     code, _ = run(capsys, ["marglik-profile", "--iters", "100", "--burn-in", "100",
                            "--out", str(tmp_path / "p.csv")])
     assert code == 2
+
+
+def test_marglik_profile_unwritable_output_exit_code(capsys, tmp_path):
+    # a directory in place of the output file
+    code = main(["marglik-profile", "--iters", "50", "--burn-in", "10",
+                 "--grid-size", "5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write ")

@@ -11,6 +11,7 @@ from hibshrink.errors import DomainError
 from hibshrink.quadrature import integrate_unit
 from hibshrink.sparse import (
     GibbsConfig,
+    _LikelihoodRows,
     LogMeanExpAccumulator,
     SparseDataset,
     conditional_log_likelihood,
@@ -69,6 +70,10 @@ def test_dataset_validation():
         SparseDataset(np.zeros(3), np.zeros((3, 2)), 2, 0.0)
     with pytest.raises(DomainError):
         SparseDataset(np.zeros(3), np.full((3, 2), np.inf), 2, 1.0)
+    # n_rep is checked before it is used in the expected shape of y
+    for bad_n_rep in (None, "3"):
+        with pytest.raises(DomainError, match="n_rep must be a positive integer"):
+            SparseDataset(np.zeros(3), np.zeros((3, 3)), bad_n_rep, 1.0)
 
 
 def test_gibbs_config_validation():
@@ -136,7 +141,70 @@ def test_cll_matches_per_row_quadrature():
     assert abs(got - expected) < 1e-6
 
 
+def _reference_rows(data, sigma, lam2, u2):
+    # the per-row formula, summed over rows, with no hoisting or buffer reuse
+    s1 = data.y.sum(axis=1)
+    s2 = (data.y * data.y).sum(axis=1)
+    sigma2 = sigma * sigma
+    a = lam2[None, :] * u2[:, None]
+    denom = 1.0 + data.n_rep * a
+    quad = (s2[:, None] - a * (s1 * s1)[:, None] / denom) / sigma2
+    rows = -0.5 * np.log(denom) - 0.5 * quad
+    base = -0.5 * data.n_rep * math.log(2.0 * math.pi * sigma2) * s1.size
+    return rows.sum(axis=0) + base
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.7])
+def test_likelihood_rows_match_per_row_formula(sigma):
+    data = simulate_sparse(2)
+    lam = np.linspace(0.05, 10.0, 200)
+    rows = _LikelihoodRows(data, sigma, lam * lam)
+    rng = stream(12, "test", "rows")
+    for _ in range(20):
+        u2 = 10.0 ** rng.uniform(-12.0, 12.0, size=50)
+        expected = _reference_rows(data, sigma, lam * lam, u2)
+        got = rows(u2)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
 # ---- streaming log-mean-exp ------------------------------------------------------
+
+
+class _BranchingAccumulator:
+    # the two-branch update: rescale the sum when a row raises the maximum
+    def __init__(self, size):
+        self.max = np.full(size, -np.inf)
+        self.sum = np.zeros(size)
+
+    def add(self, l):
+        grow = l > self.max
+        self.sum = np.where(
+            grow,
+            self.sum * np.exp(self.max - l) + 1.0,
+            self.sum + np.exp(l - self.max),
+        )
+        self.max = np.maximum(self.max, l)
+
+
+@pytest.mark.parametrize("shift", [0.0, 700.0, -700.0])
+def test_log_mean_exp_matches_branching_update_bitwise(shift):
+    rng = stream(13, "test", "lse-bits")
+    rows = rng.normal(0.0, 3.0, size=(5_000, 12)) + shift
+    # exact ties with the running maximum
+    rows[100:200] = rows[99]
+    rows[300, :6] = np.maximum.accumulate(rows[:300], axis=0)[-1, :6]
+    acc = LogMeanExpAccumulator(12)
+    ref = _BranchingAccumulator(12)
+    for row in rows:
+        acc.add(row)
+        ref.add(row)
+    np.testing.assert_array_equal(acc._max, ref.max)
+    np.testing.assert_array_equal(acc._sum, ref.sum)
+    np.testing.assert_array_equal(
+        acc.log_mean(), ref.max + np.log(ref.sum) - math.log(len(rows))
+    )
+
+
 
 
 def test_log_mean_exp_matches_naive_on_small_values():
@@ -244,6 +312,29 @@ def test_profile_pure_noise_concentrates_at_small_scale():
     assert result.lambda_grid[argmax] < 1.0
     at_five = int(np.argmin(np.abs(result.lambda_grid - 5.0)))
     assert result.profile[at_five] < 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_profile_matches_reference_sweep(seed):
+    # same draws through the public updates, rows from the per-row formula
+    # and the two-branch accumulator
+    data = simulate_sparse(0)
+    cfg = GibbsConfig(n_iter=1_500, burn_in=500, seed=seed)
+    grid = np.asarray(cfg.lambda_grid)
+    s1 = data.y.sum(axis=1)
+    rng = stream(seed, "horseshoe-gibbs")
+    u2, lam = np.ones(50), 1.0
+    ref = _BranchingAccumulator(grid.size)
+    for sweep in range(cfg.n_iter):
+        beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
+        u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
+        lam = gibbs_update_global_scale(rng, beta, data.sigma, u2, grid)
+        if sweep >= cfg.burn_in:
+            ref.add(_reference_rows(data, data.sigma, grid * grid, u2))
+    log_mean = ref.max + np.log(ref.sum)
+    expected = np.exp(log_mean - log_mean.max())
+    result = horseshoe_gibbs(data, cfg)
+    np.testing.assert_allclose(result.profile, expected, rtol=0.0, atol=1e-12)
 
 
 def test_overlays_are_the_reference_densities():
