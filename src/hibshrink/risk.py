@@ -27,7 +27,7 @@ from .errors import DomainError, NumericalWarning
 from .posterior import kappa_moment, kappa_moment12_batch, update
 from .prior import HIBParams
 from .quadrature import QuadConfig, integrate_unit
-from .specfun import DEFAULT_MAX_TERMS, DEFAULT_REL_TOL, log_gamma
+from .specfun import DEFAULT_MAX_TERMS, DEFAULT_REL_TOL
 from .streams import stream
 
 __all__ = [
@@ -229,7 +229,7 @@ def _noncentral_chi2_logpdf(z: float, p: int, theta: float) -> float:
         return -math.inf
     if theta == 0.0:
         half = 0.5 * p
-        return (half - 1.0) * math.log(z) - 0.5 * z - half * math.log(2.0) - log_gamma(half)
+        return (half - 1.0) * math.log(z) - 0.5 * z - half * math.log(2.0) - math.lgamma(half)
     sd = math.sqrt(theta)
     lo = max(0, int(theta - 12.0 * sd - 20.0))
     hi = int(theta + 12.0 * sd + 30.0)
@@ -241,11 +241,11 @@ def _noncentral_chi2_logpdf(z: float, p: int, theta: float) -> float:
         lp = (
             k * log_theta
             - theta
-            - log_gamma(k + 1.0)
+            - math.lgamma(k + 1.0)
             + (half - 1.0) * math.log(z)
             - 0.5 * z
             - half * math.log(2.0)
-            - log_gamma(half)
+            - math.lgamma(half)
         )
         logs.append(lp)
         best = max(best, lp)
@@ -348,7 +348,7 @@ def js_risk(p: int, beta_norm: float) -> float:
     log_weights = []
     values = []
     for k in range(lo, hi + 1):
-        log_weights.append(k * log_theta - theta - log_gamma(k + 1.0))
+        log_weights.append(k * log_theta - theta - math.lgamma(k + 1.0))
         values.append(1.0 / (p - 2.0 + 2.0 * k))
     peak = max(log_weights)
     weights = [math.exp(lw - peak) for lw in log_weights]

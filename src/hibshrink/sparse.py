@@ -20,6 +20,7 @@ zero, which is the distortion the profile makes visible.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +68,17 @@ class SparseDataset:
             raise DomainError(
                 f"y must have shape {(beta.size, self.n_rep)}, got {y.shape}"
             )
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        if not (
+            isinstance(self.sigma, numbers.Real)
+            and math.isfinite(self.sigma)
+            and self.sigma > 0.0
+        ):
+            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
         if np.any(~np.isfinite(beta)) or np.any(~np.isfinite(y)):
             raise DomainError("dataset values must be finite")
+        # keep the validated float arrays, not the caller's lists or int arrays
+        object.__setattr__(self, "beta_true", beta)
+        object.__setattr__(self, "y", y)
 
 
 def _default_grid() -> tuple[float, ...]:

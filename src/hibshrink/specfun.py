@@ -1,7 +1,6 @@
 """Series evaluation of the special functions behind the HIB family.
 
-Everything is plain double-precision arithmetic implemented in-repo: rising
-factorials, log-gamma (Lanczos approximation), log-beta, the Gauss
+Rising factorials, log-beta (through ``math.lgamma``), the Gauss
 hypergeometric function 2F1, and the bivariate confluent hypergeometric
 function
 
@@ -9,11 +8,14 @@ function
         = sum_{m,n >= 0} (alpha)_{m+n} (beta)_n
           / ((gamma)_{m+n} m! n!) * x^m y^n,
 
-which converges for all real x when y < 1.  ``phi1`` evaluates the function
-through single series of 2F1 values chosen by the signs of ``x`` and ``y`` so
+which converges for all real x when y < 1.  One dispatch, ``_plan``, maps
+the arguments to a single series of 2F1 values: it applies the y < 0
+substitution once and picks the representation for the sign of ``x``, so
 that, for the parameter patterns used by the statistical modules, every term
-is positive and no cancellation occurs.  ``phi1_double_series`` sums the raw
-double series and exists as an independent oracle for tests.
+is positive and no cancellation occurs.  The scalar ``phi1``/``log_phi1`` and
+the vectorized ``log_phi1_batch`` both sum the series ``_plan`` returns.
+``phi1_double_series`` sums the raw double series and exists as an
+independent oracle for tests.
 
 Large arguments make the function value overflow a float even though ratios
 of values stay moderate, so the statistical modules consume ``log_phi1`` and
@@ -36,7 +38,6 @@ __all__ = [
     "Phi1Args",
     "SeriesResult",
     "pochhammer",
-    "log_gamma",
     "log_beta",
     "gauss_2f1",
     "phi1",
@@ -61,21 +62,6 @@ _RESCALE = 2.0**512
 _LOG_RESCALE = 512.0 * math.log(2.0)
 
 _EXP_OVERFLOW = 709.782712893384  # log of the largest double
-
-# Lanczos approximation, g = 7, 9 coefficients: relative error below 1e-13
-# over the positive real axis once the reflection below 0.5 is applied.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 @dataclass(frozen=True)
@@ -116,25 +102,6 @@ class SeriesResult:
     converged: bool
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for ``x > 0``.
-
-    Accurate to at least 12 significant digits everywhere on the positive
-    axis; arguments below 0.5 go through the reflection formula so the
-    Lanczos sum stays in its accurate range.
-    """
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
 def pochhammer(c: float, n: int) -> float:
     """Rising factorial ``c (c+1) ... (c+n-1)``; equals 1 when ``n == 0``."""
     if n < 0 or n != int(n):
@@ -147,9 +114,9 @@ def pochhammer(c: float, n: int) -> float:
 
 def log_beta(a: float, b: float) -> float:
     """Natural log of the beta function for positive ``a`` and ``b``."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"log_beta requires positive arguments, got ({a}, {b})")
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"log_beta requires positive finite arguments, got ({a}, {b})")
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def _hyp2f1_series(
@@ -159,7 +126,6 @@ def _hyp2f1_series(
     z: float,
     rel_tol: float,
     max_terms: int,
-    compensated: bool = False,
 ) -> tuple[float, int]:
     """Raw 2F1 power series; caller guarantees it converges (|z| < 1).
 
@@ -167,17 +133,10 @@ def _hyp2f1_series(
     """
     total = 1.0
     term = 1.0
-    comp = 0.0
     streak = 0
     for m in range(1, max_terms + 1):
         term *= (a + m - 1.0) * (b + m - 1.0) / ((c + m - 1.0) * m) * z
-        if compensated:
-            yv = term - comp
-            t = total + yv
-            comp = (t - total) - yv
-            total = t
-        else:
-            total += term
+        total += term
         if abs(term) <= rel_tol * abs(total):
             streak += 1
             if streak >= 3 or term == 0.0:
@@ -194,8 +153,6 @@ def gauss_2f1(
     y: float,
     rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-    *,
-    compensated: bool = False,
 ) -> SeriesResult:
     """Gauss hypergeometric function 2F1(a, b; c; y) for ``y < 1``.
 
@@ -218,10 +175,10 @@ def gauss_2f1(
     lo, hi = sorted((a, b))
     if y < 0.0:
         z = y / (y - 1.0)
-        value, terms = _hyp2f1_series(hi, c - lo, c, z, rel_tol, max_terms, compensated)
+        value, terms = _hyp2f1_series(hi, c - lo, c, z, rel_tol, max_terms)
         value *= (1.0 - y) ** (-hi)
     else:
-        value, terms = _hyp2f1_series(hi, lo, c, y, rel_tol, max_terms, compensated)
+        value, terms = _hyp2f1_series(hi, lo, c, y, rel_tol, max_terms)
     return SeriesResult(value=value, terms_used=terms, converged=True)
 
 
@@ -240,92 +197,89 @@ def _check_y(y: float, max_terms: int) -> int:
     return max_terms
 
 
-def _phi1_core(
+def _linear(log_abs: float, sign: float, terms: int) -> SeriesResult:
+    """Linear-scale result from ``(log|value|, sign, terms)``; overflows to inf."""
+    if sign == 0.0:
+        value = 0.0
+    elif log_abs > _EXP_OVERFLOW:
+        value = sign * math.inf
+    else:
+        value = sign * math.exp(log_abs)
+    return SeriesResult(value=value, terms_used=terms, converged=True)
+
+
+def _plan(
     alpha: float,
     beta: float,
     gamma: float,
-    x: float,
     y: float,
+    negative: bool,
     rel_tol: float,
     max_terms: int,
-    compensated: bool = False,
-    _transformed: bool = False,
-) -> tuple[float, float, int]:
-    """Shared phi1 engine returning ``(log|value|, sign, outer_terms)``.
+):
+    """Single-series form of phi1 for the ``x`` of one sign.
 
-    Dispatch:
-      * y < 0: flip once via
+    Returns ``(a, inner, log_pref, tilt)`` such that, for every ``x`` with
+    ``(x < 0) == negative`` (``x = 0`` fits both forms),
+
+        phi1(alpha, beta; gamma; x, y)
+            = exp(log_pref + tilt x) sum_n (a)_n/(gamma)_n |x|^n/n! inner(n).
+
+    y < 0 is flipped once, into [0, 1), via
         phi1(alpha,beta;gamma;x,y) = e^x (1-y)^(-beta)
             phi1(gamma-alpha, beta; gamma; -x, y/(y-1)),
-        which lands in [0, 1) and is never applied twice.
-      * 0 <= y < 1, x >= 0: sum_n (alpha)_n/(gamma)_n x^n/n!
-            * 2F1(beta, alpha+n; gamma+n; y).
-      * 0 <= y < 1, x < 0: e^x sum_n (gamma-alpha)_n/(gamma)_n (-x)^n/n!
-            * 2F1(beta, alpha; gamma+n; y),
-        whose terms carry no sign changes from x, avoiding cancellation.
-
-    Partial sums are rescaled by powers of two so series comparable to
-    exp(|x|) never overflow; the log of the accumulated scale is folded into
-    the returned log value.
+    after which the series runs in x' = -x.  With 0 <= y < 1, x' >= 0 sums
+        (alpha)_n/(gamma)_n x'^n/n! 2F1(beta, alpha+n; gamma+n; y),
+    and x' < 0 sums
+        e^(x') (gamma-alpha)_n/(gamma)_n (-x')^n/n! 2F1(beta, alpha; gamma+n; y),
+    whose terms carry no sign changes from x, avoiding cancellation.
     """
-    max_terms = _check_y(y, max_terms)
+    log_pref, tilt, x_sign = 0.0, 0.0, 1.0  # x' = x_sign * x
+    a_pos, a_neg = alpha, gamma - alpha
     if y < 0.0:
-        if _transformed:  # dispatch lands in [0,1) after one flip; never recurse twice
-            raise AssertionError("phi1 y<0 transformation applied twice")
-        log_abs, sign, terms = _phi1_core(
-            gamma - alpha,
-            beta,
-            gamma,
-            -x,
-            y / (y - 1.0),
-            rel_tol,
-            max_terms,
-            compensated,
-            _transformed=True,
-        )
-        return log_abs + x - beta * math.log1p(-y), sign, terms
-
-    if x >= 0.0:
-        # weight ratio (alpha+n-1) x / ((gamma+n-1) n), inner 2F1 shifts both
-        a_param = alpha
-        xabs = x
-        prefactor = 0.0
-
-        def inner(n: int) -> float:
-            if y == 0.0:
-                return 1.0
-            value, _ = _hyp2f1_series(beta, alpha + n, gamma + n, y, rel_tol, max_terms)
-            return value
-
+        log_pref, tilt, x_sign = -beta * math.log1p(-y), 1.0, -1.0
+        alpha, y = a_neg, y / (y - 1.0)
+        a_pos, a_neg = a_neg, a_pos  # gamma - (gamma - alpha) is alpha; keep it exact
+        negative = not negative
+    if negative:
+        tilt += x_sign
+        a, shift = a_neg, 0
     else:
-        a_param = gamma - alpha
-        xabs = -x
-        prefactor = x
+        a, shift = a_pos, 1  # only the x' >= 0 form shifts alpha with n
 
-        def inner(n: int) -> float:
-            if y == 0.0:
-                return 1.0
-            value, _ = _hyp2f1_series(beta, alpha, gamma + n, y, rel_tol, max_terms)
-            return value
+    def inner(n: int) -> float:
+        if y == 0.0:
+            return 1.0
+        return _hyp2f1_series(beta, alpha + shift * n, gamma + n, y, rel_tol, max_terms)[0]
 
+    return a, inner, log_pref, tilt
+
+
+def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
+    """Scalar phi1 engine returning ``(log|value|, sign, outer_terms)``.
+
+    Sums the series :func:`_plan` picks for the sign of ``x``.  Partial sums
+    are rescaled by powers of two so series comparable to exp(|x|) never
+    overflow; the log of the accumulated scale is folded into the returned
+    log value.
+    """
+    gamma, x, rel_tol = args.gamma, args.x, args.rel_tol
+    max_terms = _check_y(args.y, args.max_terms)
+    a, inner, log_pref, tilt = _plan(
+        args.alpha, args.beta, gamma, args.y, x < 0.0, rel_tol, max_terms
+    )
+    xabs = abs(x)
     weight = 1.0
     off = 0.0
-    total = weight * inner(0)
-    comp = 0.0
+    total = inner(0)
     streak = 0
     n = 0
     converged = False
     while n < max_terms:
         n += 1
-        weight *= (a_param + n - 1.0) * xabs / ((gamma + n - 1.0) * n)
+        weight *= (a + n - 1.0) * xabs / ((gamma + n - 1.0) * n)
         term = weight * inner(n)
-        if compensated:
-            yv = term - comp
-            t = total + yv
-            comp = (t - total) - yv
-            total = t
-        else:
-            total += term
+        total += term
         if abs(term) <= rel_tol * abs(total):
             streak += 1
             if streak >= 3 or (term == 0.0 and weight == 0.0):
@@ -337,44 +291,27 @@ def _phi1_core(
         if magnitude > _SCALE_HI:
             total /= _RESCALE
             weight /= _RESCALE
-            comp /= _RESCALE
             off += _LOG_RESCALE
         elif 0.0 < magnitude < _SCALE_LO:
             total *= _RESCALE
             weight *= _RESCALE
-            comp *= _RESCALE
             off -= _LOG_RESCALE
     if not converged:
         raise ConvergenceError("phi1 series did not converge", terms_used=n)
     if total == 0.0:
         return -math.inf, 0.0, n
-    return math.log(abs(total)) + off + prefactor, math.copysign(1.0, total), n
+    log_abs = math.log(abs(total)) + off + log_pref + tilt * x
+    return log_abs, math.copysign(1.0, total), n
 
 
-def phi1(args: Phi1Args, *, compensated: bool = False) -> SeriesResult:
+def phi1(args: Phi1Args) -> SeriesResult:
     """Evaluate phi1 at ``args`` on the linear scale.
 
     The value can legitimately overflow to ``inf`` for large positive ``x``
     (the function grows like ``e^x``); callers needing ratios of large values
     should use :func:`log_phi1` instead.
     """
-    log_abs, sign, terms = _phi1_core(
-        args.alpha,
-        args.beta,
-        args.gamma,
-        args.x,
-        args.y,
-        args.rel_tol,
-        args.max_terms,
-        compensated,
-    )
-    if sign == 0.0:
-        value = 0.0
-    elif log_abs > _EXP_OVERFLOW:
-        value = sign * math.inf
-    else:
-        value = sign * math.exp(log_abs)
-    return SeriesResult(value=value, terms_used=terms, converged=True)
+    return _linear(*_phi1_core(args))
 
 
 def log_phi1(
@@ -392,8 +329,7 @@ def log_phi1(
     argument pattern produced by the HIB posterior formulas) phi1 is strictly
     positive, so the log is well defined for arbitrarily large ``x``.
     """
-    Phi1Args(alpha, beta, gamma, x, y, rel_tol, max_terms)  # validate
-    log_abs, sign, _ = _phi1_core(alpha, beta, gamma, x, y, rel_tol, max_terms)
+    log_abs, sign, _ = _phi1_core(Phi1Args(alpha, beta, gamma, x, y, rel_tol, max_terms))
     if sign <= 0.0:
         raise DomainError("phi1 evaluated non-positive; log_phi1 undefined here")
     return log_abs
@@ -468,61 +404,34 @@ def log_phi1_batch(
     ``alpha``, ``beta``, ``gamma`` and ``y`` are fixed across the batch, the
     situation that arises when a Monte Carlo risk loop evaluates posterior
     moments at many data draws.  Negative and nonnegative ``x`` entries are
-    routed to the sign-appropriate representation (the same ones ``phi1``
-    dispatches to), and each sub-batch is summed with only positive terms, so
-    the results match the scalar path to near machine precision for any
-    magnitude of ``x``.  Requires ``gamma > alpha`` when negative ``x`` are
-    present (always true for the posterior patterns, where gamma - alpha is
-    the posterior shape a').
+    each summed with the series :func:`_plan` picks for their sign (the same
+    ones ``phi1`` uses), with only positive terms, so the results match the
+    scalar path to near machine precision for any magnitude of ``x``.
+    Requires ``gamma > alpha`` when negative ``x`` are present (always true
+    for the posterior patterns, where gamma - alpha is the posterior shape
+    a').
     """
     if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
         raise DomainError("log_phi1_batch requires positive alpha, beta, gamma")
     max_terms = _check_y(y, max_terms)
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=float)
-
-    if y < 0.0:
-        # one flip of the y<0 transformation, folded into the coefficients
-        y_t = y / (y - 1.0)
-        pref = -beta * math.log1p(-y)
-        alpha_t = gamma - alpha
-
-        def inner_pos(n: int) -> float:
-            return _hyp2f1_series(beta, alpha_t, gamma + n, y_t, rel_tol, max_terms)[0]
-
-        def inner_neg(n: int) -> float:
-            return _hyp2f1_series(beta, alpha_t + n, gamma + n, y_t, rel_tol, max_terms)[0]
-
-        a_pos, a_neg = alpha, alpha_t
-    elif y == 0.0:
-        pref = 0.0
-        one = lambda n: 1.0  # noqa: E731
-        inner_pos = inner_neg = one
-        a_pos, a_neg = alpha, gamma - alpha
-    else:
-        pref = 0.0
-
-        def inner_pos(n: int) -> float:
-            return _hyp2f1_series(beta, alpha + n, gamma + n, y, rel_tol, max_terms)[0]
-
-        def inner_neg(n: int) -> float:
-            return _hyp2f1_series(beta, alpha, gamma + n, y, rel_tol, max_terms)[0]
-
-        a_pos, a_neg = alpha, gamma - alpha
-
     nonneg = x >= 0.0
-    if np.any(nonneg):
-        xs = x[nonneg]
-        out[nonneg] = _batch_sum(xs, a_pos, gamma, inner_pos, rel_tol, max_terms) + pref
-    if not np.all(nonneg):
-        if gamma <= alpha:
+    for negative, mask in ((False, nonneg), (True, ~nonneg)):
+        if not mask.any():
+            continue
+        if negative and gamma <= alpha:
             raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
-        xs = -x[~nonneg]
-        out[~nonneg] = (
-            _batch_sum(xs, a_neg, gamma, inner_neg, rel_tol, max_terms)
-            + pref
-            + x[~nonneg]
-        )
+        a, inner, log_pref, tilt = _plan(alpha, beta, gamma, y, negative, rel_tol, max_terms)
+        xs = x[mask]
+        if negative:
+            np.negative(xs, out=xs)
+        logs = _batch_sum(xs, a, gamma, inner, rel_tol, max_terms)
+        logs += log_pref
+        if tilt:
+            # xs is free again: reuse it for tilt * x = -tilt * |x|
+            logs += np.multiply(xs, -tilt, out=xs)
+        out[mask] = logs
     return out
 
 
@@ -534,7 +443,6 @@ def _rect_sum(
     y: float,
     rel_tol: float,
     max_terms: int,
-    compensated: bool,
     flipped: bool,
 ) -> tuple[float, float, int]:
     """Rectangle-truncated double series; needs ``x >= 0`` and ``0 <= y < 1``.
@@ -555,7 +463,6 @@ def _rect_sum(
     """
     row_param = gamma - alpha if flipped else alpha
     total = 0.0
-    comp = 0.0
     off = 0.0
     row_head = 1.0  # (row_param)_m / (gamma)_m * x^m / m!
     terms = 0
@@ -579,13 +486,7 @@ def _rect_sum(
             else:
                 streak = 0
         terms += n + 1
-        if compensated:
-            yv = row - comp
-            t = total + yv
-            comp = (t - total) - yv
-            total = t
-        else:
-            total += row
+        total += row
         if abs(row) <= rel_tol * abs(total):
             row_streak += 1
             if row_streak >= 3:
@@ -599,12 +500,10 @@ def _rect_sum(
         if magnitude > _SCALE_HI:
             total /= _RESCALE
             row_head /= _RESCALE
-            comp /= _RESCALE
             off += _LOG_RESCALE
         elif 0.0 < magnitude < _SCALE_LO:
             total *= _RESCALE
             row_head *= _RESCALE
-            comp *= _RESCALE
             off -= _LOG_RESCALE
         if row_head == 0.0 and converged is False and m > 3:
             converged = True  # terminating row coefficients
@@ -616,7 +515,7 @@ def _rect_sum(
     return math.log(abs(total)) + off, math.copysign(1.0, total), terms
 
 
-def phi1_double_series(args: Phi1Args, *, compensated: bool = False) -> SeriesResult:
+def phi1_double_series(args: Phi1Args) -> SeriesResult:
     """Sum the phi1 double series directly over a truncated (m, n) rectangle.
 
     This is the test-oracle counterpart of :func:`phi1`: sign flips first
@@ -642,14 +541,5 @@ def phi1_double_series(args: Phi1Args, *, compensated: bool = False) -> SeriesRe
     if flipped:
         log_pref += x
         x = -x
-    log_abs, sign, terms = _rect_sum(
-        alpha, beta, gamma, x, y, args.rel_tol, max_terms, compensated, flipped
-    )
-    log_abs += log_pref
-    if sign == 0.0:
-        value = 0.0
-    elif log_abs > _EXP_OVERFLOW:
-        value = sign * math.inf
-    else:
-        value = sign * math.exp(log_abs)
-    return SeriesResult(value=value, terms_used=terms, converged=True)
+    log_abs, sign, terms = _rect_sum(alpha, beta, gamma, x, y, args.rel_tol, max_terms, flipped)
+    return _linear(log_abs + log_pref, sign, terms)

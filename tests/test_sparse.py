@@ -74,6 +74,20 @@ def test_dataset_validation():
     for bad_n_rep in (None, "3"):
         with pytest.raises(DomainError, match="n_rep must be a positive integer"):
             SparseDataset(np.zeros(3), np.zeros((3, 3)), bad_n_rep, 1.0)
+    for bad_sigma in (None, "1"):
+        with pytest.raises(DomainError, match="sigma must be positive"):
+            SparseDataset(np.zeros(3), np.zeros((3, 2)), 2, bad_sigma)
+
+
+def test_dataset_from_lists_runs_likelihood_and_sampler():
+    data = SparseDataset([0.0, 0.0], [[0.5], [1.0]], 1, 1.0)
+    assert isinstance(data.y, np.ndarray) and data.y.dtype == float
+    assert isinstance(data.beta_true, np.ndarray) and data.beta_true.dtype == float
+    expected = sum(-0.5 * math.log(2.0 * math.pi * 2.0) - v * v / 4.0 for v in (0.5, 1.0))
+    assert abs(conditional_log_likelihood(data, 1.0, 1.0, [1.0, 1.0]) - expected) < 1e-12
+    result = horseshoe_gibbs(data, GibbsConfig(n_iter=20, burn_in=5, seed=1))
+    assert np.all(np.isfinite(result.profile))
+    assert result.profile.max() == 1.0
 
 
 def test_gibbs_config_validation():
