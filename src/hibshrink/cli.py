@@ -151,11 +151,11 @@ def _cmd_prior_density(args: argparse.Namespace) -> int:
     prior = _parse_prior(args.prior)
     grid = _parse_grid(args.grid)
     if args.var == "lambda":
-        densities = [density_lambda(prior, v) for v in grid]
+        densities = density_lambda(prior, grid)
     elif args.var == "lambda2":
-        densities = [density_lambda2(prior, v) for v in grid]
+        densities = density_lambda2(prior, grid)
     elif args.var == "kappa":
-        densities = [density_kappa(prior, v) for v in grid]
+        densities = density_kappa(prior, grid)
     else:
         if args.prior != "half-cauchy":
             raise DomainError("var=psi is the half-Cauchy log-scale density only")
@@ -211,6 +211,8 @@ def _cmd_risk_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_marglik_profile(args: argparse.Namespace) -> int:
+    if args.grid_size < 2:
+        raise DomainError(f"grid-size must be at least 2, got {args.grid_size}")
     data = simulate_sparse(args.data_seed, pure_noise=args.pure_noise)
     grid = tuple(np.linspace(10.0 / args.grid_size, 10.0, args.grid_size))
     cfg = GibbsConfig(

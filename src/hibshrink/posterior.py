@@ -80,6 +80,15 @@ def _check_data(p: int, Z: float, sigma2: float) -> None:
         raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
+def _as_data_vector(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1 or y.size < 1:
+        raise DomainError("y must be a 1-D vector of length >= 1")
+    if np.any(~np.isfinite(y)):
+        raise DomainError("y must be finite")
+    return y
+
+
 def update(prior: HIBParams, p: int, Z: float, sigma2: float = 1.0) -> PosteriorState:
     """Condition on p observations with squared norm Z at noise level sigma2."""
     _check_data(p, Z, sigma2)
@@ -119,7 +128,13 @@ def kappa_moment(
     c = state.a_post + pr.b
     log_num = log_phi1(pr.b, 1.0, c + n, state.s_post, pr.y, rel_tol, max_terms)
     log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, rel_tol, max_terms)
-    ratio = pochhammer(state.a_post, int(n)) / pochhammer(c, int(n))
+    return _moment_from_logs(state, int(n), log_num, log_den)
+
+
+def _moment_from_logs(state: PosteriorState, n: int, log_num: float, log_den: float) -> float:
+    """E(kappa^n | y) from the log series at a'+b+n (num) and a'+b (den)."""
+    c = state.a_post + state.prior.b
+    ratio = pochhammer(state.a_post, n) / pochhammer(c, n)
     return ratio * math.exp(log_num - log_den)
 
 
@@ -164,24 +179,27 @@ def marginal_log_likelihood(
     Equals the Gaussian base measure times the ratio of posterior to prior
     normalizing constants of the weight distribution.
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise DomainError("y must be a 1-D vector of length >= 1")
-    if np.any(~np.isfinite(y)):
-        raise DomainError("y must be finite")
-    p = y.size
-    Z = float(y @ y)
-    state = update(prior, p, Z, sigma2)
+    y = _as_data_vector(y)
+    state = update(prior, y.size, float(y @ y), sigma2)
     pr = prior
-    c_prior = pr.a + pr.b
-    c_post = state.a_post + pr.b
+    log_post = log_phi1(
+        pr.b, 1.0, state.a_post + pr.b, state.s_post, pr.y, rel_tol, max_terms
+    )
+    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, rel_tol, max_terms)
+    return _marginal_from_logs(state, log_post, log_prior)
+
+
+def _marginal_from_logs(state: PosteriorState, log_post: float, log_prior: float) -> float:
+    """log p(y) from the log series of the posterior (c = a'+b, tilt s') and
+    of the prior (c = a+b, tilt s)."""
+    pr = state.prior
     return (
-        -0.5 * p * math.log(2.0 * math.pi * sigma2)
-        - 0.5 * Z / sigma2
+        -0.5 * state.p * math.log(2.0 * math.pi * state.sigma2)
+        - 0.5 * state.Z / state.sigma2
         + log_beta(state.a_post, pr.b)
         - log_beta(pr.a, pr.b)
-        + log_phi1(pr.b, 1.0, c_post, state.s_post, pr.y, rel_tol, max_terms)
-        - log_phi1(pr.b, 1.0, c_prior, pr.s, pr.y, rel_tol, max_terms)
+        + log_post
+        - log_prior
     )
 
 
@@ -192,20 +210,24 @@ def shrink(
     rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ShrinkageFit:
-    """Posterior-mean estimate of the mean vector with its shrinkage weight."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise DomainError("y must be a 1-D vector of length >= 1")
-    if np.any(~np.isfinite(y)):
-        raise DomainError("y must be finite")
-    Z = float(y @ y)
-    state = update(prior, y.size, Z, sigma2)
-    kappa_bar = kappa_moment(state, 1, rel_tol, max_terms)
+    """Posterior-mean estimate of the mean vector with its shrinkage weight.
+
+    Three series evaluations: the posterior denominator at a'+b is shared by
+    E(kappa | y) and the marginal likelihood.
+    """
+    y = _as_data_vector(y)
+    state = update(prior, y.size, float(y @ y), sigma2)
+    pr = prior
+    c = state.a_post + pr.b
+    log_num = log_phi1(pr.b, 1.0, c + 1, state.s_post, pr.y, rel_tol, max_terms)
+    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, rel_tol, max_terms)
+    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, rel_tol, max_terms)
+    kappa_bar = _moment_from_logs(state, 1, log_num, log_den)
     return ShrinkageFit(
         post_mean=(1.0 - kappa_bar) * y,
         post_var_scalar=(1.0 - kappa_bar) * sigma2,
         kappa_bar=kappa_bar,
-        log_marginal=marginal_log_likelihood(y, sigma2, prior, rel_tol, max_terms),
+        log_marginal=_marginal_from_logs(state, log_den, log_prior),
     )
 
 

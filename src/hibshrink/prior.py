@@ -18,12 +18,20 @@ half-Cauchy's own scale another half-Cauchy prior (its closed-form density is
 ln(lambda) / (lambda^2 - 1) up to normalization), and the hyperbolic secant
 density that the half-Cauchy induces on psi = ln lambda^2.  Densities are
 computed in log form internally; linear densities are thin wrappers.
+
+The family densities (kappa, lambda^2, lambda, and the log forms of the
+first two) take a float or a 1-D array of points and compute the
+normalizer C once per call, so a grid costs one series evaluation, not one
+per point.  Each point is still checked against the density's domain, and
+a float returns a float.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .quadrature import QuadConfig, integrate_unit
@@ -106,33 +114,61 @@ def _check_kappa(kappa: float) -> None:
         raise DomainError(f"kappa must lie strictly inside (0, 1), got {kappa}")
 
 
-def log_density_kappa(prior: HIBParams, kappa: float) -> float:
-    """Log of the normalized shrinkage-weight density."""
-    _check_kappa(kappa)
+def _check_lambda2(lambda2: float) -> None:
+    if not (math.isfinite(lambda2) and lambda2 > 0.0):
+        raise DomainError(f"lambda2 must be positive and finite, got {lambda2}")
+
+
+def _check_lambda(lam: float) -> None:
+    if lam < 0.0 or not math.isfinite(lam):
+        raise DomainError(f"lam must be nonnegative and finite, got {lam}")
+    if lam > 0.0:
+        # lam^2 must neither underflow to 0 nor overflow
+        _check_lambda2(lam * lam)
+
+
+# a density's argument and result: one float, or a 1-D array of them
+Points = float | np.ndarray
+
+
+def _on_points(prior: HIBParams, values: Points, check, point) -> Points:
+    """Evaluate ``point(prior, v, log_c)`` at a float or along a 1-D array.
+
+    Every point is checked before the prior's normalizer is computed, once
+    for the whole call; a float returns a float and an array an ndarray.
+    """
+    scalar = np.ndim(values) == 0
+    if scalar:
+        points = [float(values)]
+    else:
+        array = np.asarray(values, dtype=float)
+        if array.ndim != 1:
+            raise DomainError(f"density grid must be 1-D, got shape {array.shape}")
+        points = array.tolist()
+    for v in points:
+        check(v)
+    log_c = log_normalizer(prior).log_c
+    if scalar:
+        return point(prior, points[0], log_c)
+    return np.array([point(prior, v, log_c) for v in points], dtype=float)
+
+
+def _log_kappa_at(prior: HIBParams, kappa: float, log_c: float) -> float:
     inv_tau2 = 1.0 / prior.tau2
     return (
         (prior.a - 1.0) * math.log(kappa)
         + (prior.b - 1.0) * math.log1p(-kappa)
         - math.log(inv_tau2 + (1.0 - inv_tau2) * kappa)
         - prior.s * kappa
-        - log_normalizer(prior).log_c
+        - log_c
     )
 
 
-def density_kappa(prior: HIBParams, kappa: float) -> float:
-    """Normalized density of the shrinkage weight kappa on (0, 1)."""
-    return math.exp(log_density_kappa(prior, kappa))
+def _kappa_at(prior: HIBParams, kappa: float, log_c: float) -> float:
+    return math.exp(_log_kappa_at(prior, kappa, log_c))
 
 
-def log_density_lambda2(prior: HIBParams, lambda2: float) -> float:
-    """Log density of lambda^2 = (1-kappa)/kappa on (0, infinity).
-
-    Written directly in the lambda^2 variable (not by delegating to the
-    kappa form) so that small and large lambda^2 keep full precision; the
-    two forms agree through the Jacobian (1+lambda^2)^(-2) exactly.
-    """
-    if not (math.isfinite(lambda2) and lambda2 > 0.0):
-        raise DomainError(f"lambda2 must be positive and finite, got {lambda2}")
+def _log_lambda2_at(prior: HIBParams, lambda2: float, log_c: float) -> float:
     inv_tau2 = 1.0 / prior.tau2
     log1p_l2 = math.log1p(lambda2)
     kappa = 1.0 / (1.0 + lambda2)
@@ -141,31 +177,67 @@ def log_density_lambda2(prior: HIBParams, lambda2: float) -> float:
         - (prior.a + prior.b) * log1p_l2
         - math.log(inv_tau2 + (1.0 - inv_tau2) * kappa)
         - prior.s * kappa
-        - log_normalizer(prior).log_c
+        - log_c
     )
 
 
-def density_lambda2(prior: HIBParams, lambda2: float) -> float:
-    """Normalized density of lambda^2 on (0, infinity)."""
-    return math.exp(log_density_lambda2(prior, lambda2))
+def _lambda2_at(prior: HIBParams, lambda2: float, log_c: float) -> float:
+    return math.exp(_log_lambda2_at(prior, lambda2, log_c))
 
 
-def density_lambda(prior: HIBParams, lam: float) -> float:
-    """Implied density of lambda itself: density_lambda2(lam^2) * 2 lam.
-
-    Defined by continuity at lam = 0, where the limit is finite only for
-    b = 1/2 (the half-Cauchy case gives 2/pi there).
-    """
-    if lam < 0.0 or not math.isfinite(lam):
-        raise DomainError(f"lam must be nonnegative and finite, got {lam}")
+def _lambda_at(prior: HIBParams, lam: float, log_c: float) -> float:
     if lam == 0.0:
         # density ~ (2/C) lam^(2b-1) e^(-s) near 0
         if prior.b > 0.5:
             return 0.0
         if prior.b < 0.5:
             return math.inf
-        return 2.0 * math.exp(-prior.s - log_normalizer(prior).log_c)
-    return math.exp(log_density_lambda2(prior, lam * lam) + math.log(2.0 * lam))
+        return 2.0 * math.exp(-prior.s - log_c)
+    return math.exp(_log_lambda2_at(prior, lam * lam, log_c) + math.log(2.0 * lam))
+
+
+def log_density_kappa(prior: HIBParams, kappa: Points) -> Points:
+    """Log of the normalized shrinkage-weight density.
+
+    ``kappa`` is a float or a 1-D array; the normalizer is computed once
+    per call, and one point outside (0, 1) raises DomainError.
+    """
+    return _on_points(prior, kappa, _check_kappa, _log_kappa_at)
+
+
+def density_kappa(prior: HIBParams, kappa: Points) -> Points:
+    """Normalized density of the shrinkage weight kappa on (0, 1).
+
+    Takes a float or a 1-D array, like ``log_density_kappa``.
+    """
+    return _on_points(prior, kappa, _check_kappa, _kappa_at)
+
+
+def log_density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
+    """Log density of lambda^2 = (1-kappa)/kappa on (0, infinity).
+
+    Written directly in the lambda^2 variable (not by delegating to the
+    kappa form) so that small and large lambda^2 keep full precision; the
+    two forms agree through the Jacobian (1+lambda^2)^(-2) exactly.
+    ``lambda2`` is a float or a 1-D array; the normalizer is computed once
+    per call.
+    """
+    return _on_points(prior, lambda2, _check_lambda2, _log_lambda2_at)
+
+
+def density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
+    """Normalized density of lambda^2 on (0, infinity), at a float or a 1-D array."""
+    return _on_points(prior, lambda2, _check_lambda2, _lambda2_at)
+
+
+def density_lambda(prior: HIBParams, lam: Points) -> Points:
+    """Implied density of lambda itself: density_lambda2(lam^2) * 2 lam.
+
+    Defined by continuity at lam = 0, where the limit is finite only for
+    b = 1/2 (the half-Cauchy case gives 2/pi there).  ``lam`` is a float
+    or a 1-D array; the normalizer is computed once per call.
+    """
+    return _on_points(prior, lam, _check_lambda, _lambda_at)
 
 
 # kernel of the scale mixture where the half-Cauchy's own scale gets another

@@ -304,7 +304,7 @@ def horseshoe_gibbs(data: SparseDataset, cfg: GibbsConfig) -> ProfileResult:
     log_mean = acc.log_mean()
     profile = np.exp(log_mean - log_mean.max())
     hc = half_cauchy()
-    overlay_hc = np.array([density_lambda(hc, lam_k) for lam_k in grid])
+    overlay_hc = density_lambda(hc, grid)
     overlay_ig = np.array([ig_induced_density(lam_k) for lam_k in grid])
     return ProfileResult(
         lambda_grid=grid,

@@ -114,6 +114,15 @@ def test_prior_density_psi_requires_half_cauchy(capsys, tmp_path):
     assert abs(d[2.0] - d[-2.0]) < 1e-15
 
 
+def test_prior_density_computes_normalizer_once(capsys, tmp_path, normalizer_calls):
+    out = tmp_path / "dens.csv"
+    code, _ = run(capsys, ["prior-density", "--var", "lambda2", "--prior", "0.5,1,4,3",
+                           "--grid", "0.05:16:81", "--out", str(out)])
+    assert code == 0
+    assert len(data_rows(out)) == 81
+    assert len(normalizer_calls) == 1
+
+
 def test_prior_density_rejects_bad_grid(capsys, tmp_path):
     code, _ = run(capsys, ["prior-density", "--var", "lambda", "--grid", "4:0:nope",
                            "--out", str(tmp_path / "x.csv")])
@@ -265,6 +274,16 @@ def test_marglik_profile_rejects_bad_burn_in(capsys, tmp_path):
     code, _ = run(capsys, ["marglik-profile", "--iters", "100", "--burn-in", "100",
                            "--out", str(tmp_path / "p.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_marglik_profile_rejects_small_grid(capsys, tmp_path, size):
+    code = main(["marglik-profile", "--iters", "50", "--burn-in", "10",
+                 "--grid-size", size, "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: grid-size must be at least 2")
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_marglik_profile_unwritable_output_exit_code(capsys, tmp_path):

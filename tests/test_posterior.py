@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from hibshrink import posterior as posterior_module
 from hibshrink.errors import ConvergenceError, DomainError
 from hibshrink.posterior import (
     kappa_moment,
@@ -196,6 +197,30 @@ def test_shrink_huge_signal_barely_shrinks():
 
 
 # ---- marginal likelihood ----------------------------------------------------------
+
+
+def test_shrink_matches_moment_and_marginal_bitwise():
+    rng = np.random.default_rng(11)
+    for prior in PRIOR_GRID[::5]:
+        for p, z in ((1, 0.0), (5, 0.3), (20, 40.0), (50, 2000.0)):
+            g = rng.standard_normal(p)
+            y = g * (math.sqrt(z) / math.sqrt(float(g @ g)))
+            fit = shrink(y, 1.0, prior)
+            assert fit.kappa_bar == kappa_moment(update(prior, p, float(y @ y)), 1)
+            assert fit.log_marginal == marginal_log_likelihood(y, 1.0, prior)
+
+
+def test_shrink_evaluates_three_series(monkeypatch):
+    calls = []
+    real = posterior_module.log_phi1
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(posterior_module, "log_phi1", counting)
+    shrink(np.array([1.0, -2.0, 0.5, 3.0]), 1.0, HIBParams(0.5, 1.0, 4.0, -1.0))
+    assert len(calls) == 3
 
 
 def test_marginal_scalar_uniform_closed_form():

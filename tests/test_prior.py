@@ -5,6 +5,7 @@ over the log scale) used as overlays and sanity anchors.
 
 import math
 
+import numpy as np
 import pytest
 
 from hibshrink.errors import DomainError
@@ -19,6 +20,7 @@ from hibshrink.prior import (
     half_cauchy,
     hyperbolic_secant_density,
     log_density_kappa,
+    log_density_lambda2,
     log_normalizer,
 )
 from hibshrink.quadrature import integrate_unit
@@ -197,6 +199,69 @@ def test_density_lambda_origin_limits():
     assert density_lambda(HIBParams(0.5, 1.0, 1.0, 0.0), 0.0) == 0.0
     assert density_lambda(HIBParams(0.5, 0.3, 1.0, 0.0), 0.0) == math.inf
     assert rel_err(density_lambda(half_cauchy(), 0.0), 2.0 / math.pi) < 1e-12
+
+
+# ---- array-valued densities ---------------------------------------------------
+
+ARRAY_PRIORS = [
+    HIBParams(a, b, tau2, s)
+    for a in (0.5, 1.0)
+    for b in (0.5, 1.0)
+    for tau2 in (0.25, 1.0, 4.0)
+    for s in (-1.0, 0.0, 3.0)
+]
+ARRAY_GRIDS = [
+    (density_lambda, np.linspace(0.05, 4.0, 81)),
+    (density_lambda2, np.linspace(0.05, 16.0, 81)),
+    (log_density_lambda2, np.linspace(0.05, 16.0, 81)),
+    (density_kappa, np.linspace(0.01, 0.99, 81)),
+    (log_density_kappa, np.linspace(0.01, 0.99, 81)),
+]
+
+
+def test_array_densities_equal_per_point_calls_bitwise():
+    for prior in ARRAY_PRIORS:
+        for density, grid in ARRAY_GRIDS:
+            got = density(prior, grid)
+            want = [density(prior, float(v)) for v in grid]
+            assert isinstance(got, np.ndarray) and got.shape == grid.shape
+            assert all(type(w) is float for w in want)
+            assert got.tolist() == want, (density.__name__, prior)
+
+
+def test_array_density_lambda_origin_matches_scalar():
+    grid = np.array([0.0, 0.5, 1.0, 2.0])
+    for b, origin in ((0.3, math.inf), (0.5, None), (0.7, 0.0)):
+        prior = HIBParams(0.5, b, 2.0, 1.0)
+        got = density_lambda(prior, grid)
+        assert got.tolist() == [density_lambda(prior, float(v)) for v in grid]
+        if origin is not None:
+            assert got[0] == origin
+    assert density_lambda(half_cauchy(), grid)[0] == density_lambda(half_cauchy(), 0.0)
+
+
+def test_array_density_rejects_one_bad_point():
+    hc = half_cauchy()
+    for bad in (0.0, 1.0):
+        for pos in (0, 2, 4):
+            kappa = np.full(5, 0.5)
+            kappa[pos] = bad
+            with pytest.raises(DomainError):
+                density_kappa(hc, kappa)
+            with pytest.raises(DomainError):
+                log_density_kappa(hc, kappa)
+    with pytest.raises(DomainError):
+        density_lambda2(hc, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(DomainError):
+        density_lambda(hc, np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):
+        density_kappa(hc, np.full((2, 2), 0.5))
+
+
+def test_density_grid_computes_normalizer_once(normalizer_calls):
+    values = density_kappa(HIBParams(0.5, 1.0, 4.0, 3.0), np.linspace(0.01, 0.99, 81))
+    assert values.shape == (81,)
+    assert len(normalizer_calls) == 1
 
 
 # ---- double half-Cauchy reference density -----------------------------------

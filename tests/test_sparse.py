@@ -365,6 +365,11 @@ def test_overlays_are_the_reference_densities():
     )
 
 
+def test_overlay_computes_normalizer_once(normalizer_calls):
+    horseshoe_gibbs(simulate_sparse(0), GibbsConfig(n_iter=20, burn_in=5, seed=0))
+    assert len(normalizer_calls) == 1
+
+
 # ---- induced inverse-gamma overlay ----------------------------------------------------
 
 
