@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .prior import HIBParams
+from .prior import HIBParams, log_normalizer
 from .specfun import (
     DEFAULT_MAX_TERMS,
     DEFAULT_REL_TOL,
@@ -268,19 +268,9 @@ def log_m_kernel(
         raise DomainError(f"p_eff must be a nonnegative integer, got {p_eff!r}")
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
-    pr = prior
-    a_num = pr.a + 0.5 * p_eff
-    s_num = pr.s + 0.5 * Z
-    log_c_num = (
-        -s_num
-        + log_beta(a_num, pr.b)
-        + log_phi1(pr.b, 1.0, a_num + pr.b, s_num, pr.y, rel_tol, max_terms)
-    )
-    log_c_den = (
-        -pr.s
-        + log_beta(pr.a, pr.b)
-        + log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, rel_tol, max_terms)
-    )
+    tilted = HIBParams(prior.a + 0.5 * p_eff, prior.b, prior.tau2, prior.s + 0.5 * Z)
+    log_c_num = log_normalizer(tilted, rel_tol, max_terms).log_c
+    log_c_den = log_normalizer(prior, rel_tol, max_terms).log_c
     return log_c_num - log_c_den
 
 

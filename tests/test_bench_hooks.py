@@ -7,6 +7,7 @@ is checked here against the package as it stands.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from hibshrink import cli, posterior, specfun
@@ -48,3 +49,31 @@ def test_density_grid_spans_count_points_and_one_normalizer(tmp_path):
                         if span[2].startswith("prior.density_"))
     assert density_items == 81
     assert names.count("prior.log_normalizer") == 1
+
+
+def test_risk_curve_batch_spans_are_three_per_bayes_point(tmp_path):
+    # keeps the base of specfun.batch.ns_per_x: every Bayes point evaluates
+    # its n_mc draws in exactly three log_phi1_batch calls
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["risk-curve", "--p", "7", "--grid", "0:6:3", "--mc", "2000",
+                         "--seed", "1", "--compare", "js,js_plus,mle",
+                         "--out", str(tmp_path / "r.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    by_id = {span[0]: span for span in tracer.spans}
+
+    def enclosing_point(span):
+        while span[2] != "risk.risk_analytic":
+            span = by_id[span[1]]
+        return span[0]
+
+    batch = [span for span in tracer.spans if span[2] == "specfun.log_phi1_batch"]
+    per_point = Counter(enclosing_point(span) for span in batch)
+    points = [span for span in tracer.spans if span[2] == "risk.risk_analytic"]
+    assert len(points) == 3
+    assert sorted(per_point) == sorted(span[0] for span in points)
+    assert set(per_point.values()) == {3}
+    assert sum(span[5] for span in batch) == 3 * 2000 * 3

@@ -16,6 +16,7 @@ from hibshrink.errors import ConvergenceError, DomainError
 from hibshrink.posterior import (
     kappa_moment,
     kappa_moment12_batch,
+    log_m_kernel,
     m_kernel,
     marginal_log_likelihood,
     mgf_kappa,
@@ -25,6 +26,7 @@ from hibshrink.posterior import (
 )
 from hibshrink.prior import HIBParams, density_kappa, half_cauchy
 from hibshrink.quadrature import integrate_unit
+from hibshrink.specfun import log_beta, log_phi1
 
 PRIOR_GRID = [
     HIBParams(a, b, tau2, s)
@@ -159,6 +161,30 @@ def test_kernel_moment_ratio_equals_posterior_mean():
             ratio = m_kernel(prior, p + 2, z) / m_kernel(prior, p, z)
             expected = kappa_moment(state_for(prior, p, z), 1)
             assert rel_err(ratio, expected) < 1e-10, (prior, p, z)
+
+
+def _log_m_kernel_by_hand(prior: HIBParams, p_eff: int, Z: float) -> float:
+    """The two prior normalizers written out term by term."""
+    a_num = prior.a + 0.5 * p_eff
+    s_num = prior.s + 0.5 * Z
+    log_c_num = (
+        -s_num
+        + log_beta(a_num, prior.b)
+        + log_phi1(prior.b, 1.0, a_num + prior.b, s_num, prior.y)
+    )
+    log_c_den = (
+        -prior.s
+        + log_beta(prior.a, prior.b)
+        + log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y)
+    )
+    return log_c_num - log_c_den
+
+
+def test_log_m_kernel_equals_written_out_normalizers_bitwise():
+    for prior in PRIOR_GRID:
+        for (p_eff, z) in PZ_PAIRS + [(2, 0.0), (4, 120.0)]:
+            assert log_m_kernel(prior, p_eff, z) == _log_m_kernel_by_hand(prior, p_eff, z), (
+                prior, p_eff, z)
 
 
 def test_m_kernel_anchors():

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from hibshrink import specfun
 from hibshrink.errors import DomainError, NumericalWarning
 from hibshrink.posterior import kappa_moment, update
 from hibshrink.prior import HIBParams, half_cauchy
@@ -302,3 +303,15 @@ def test_integrand_uses_posterior_shrinkage_weight():
     g2 = kappa_moment(update(prior, p, z, 1.0), 2)
     expected = z * g2 - p * g - 0.5 * z * g * g
     assert rel_err(sure_integrand(prior, p, z, route="moments"), expected) < 1e-12
+
+
+def test_risk_curve_bitwise_equal_across_thread_counts(monkeypatch):
+    # small batch blocks, so every point's draws are summed in several blocks
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 4096)
+    spec = RiskCurveSpec(p=7, beta_norms=(0.0, 3.0, 6.0), n_mc=10_000, seed=11,
+                         prior=half_cauchy(), comparators=frozenset({"js_plus"}))
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HIBSHRINK_THREADS", threads)
+        results.append([(pt.mse, pt.mc_std_err) for pt in risk_curve(spec)])
+    assert results[0] == results[1]

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from hibshrink import specfun
 from hibshrink.errors import ConvergenceError, DomainError, NumericalWarning
 from hibshrink.specfun import (
     Phi1Args,
@@ -321,6 +322,73 @@ def test_log_phi1_batch_negative_x_requires_gamma_above_alpha():
     np = pytest.importorskip("numpy")
     with pytest.raises(DomainError):
         log_phi1_batch(2.5, 1.0, 1.0, np.array([-1.0, 2.0]), 0.5)
+
+
+def _spread_xs(np):
+    """60 distinct x of both signs with |x| from 0 up to 800."""
+    rng = np.random.default_rng(20)
+    mags = np.concatenate([rng.uniform(0.0, 5.0, 20), rng.uniform(5.0, 100.0, 20),
+                           rng.uniform(100.0, 800.0, 18), [0.0, 800.0]])
+    signs = np.where(np.arange(mags.size) % 2 == 0, 1.0, -1.0)
+    return signs * mags
+
+
+def test_log_phi1_batch_small_blocks_match_scalar(monkeypatch):
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
+    xs = _spread_xs(np)
+    for y in (-1.5, 0.0, 0.6):
+        batch = log_phi1_batch(0.5, 1.0, 1.5, xs, y)
+        for x, got in zip(xs, batch):
+            assert rel_err(got, log_phi1(0.5, 1.0, 1.5, float(x), y)) < 1e-11, (x, y)
+
+
+def test_log_phi1_batch_is_equivariant_under_permutation(monkeypatch):
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
+    xs = _spread_xs(np)
+    assert np.unique(xs).size == xs.size
+    perm = np.random.default_rng(21).permutation(xs.size)
+    for y in (-1.5, 0.0, 0.6):
+        whole = log_phi1_batch(0.5, 1.0, 1.5, xs, y)
+        assert np.array_equal(log_phi1_batch(0.5, 1.0, 1.5, xs[perm], y), whole[perm])
+
+
+def test_log_phi1_batch_edge_sizes(monkeypatch):
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
+    empty = log_phi1_batch(0.5, 1.0, 1.5, np.array([]), 0.6)
+    assert empty.shape == (0,)
+    one = log_phi1_batch(0.5, 1.0, 1.5, np.array([7.0]), 0.6)
+    assert one.shape == (1,)
+    assert rel_err(one[0], log_phi1(0.5, 1.0, 1.5, 7.0, 0.6)) < 1e-11
+    negatives = -np.linspace(0.5, 60.0, 13)
+    for y in (-1.5, 0.0, 0.6):
+        batch = log_phi1_batch(0.5, 1.0, 1.5, negatives, y)
+        for x, got in zip(negatives, batch):
+            assert rel_err(got, log_phi1(0.5, 1.0, 1.5, float(x), y)) < 1e-11, (x, y)
+
+
+def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
+    # every inner 2F1 is evaluated at most once per term index, however many
+    # blocks reach that index
+    np = pytest.importorskip("numpy")
+    xs = _spread_xs(np)
+    calls = []
+    real = specfun._hyp2f1_series
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "_hyp2f1_series", counting)
+    single = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
+    single_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
+    blocked = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
+    assert 0 < len(calls) <= single_calls
+    assert np.allclose(blocked, single, rtol=1e-12, atol=0.0)
 
 
 # ---- differential suite against mpmath --------------------------------------
