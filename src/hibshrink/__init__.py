@@ -30,7 +30,6 @@ from .posterior import (
 )
 from .prior import (
     HIBParams,
-    LogNormalizer,
     density_kappa,
     density_lambda,
     density_lambda2,
@@ -38,14 +37,12 @@ from .prior import (
     hyperbolic_secant_density,
     log_normalizer,
 )
-from .quadrature import QuadConfig, QuadResult, integrate_unit, oracle_hib_moment
 from .risk import (
     RiskCurveSpec,
     RiskPoint,
     js_risk,
     risk_analytic,
     risk_curve,
-    risk_direct,
 )
 from .sparse import (
     GibbsConfig,
@@ -55,7 +52,7 @@ from .sparse import (
     ig_induced_density,
     simulate_sparse,
 )
-from .specfun import Phi1Args, SeriesResult, phi1, phi1_double_series
+from .specfun import Phi1Args, SeriesResult, phi1
 
 __all__ = [
     "__version__",
@@ -74,23 +71,17 @@ __all__ = [
     "shrink",
     "update",
     "HIBParams",
-    "LogNormalizer",
     "density_kappa",
     "density_lambda",
     "density_lambda2",
     "half_cauchy",
     "hyperbolic_secant_density",
     "log_normalizer",
-    "QuadConfig",
-    "QuadResult",
-    "integrate_unit",
-    "oracle_hib_moment",
     "RiskCurveSpec",
     "RiskPoint",
     "js_risk",
     "risk_analytic",
     "risk_curve",
-    "risk_direct",
     "GibbsConfig",
     "ProfileResult",
     "SparseDataset",
@@ -100,5 +91,4 @@ __all__ = [
     "Phi1Args",
     "SeriesResult",
     "phi1",
-    "phi1_double_series",
 ]

@@ -32,9 +32,10 @@ from .prior import (
     half_cauchy,
     hyperbolic_secant_density,
 )
+from .oracles import phi1_double_series
 from .risk import RiskCurveSpec, risk_curve
 from .sparse import GibbsConfig, horseshoe_gibbs, simulate_sparse
-from .specfun import Phi1Args, phi1, phi1_double_series
+from .specfun import Phi1Args, phi1
 
 __all__ = ["main"]
 

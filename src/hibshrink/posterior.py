@@ -269,8 +269,8 @@ def log_m_kernel(
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     tilted = HIBParams(prior.a + 0.5 * p_eff, prior.b, prior.tau2, prior.s + 0.5 * Z)
-    log_c_num = log_normalizer(tilted, rel_tol, max_terms).log_c
-    log_c_den = log_normalizer(prior, rel_tol, max_terms).log_c
+    log_c_num = log_normalizer(tilted, rel_tol, max_terms)
+    log_c_den = log_normalizer(prior, rel_tol, max_terms)
     return log_c_num - log_c_den
 
 

@@ -39,7 +39,6 @@ from .specfun import DEFAULT_MAX_TERMS, DEFAULT_REL_TOL, log_beta, log_phi1
 
 __all__ = [
     "HIBParams",
-    "LogNormalizer",
     "half_cauchy",
     "log_normalizer",
     "log_density_kappa",
@@ -83,13 +82,6 @@ class HIBParams:
         return 1.0 - 1.0 / self.tau2
 
 
-@dataclass(frozen=True)
-class LogNormalizer:
-    """Natural log of the family's normalizing constant C."""
-
-    log_c: float
-
-
 def half_cauchy() -> HIBParams:
     """Member whose implied prior on lambda is standard half-Cauchy."""
     return HIBParams(a=0.5, b=0.5, tau2=1.0, s=0.0)
@@ -99,14 +91,13 @@ def log_normalizer(
     prior: HIBParams,
     rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-) -> LogNormalizer:
-    """Normalizing constant of the kappa density, in log form."""
-    value = (
+) -> float:
+    """Natural log of the normalizing constant C of the kappa density."""
+    return (
         -prior.s
         + log_beta(prior.a, prior.b)
         + log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y, rel_tol, max_terms)
     )
-    return LogNormalizer(log_c=value)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -147,7 +138,7 @@ def _on_points(prior: HIBParams, values: Points, check, point) -> Points:
         points = array.tolist()
     for v in points:
         check(v)
-    log_c = log_normalizer(prior).log_c
+    log_c = log_normalizer(prior)
     if scalar:
         return point(prior, points[0], log_c)
     return np.array([point(prior, v, log_c) for v in points], dtype=float)

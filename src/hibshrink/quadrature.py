@@ -224,6 +224,58 @@ def integrate_unit(
     return integrate_unit_result(f, a_exp, b_exp, cfg, f_complement=f_complement).value
 
 
+def _posterior_kernel_integral(
+    prior,
+    a_post: float,
+    s_post: float,
+    weight: Callable[[float], float] | None = None,
+    cfg: QuadConfig = QuadConfig(),
+) -> tuple[float, float]:
+    """Integral over (0, 1) of the posterior kappa-kernel, optionally weighted.
+
+    ``prior`` carries the four family parameters (a, b, tau2, s); ``b`` and
+    ``tau2`` enter the kernel
+
+        kappa^(a_post - 1) (1 - kappa)^(b - 1)
+            / (1/tau2 + (1 - 1/tau2) kappa) * exp(-s_post kappa),
+
+    which is multiplied by ``weight(kappa)`` when given.  Returns
+    ``(log_scale, value)`` with the integral equal to exp(log_scale) * value.
+
+    ``log_scale`` is the log of the maximum over [0, 1] of the smooth factor
+    kappa^max(a_post - 1, 0) exp(-s_post kappa), divided out of the
+    integrand so that its peak is of order one.  A large tilt otherwise makes
+    the whole integral smaller than ``cfg.abs_tol``, at which point every
+    panel meets the absolute tolerance and a narrow posterior peak between
+    the first rule's nodes is never resolved.
+    """
+    b = prior.b
+    inv_tau2 = 1.0 / prior.tau2
+    slope = 1.0 - inv_tau2
+    lead = max(a_post - 1.0, 0.0)
+    peak = lead / s_post if s_post > lead else 1.0
+    log_scale = (lead * math.log(peak) if lead else 0.0) - s_post * peak
+
+    def f(kappa: float) -> float:
+        value = (
+            math.exp((a_post - 1.0) * math.log(kappa) - s_post * kappa - log_scale)
+            * (1.0 - kappa) ** (b - 1.0)
+            / (inv_tau2 + slope * kappa)
+        )
+        return value if weight is None else value * weight(kappa)
+
+    def fc(v: float) -> float:
+        kappa = 1.0 - v
+        value = (
+            math.exp((a_post - 1.0) * math.log1p(-v) - s_post * kappa - log_scale)
+            * v ** (b - 1.0)
+            / (inv_tau2 + slope * kappa)
+        )
+        return value if weight is None else value * weight(kappa)
+
+    return log_scale, integrate_unit(f, a_post, b, cfg, f_complement=fc)
+
+
 def oracle_hib_moment(prior, n: int, p: int, Z: float, cfg: QuadConfig = QuadConfig()) -> float:
     """Posterior moment E(kappa^n) computed purely by quadrature.
 
@@ -240,36 +292,8 @@ def oracle_hib_moment(prior, n: int, p: int, Z: float, cfg: QuadConfig = QuadCon
     """
     if n < 0 or p < 0 or Z < 0.0:
         raise DomainError("oracle_hib_moment requires n, p, Z nonnegative")
-    a = prior.a + 0.5 * p
-    b = prior.b
-    inv_tau2 = 1.0 / prior.tau2
-    slope = 1.0 - inv_tau2
-    w = prior.s + 0.5 * Z
-
-    def make(extra: int) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        exponent = a + extra
-
-        def f(kappa: float) -> float:
-            return (
-                kappa ** (exponent - 1.0)
-                * (1.0 - kappa) ** (b - 1.0)
-                / (inv_tau2 + slope * kappa)
-                * math.exp(-kappa * w)
-            )
-
-        def fc(v: float) -> float:
-            kappa = 1.0 - v
-            return (
-                kappa ** (exponent - 1.0)
-                * v ** (b - 1.0)
-                / (inv_tau2 + slope * kappa)
-                * math.exp(-kappa * w)
-            )
-
-        return f, fc
-
-    f0, fc0 = make(0)
-    fn, fcn = make(n)
-    denom = integrate_unit(f0, a, b, cfg, f_complement=fc0)
-    numer = integrate_unit(fn, a + n, b, cfg, f_complement=fcn)
-    return numer / denom
+    a_post = prior.a + 0.5 * p
+    s_post = prior.s + 0.5 * Z
+    log_den, den = _posterior_kernel_integral(prior, a_post, s_post, cfg=cfg)
+    log_num, num = _posterior_kernel_integral(prior, a_post + n, s_post, cfg=cfg)
+    return num / den * math.exp(log_num - log_den)

@@ -37,7 +37,6 @@ __all__ = [
     "sample_z",
     "sure_integrand",
     "risk_analytic",
-    "risk_direct",
     "simulate_estimator_risk",
     "js_risk",
     "js_estimate",
@@ -71,10 +70,7 @@ class RiskCurveSpec:
             raise DomainError("beta_norms must be nonnegative and finite")
         if grid != sorted(grid):
             raise DomainError("beta_norms must be ascending")
-        if not (isinstance(self.n_mc, int) and self.n_mc >= 2):
-            raise DomainError(f"n_mc must be an integer >= 2, got {self.n_mc!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise DomainError("seed must be a 64-bit unsigned integer")
+        _check_draws(self.n_mc, self.seed)
         unknown = set(self.comparators) - set(COMPARATOR_TAGS)
         if unknown:
             raise DomainError(f"unknown comparators: {sorted(unknown)}")
@@ -88,6 +84,14 @@ class RiskPoint:
     mse: float
     mc_std_err: float
     estimator_tag: str
+
+
+def _check_draws(n_mc: int, seed: int) -> None:
+    """Monte Carlo size and RNG seed accepted by every simulated risk."""
+    if not (isinstance(n_mc, int) and n_mc >= 2):
+        raise DomainError(f"n_mc must be an integer >= 2, got {n_mc!r}")
+    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def _check_point(p: int, beta_norm: float) -> None:
@@ -116,73 +120,24 @@ def sample_z(beta_norm: float, p: int, rng: np.random.Generator) -> float:
     return float(z[0])
 
 
-def _log_density_derivative_bracket(prior: HIBParams, kappa: float) -> float:
-    """2 kappa (1-kappa) d/dkappa log p(kappa), poles cancelled in closed form."""
-    inv_tau2 = 1.0 / prior.tau2
-    slope = 1.0 - inv_tau2
-    return (
-        2.0 * (1.0 - kappa) * (prior.a - 1.0)
-        - 2.0 * kappa * (prior.b - 1.0)
-        - 2.0 * kappa * (1.0 - kappa) * (prior.s + slope / (inv_tau2 + slope * kappa))
-    )
-
-
-def _posterior_bracket_expectation(prior: HIBParams, a_post: float, s_post: float) -> float:
-    """Posterior expectation of the log-derivative bracket, by quadrature."""
-    inv_tau2 = 1.0 / prior.tau2
-    slope = 1.0 - inv_tau2
-
-    def kernel(kappa: float) -> float:
-        return math.exp(-s_post * kappa) / (inv_tau2 + slope * kappa)
-
-    def f_den(kappa: float) -> float:
-        return kappa ** (a_post - 1.0) * (1.0 - kappa) ** (prior.b - 1.0) * kernel(kappa)
-
-    def f_den_c(v: float) -> float:
-        return (1.0 - v) ** (a_post - 1.0) * v ** (prior.b - 1.0) * kernel(1.0 - v)
-
-    def f_num(kappa: float) -> float:
-        return f_den(kappa) * _log_density_derivative_bracket(prior, kappa)
-
-    def f_num_c(v: float) -> float:
-        return f_den_c(v) * _log_density_derivative_bracket(prior, 1.0 - v)
-
-    cfg = QuadConfig()
-    den = integrate_unit(f_den, a_post, prior.b, cfg, f_complement=f_den_c)
-    num = integrate_unit(f_num, a_post, prior.b, cfg, f_complement=f_num_c)
-    return num / den
-
-
 def sure_integrand(
     prior: HIBParams,
     p: int,
     Z: float,
-    route: str = "moments",
     rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """Inner risk expression r(Z), so that risk = p + 2 E_Z[r(Z)].
 
-    route="moments" uses r = Z E(kappa^2|Z) - p g - (Z/2) g^2 with
-    g = E(kappa|Z).  route="by_parts" replaces the Z E(kappa^2|Z) term by
-    the integration-by-parts identity (p+Z+4) g - (p+2) - E[bracket|Z],
-    with the bracket expectation computed by quadrature; the two routes are
-    independent evaluations of the same quantity.
+    Uses r = Z E(kappa^2|Z) - p g - (Z/2) g^2 with g = E(kappa|Z).
     """
     _check_point(p, 0.0)
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     state = update(prior, p, Z, 1.0)
     g = kappa_moment(state, 1, rel_tol, max_terms)
-    if route == "moments":
-        g2 = kappa_moment(state, 2, rel_tol, max_terms)
-        lead = Z * g2
-    elif route == "by_parts":
-        bracket = _posterior_bracket_expectation(prior, state.a_post, state.s_post)
-        lead = (p + Z + 4.0) * g - (p + 2.0) - bracket
-    else:
-        raise DomainError(f"route must be 'moments' or 'by_parts', got {route!r}")
-    return lead - p * g - 0.5 * Z * g * g
+    g2 = kappa_moment(state, 2, rel_tol, max_terms)
+    return Z * g2 - p * g - 0.5 * Z * g * g
 
 
 def _point(tag: str, beta_norm: float, losses: np.ndarray) -> RiskPoint:
@@ -204,11 +159,13 @@ def risk_analytic(
     """Risk of the posterior mean via the moment identity.
 
     method="mc" averages the inner expression over Monte Carlo draws of Z
-    (2x the sample standard error is reported).  method="quadrature"
-    integrates it against the noncentral chi-square density instead and
-    reports zero standard error.
+    and reports the standard error of the resulting mse estimate, which is
+    twice that of the mean inner expression.  method="quadrature" integrates
+    it against the noncentral chi-square density instead and reports zero
+    standard error.
     """
     _check_point(p, beta_norm)
+    _check_draws(n_mc, seed)
     if method == "quadrature":
         mse = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm, rel_tol, max_terms)
         return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=0.0, estimator_tag=_BAYES_TAG)
@@ -264,33 +221,9 @@ def _expect_integrand_quadrature(
         density = math.exp(_noncentral_chi2_logpdf(z, p, theta)) * z_max
         if density == 0.0:
             return 0.0
-        return density * sure_integrand(prior, p, z, "moments", rel_tol, max_terms)
+        return density * sure_integrand(prior, p, z, rel_tol, max_terms)
 
     return integrate_unit(f, 0.5 * p, 1.0, QuadConfig(abs_tol=1e-10, rel_tol=1e-8))
-
-
-def risk_direct(
-    prior: HIBParams,
-    p: int,
-    beta_norm: float,
-    n_mc: int = 200_000,
-    seed: int = 0,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> RiskPoint:
-    """Definitional risk oracle: simulate data, apply the posterior mean.
-
-    With beta on the first axis, the loss only needs the first coordinate
-    and the squared norm: |(1-k)y - beta|^2 = (1-k)^2 Z - 2(1-k) |beta| y_1
-    + |beta|^2 with k the posterior mean shrinkage weight.
-    """
-    _check_point(p, beta_norm)
-    rng = stream(seed, "risk-direct", str(p), f"{beta_norm:.17g}")
-    y1, z = _draw_z(beta_norm, p, rng, n_mc)
-    g1, _ = kappa_moment12_batch(prior, p, z, rel_tol, max_terms)
-    keep = 1.0 - g1
-    losses = keep * keep * z - 2.0 * keep * beta_norm * y1 + beta_norm * beta_norm
-    return _point(_BAYES_TAG, beta_norm, losses)
 
 
 def _shrink_factor(tag: str, z: np.ndarray, p: int) -> np.ndarray:
@@ -320,6 +253,7 @@ def simulate_estimator_risk(
     if tag != "mle" and p < 3:
         raise DomainError("James-Stein comparators require p >= 3")
     _check_point(p, beta_norm)
+    _check_draws(n_mc, seed)
     rng = stream(seed, "risk-sim", tag, str(p), f"{beta_norm:.17g}")
     y1, z = _draw_z(beta_norm, p, rng, n_mc)
     factor = _shrink_factor(tag, z, p)

@@ -18,8 +18,6 @@ The batch sorts its ``|x|`` and sums them in fixed blocks of neighbours, each
 block stopping as soon as its own largest element has converged, so its work
 follows each element's own term count rather than the largest one's; the
 series coefficients are built once per call and shared by every block.
-``phi1_double_series`` sums the raw double series and exists as an
-independent oracle for tests.
 
 Large arguments make the function value overflow a float even though ratios
 of values stay moderate, so the statistical modules consume ``log_phi1`` and
@@ -47,7 +45,6 @@ __all__ = [
     "phi1",
     "log_phi1",
     "log_phi1_batch",
-    "phi1_double_series",
 ]
 
 DEFAULT_REL_TOL = 1e-12
@@ -465,113 +462,3 @@ def log_phi1_batch(
             logs += np.multiply(xs, -tilt, out=xs)
         out[mask] = logs
     return out
-
-
-def _rect_sum(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    x: float,
-    y: float,
-    rel_tol: float,
-    max_terms: int,
-    flipped: bool,
-) -> tuple[float, float, int]:
-    """Rectangle-truncated double series; needs ``x >= 0`` and ``0 <= y < 1``.
-
-    ``flipped=False`` sums the defining series
-
-        sum_{m,n} (alpha)_{m+n} (beta)_n x^m y^n / ((gamma)_{m+n} m! n!),
-
-    ``flipped=True`` sums the exponential-flip rearrangement
-
-        sum_{m,n} (gamma-alpha)_m (alpha)_n (beta)_n x^m y^n
-            / ((gamma)_{m+n} m! n!),
-
-    which equals e^{x} phi1(alpha, beta; gamma; -x, y); the caller accounts
-    for the prefactor.  Rows are indexed by the power of ``x``, and both
-    directions stop after three consecutive negligible contributions.
-    Returns ``(log|value|, sign, terms)``.
-    """
-    row_param = gamma - alpha if flipped else alpha
-    total = 0.0
-    off = 0.0
-    row_head = 1.0  # (row_param)_m / (gamma)_m * x^m / m!
-    terms = 0
-    row_streak = 0
-    m = 0
-    converged = False
-    while m <= max_terms:
-        term = row_head
-        row = term
-        streak = 0
-        n = 0
-        while n < max_terms:
-            n += 1
-            first = alpha + n - 1.0 if flipped else alpha + m + n - 1.0
-            term *= first * (beta + n - 1.0) * y / ((gamma + m + n - 1.0) * n)
-            row += term
-            if abs(term) <= rel_tol * max(abs(row), abs(total)):
-                streak += 1
-                if streak >= 3 or term == 0.0:
-                    break
-            else:
-                streak = 0
-        terms += n + 1
-        total += row
-        if abs(row) <= rel_tol * abs(total):
-            row_streak += 1
-            if row_streak >= 3:
-                converged = True
-                break
-        else:
-            row_streak = 0
-        m += 1
-        row_head *= (row_param + m - 1.0) * x / ((gamma + m - 1.0) * m)
-        magnitude = max(abs(total), abs(row_head))
-        if magnitude > _SCALE_HI:
-            total /= _RESCALE
-            row_head /= _RESCALE
-            off += _LOG_RESCALE
-        elif 0.0 < magnitude < _SCALE_LO:
-            total *= _RESCALE
-            row_head *= _RESCALE
-            off -= _LOG_RESCALE
-        if row_head == 0.0 and converged is False and m > 3:
-            converged = True  # terminating row coefficients
-            break
-    if not converged:
-        raise ConvergenceError("phi1 double series did not converge", terms_used=terms)
-    if total == 0.0:
-        return -math.inf, 0.0, terms
-    return math.log(abs(total)) + off, math.copysign(1.0, total), terms
-
-
-def phi1_double_series(args: Phi1Args) -> SeriesResult:
-    """Sum the phi1 double series directly over a truncated (m, n) rectangle.
-
-    This is the test-oracle counterpart of :func:`phi1`: sign flips first
-    move the evaluation into x >= 0, 0 <= y < 1, and the rectangle is then
-    summed term by term with no single-series nesting.  Negative ``y`` is
-    removed by the substitution identity (the same one :func:`phi1` applies,
-    used exactly once); a remaining negative ``x`` is removed by the
-    exponential-flip rearrangement, whose rectangle carries the numerator
-    (gamma-alpha)_m (alpha)_n in place of (alpha)_{m+n}.  After the flips all
-    terms are nonnegative whenever gamma > alpha, so the summation itself is
-    cancellation-free for the parameter patterns the tests exercise.
-    """
-    max_terms = _check_y(args.y, args.max_terms)
-    alpha, beta, gamma = args.alpha, args.beta, args.gamma
-    x, y = args.x, args.y
-    log_pref = 0.0
-    if y < 0.0:
-        log_pref += x - beta * math.log1p(-y)
-        alpha = gamma - alpha
-        x = -x
-        y = y / (y - 1.0)
-    flipped = x < 0.0
-    if flipped:
-        log_pref += x
-        x = -x
-    log_abs, sign, terms = _rect_sum(alpha, beta, gamma, x, y, args.rel_tol, max_terms, flipped)
-    return _linear(log_abs + log_pref, sign, terms)

@@ -18,9 +18,10 @@ from hibshrink.prior import (
     hyperbolic_secant_density,
 )
 from hibshrink.quadrature import oracle_hib_moment
-from hibshrink.risk import js_risk, risk_analytic, risk_direct
+from hibshrink.oracles import phi1_double_series, risk_direct
+from hibshrink.risk import js_risk, risk_analytic
 from hibshrink.sparse import GibbsConfig, horseshoe_gibbs, ig_induced_density, simulate_sparse
-from hibshrink.specfun import Phi1Args, phi1, phi1_double_series
+from hibshrink.specfun import Phi1Args, phi1
 from hibshrink.streams import stream
 
 PRIOR_GRID = [

@@ -10,6 +10,7 @@ import math
 import pytest
 
 from hibshrink.errors import AccuracyError, DomainError
+from hibshrink.posterior import kappa_moment, update
 from hibshrink.prior import HIBParams, half_cauchy, log_normalizer
 from hibshrink.quadrature import (
     QuadConfig,
@@ -67,7 +68,7 @@ def test_tilted_arcsine_matches_series_normalizer():
     f = lambda k: k ** -0.5 * (1.0 - k) ** -0.5 * math.exp(-k)
     fc = lambda v: v ** -0.5 * (1.0 - v) ** -0.5 * math.exp(v - 1.0)
     got = integrate_unit(f, 0.5, 0.5, f_complement=fc)
-    expected = math.exp(log_normalizer(HIBParams(0.5, 0.5, 1.0, 1.0)).log_c)
+    expected = math.exp(log_normalizer(HIBParams(0.5, 0.5, 1.0, 1.0)))
     assert rel_err(got, expected) < 1e-10
 
 
@@ -158,3 +159,13 @@ def test_oracle_shrinkage_weight_decreases_with_data_norm():
     values = [oracle_hib_moment(hc, 1, 7, z) for z in (0.0, 2.0, 10.0, 50.0, 200.0)]
     for lo, hi in zip(values[1:], values[:-1]):
         assert lo < hi
+
+
+@pytest.mark.parametrize("prior", [half_cauchy(), HIBParams(1.0, 0.5, 4.0, 0.0)])
+def test_oracle_resolves_narrow_peak_of_tiny_kernel_integral(prior):
+    # large tilts make the kernel integral far smaller than the absolute
+    # tolerance; the oracle must still resolve the posterior peak
+    for p, z in ((50, 2000.0), (50, 300.0), (7, 800.0), (200, 20000.0)):
+        for n in (1, 2):
+            series = kappa_moment(update(prior, p, z), n)
+            assert rel_err(oracle_hib_moment(prior, n, p, z), series) <= 1e-8, (p, z, n)

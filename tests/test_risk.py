@@ -13,6 +13,7 @@ import pytest
 
 from hibshrink import specfun
 from hibshrink.errors import DomainError, NumericalWarning
+from hibshrink.oracles import risk_direct, sure_integrand_by_parts
 from hibshrink.posterior import kappa_moment, update
 from hibshrink.prior import HIBParams, half_cauchy
 from hibshrink.quadrature import oracle_hib_moment
@@ -24,7 +25,6 @@ from hibshrink.risk import (
     mle_estimate,
     risk_analytic,
     risk_curve,
-    risk_direct,
     sample_z,
     simulate_estimator_risk,
     sure_integrand,
@@ -83,8 +83,8 @@ ROUTE_PRIORS = [
 
 
 def test_sure_integrand_routes_agree_at_anchor():
-    a = sure_integrand(half_cauchy(), 7, 10.0, route="moments")
-    b = sure_integrand(half_cauchy(), 7, 10.0, route="by_parts")
+    a = sure_integrand(half_cauchy(), 7, 10.0)
+    b = sure_integrand_by_parts(half_cauchy(), 7, 10.0)
     assert rel_err(a, b) < 1e-6
 
 
@@ -92,20 +92,15 @@ def test_sure_integrand_routes_agree_on_grid():
     for prior in ROUTE_PRIORS:
         for p in (3, 7, 15):
             for z in (0.0, 1.0, 10.0, 100.0):
-                a = sure_integrand(prior, p, z, route="moments")
-                b = sure_integrand(prior, p, z, route="by_parts")
+                a = sure_integrand(prior, p, z)
+                b = sure_integrand_by_parts(prior, p, z)
                 assert abs(a - b) <= 1e-6 * max(1.0, abs(a)), (prior, p, z)
-
-
-def test_sure_integrand_rejects_unknown_route():
-    with pytest.raises(DomainError):
-        sure_integrand(half_cauchy(), 7, 1.0, route="nope")
 
 
 def test_sure_integrand_origin_closed_form():
     # at Z=0 the expression collapses to -p * E(kappa); the posterior is an
     # untilted Beta there, so E(kappa) = (a + p/2)/(a + b + p/2) = 8/9
-    got = sure_integrand(half_cauchy(), 7, 0.0, route="moments")
+    got = sure_integrand(half_cauchy(), 7, 0.0)
     assert rel_err(got, -56.0 / 9.0) < 1e-10
     # frozen quadrature-only regression value for the same point
     quad = -7.0 * oracle_hib_moment(half_cauchy(), 1, 7, 0.0)
@@ -158,6 +153,30 @@ def test_risk_point_fields():
     assert point.beta_norm == 1.0
     assert point.mse > 0.0
     assert point.mc_std_err > 0.0
+
+
+BAD_DRAWS = [
+    dict(n_mc=1),
+    dict(n_mc=0),
+    dict(n_mc=1000.0),
+    dict(seed=-1),
+    dict(seed=2**64),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_DRAWS, ids=lambda bad: repr(bad))
+@pytest.mark.parametrize("estimate", ["analytic", "direct", "js_plus", "spec"])
+def test_point_risk_rejects_bad_draw_count_and_seed(estimate, bad):
+    draws = {"n_mc": 100, "seed": 0, **bad}
+    with pytest.raises(DomainError):
+        if estimate == "analytic":
+            risk_analytic(half_cauchy(), 7, 1.0, **draws)
+        elif estimate == "direct":
+            risk_direct(half_cauchy(), 7, 1.0, **draws)
+        elif estimate == "js_plus":
+            simulate_estimator_risk("js_plus", 7, 1.0, **draws)
+        else:
+            RiskCurveSpec(p=7, beta_norms=(1.0,), prior=half_cauchy(), **draws)
 
 
 # ---- James-Stein closed form -------------------------------------------------------
@@ -302,7 +321,7 @@ def test_integrand_uses_posterior_shrinkage_weight():
     g = kappa_moment(update(prior, p, z, 1.0), 1)
     g2 = kappa_moment(update(prior, p, z, 1.0), 2)
     expected = z * g2 - p * g - 0.5 * z * g * g
-    assert rel_err(sure_integrand(prior, p, z, route="moments"), expected) < 1e-12
+    assert rel_err(sure_integrand(prior, p, z), expected) < 1e-12
 
 
 def test_risk_curve_bitwise_equal_across_thread_counts(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 
 from hibshrink import specfun
 from hibshrink.errors import ConvergenceError, DomainError, NumericalWarning
+from hibshrink.oracles import phi1_double_series
 from hibshrink.specfun import (
     Phi1Args,
     gauss_2f1,
@@ -20,7 +21,6 @@ from hibshrink.specfun import (
     log_phi1,
     log_phi1_batch,
     phi1,
-    phi1_double_series,
     pochhammer,
 )
 
