@@ -15,6 +15,7 @@ variable caps risk-curve parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,7 +36,7 @@ from .prior import (
 from .oracles import phi1_double_series
 from .risk import RiskCurveSpec, risk_curve
 from .sparse import GibbsConfig, horseshoe_gibbs, simulate_sparse
-from .specfun import Phi1Args, phi1
+from .specfun import DEFAULT_MAX_TERMS, DEFAULT_REL_TOL, Phi1Args, phi1
 
 __all__ = ["main"]
 
@@ -242,7 +243,9 @@ def _cmd_simulate_sparse(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hibshrink",
         description="Shrinkage estimation and risk evaluation under "
@@ -256,8 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi1.add_argument("--gamma", type=float, required=True)
     p_phi1.add_argument("--x", type=float, required=True)
     p_phi1.add_argument("--y", type=float, required=True)
-    p_phi1.add_argument("--rel-tol", type=float, default=1e-12, dest="rel_tol")
-    p_phi1.add_argument("--max-terms", type=int, default=100_000, dest="max_terms")
+    p_phi1.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL, dest="rel_tol")
+    p_phi1.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS, dest="max_terms")
     p_phi1.add_argument("--oracle", action="store_true",
                         help="also evaluate the direct double series and report the gap")
     p_phi1.set_defaults(func=_cmd_phi1)
@@ -309,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

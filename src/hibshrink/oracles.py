@@ -34,7 +34,6 @@ from .specfun import (
     _SCALE_HI,
     _SCALE_LO,
     DEFAULT_MAX_TERMS,
-    DEFAULT_REL_TOL,
     Phi1Args,
     SeriesResult,
     _check_y,
@@ -161,7 +160,6 @@ def risk_direct(
     beta_norm: float,
     n_mc: int = 200_000,
     seed: int = 0,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> RiskPoint:
     """Definitional risk oracle: simulate data, apply the posterior mean.
@@ -174,7 +172,7 @@ def risk_direct(
     _check_draws(n_mc, seed)
     rng = stream(seed, "risk-direct", str(p), f"{beta_norm:.17g}")
     y1, z = _draw_z(beta_norm, p, rng, n_mc)
-    g1, _ = kappa_moment12_batch(prior, p, z, rel_tol, max_terms)
+    g1, _ = kappa_moment12_batch(prior, p, z, max_terms)
     keep = 1.0 - g1
     losses = keep * keep * z - 2.0 * keep * beta_norm * y1 + beta_norm * beta_norm
     return _point(_BAYES_TAG, beta_norm, losses)

@@ -112,7 +112,6 @@ def prior_state(prior: HIBParams) -> PosteriorState:
 def kappa_moment(
     state: PosteriorState,
     n: int,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """n-th posterior moment of the shrinkage weight, in [0, 1].
@@ -126,8 +125,8 @@ def kappa_moment(
         return 1.0
     pr = state.prior
     c = state.a_post + pr.b
-    log_num = log_phi1(pr.b, 1.0, c + n, state.s_post, pr.y, rel_tol, max_terms)
-    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, rel_tol, max_terms)
+    log_num = log_phi1(pr.b, 1.0, c + n, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
+    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
     return _moment_from_logs(state, int(n), log_num, log_den)
 
 
@@ -142,7 +141,6 @@ def kappa_moment12_batch(
     prior: HIBParams,
     p: int,
     z_values: np.ndarray,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First and second posterior kappa moments over many Z values at once.
@@ -159,9 +157,9 @@ def kappa_moment12_batch(
     a_post = prior.a + 0.5 * p
     c = a_post + prior.b
     s_post = prior.s + 0.5 * z
-    log_den = log_phi1_batch(prior.b, 1.0, c, s_post, prior.y, rel_tol, max_terms)
-    log_n1 = log_phi1_batch(prior.b, 1.0, c + 1.0, s_post, prior.y, rel_tol, max_terms)
-    log_n2 = log_phi1_batch(prior.b, 1.0, c + 2.0, s_post, prior.y, rel_tol, max_terms)
+    log_den = log_phi1_batch(prior.b, 1.0, c, s_post, prior.y, DEFAULT_REL_TOL, max_terms)
+    log_n1 = log_phi1_batch(prior.b, 1.0, c + 1.0, s_post, prior.y, DEFAULT_REL_TOL, max_terms)
+    log_n2 = log_phi1_batch(prior.b, 1.0, c + 2.0, s_post, prior.y, DEFAULT_REL_TOL, max_terms)
     g1 = (a_post / c) * np.exp(log_n1 - log_den)
     g2 = (a_post * (a_post + 1.0) / (c * (c + 1.0))) * np.exp(log_n2 - log_den)
     return g1, g2
@@ -171,7 +169,6 @@ def marginal_log_likelihood(
     y: np.ndarray,
     sigma2: float,
     prior: HIBParams,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """Log of p(y) with the mean vector and shrinkage weight integrated out.
@@ -183,9 +180,9 @@ def marginal_log_likelihood(
     state = update(prior, y.size, float(y @ y), sigma2)
     pr = prior
     log_post = log_phi1(
-        pr.b, 1.0, state.a_post + pr.b, state.s_post, pr.y, rel_tol, max_terms
+        pr.b, 1.0, state.a_post + pr.b, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms
     )
-    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, rel_tol, max_terms)
+    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, DEFAULT_REL_TOL, max_terms)
     return _marginal_from_logs(state, log_post, log_prior)
 
 
@@ -207,7 +204,6 @@ def shrink(
     y: np.ndarray,
     sigma2: float,
     prior: HIBParams,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> ShrinkageFit:
     """Posterior-mean estimate of the mean vector with its shrinkage weight.
@@ -219,9 +215,9 @@ def shrink(
     state = update(prior, y.size, float(y @ y), sigma2)
     pr = prior
     c = state.a_post + pr.b
-    log_num = log_phi1(pr.b, 1.0, c + 1, state.s_post, pr.y, rel_tol, max_terms)
-    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, rel_tol, max_terms)
-    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, rel_tol, max_terms)
+    log_num = log_phi1(pr.b, 1.0, c + 1, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
+    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
+    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, DEFAULT_REL_TOL, max_terms)
     kappa_bar = _moment_from_logs(state, 1, log_num, log_den)
     return ShrinkageFit(
         post_mean=(1.0 - kappa_bar) * y,
@@ -234,7 +230,6 @@ def shrink(
 def mgf_kappa(
     state: PosteriorState,
     t: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """Moment generating function E(e^{t kappa} | y), always positive.
@@ -246,8 +241,8 @@ def mgf_kappa(
         raise DomainError(f"t must be finite, got {t}")
     pr = state.prior
     c = state.a_post + pr.b
-    log_num = log_phi1(pr.b, 1.0, c, state.s_post - t, pr.y, rel_tol, max_terms)
-    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, rel_tol, max_terms)
+    log_num = log_phi1(pr.b, 1.0, c, state.s_post - t, pr.y, DEFAULT_REL_TOL, max_terms)
+    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
     return math.exp(t + log_num - log_den)
 
 
@@ -255,7 +250,6 @@ def log_m_kernel(
     prior: HIBParams,
     p_eff: int,
     Z: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """Log of the kernel moment integral(kappa^{p_eff/2} e^{-Z kappa/2} dP).
@@ -269,8 +263,8 @@ def log_m_kernel(
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     tilted = HIBParams(prior.a + 0.5 * p_eff, prior.b, prior.tau2, prior.s + 0.5 * Z)
-    log_c_num = log_normalizer(tilted, rel_tol, max_terms)
-    log_c_den = log_normalizer(prior, rel_tol, max_terms)
+    log_c_num = log_normalizer(tilted, max_terms)
+    log_c_den = log_normalizer(prior, max_terms)
     return log_c_num - log_c_den
 
 
@@ -278,8 +272,7 @@ def m_kernel(
     prior: HIBParams,
     p_eff: int,
     Z: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """Kernel moment m_{p_eff}(Z), a positive real."""
-    return math.exp(log_m_kernel(prior, p_eff, Z, rel_tol, max_terms))
+    return math.exp(log_m_kernel(prior, p_eff, Z, max_terms))

@@ -89,14 +89,13 @@ def half_cauchy() -> HIBParams:
 
 def log_normalizer(
     prior: HIBParams,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """Natural log of the normalizing constant C of the kappa density."""
     return (
         -prior.s
         + log_beta(prior.a, prior.b)
-        + log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y, rel_tol, max_terms)
+        + log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y, DEFAULT_REL_TOL, max_terms)
     )
 
 

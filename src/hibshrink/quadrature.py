@@ -224,6 +224,12 @@ def integrate_unit(
     return integrate_unit_result(f, a_exp, b_exp, cfg, f_complement=f_complement).value
 
 
+# multiples of the kernel's width, on either side of its peak, at which the
+# unit interval is cut: no piece is much wider than the kernel where the
+# kernel is large, and 64 widths from the peak it has fallen below e^-59
+_PEAK_CUTS = (-64.0, -16.0, -4.0, -1.0, 1.0, 4.0, 16.0, 64.0)
+
+
 def _posterior_kernel_integral(
     prior,
     a_post: float,
@@ -246,14 +252,31 @@ def _posterior_kernel_integral(
     kappa^max(a_post - 1, 0) exp(-s_post kappa), divided out of the
     integrand so that its peak is of order one.  A large tilt otherwise makes
     the whole integral smaller than ``cfg.abs_tol``, at which point every
-    panel meets the absolute tolerance and a narrow posterior peak between
-    the first rule's nodes is never resolved.
+    panel meets the absolute tolerance.
+
+    A large tilt also makes the peak narrow, and the first rule's nodes can
+    then step over it.  So (0, 1) is cut at ``peak + k * width`` for each k in
+    ``_PEAK_CUTS``, where ``width`` is the scale over which the smooth factor
+    falls off from its peak, and each piece is integrated in its own
+    rescaled variable.  A peak narrower than the float spacing at its
+    location cannot be cut out and raises AccuracyError.
     """
     b = prior.b
     inv_tau2 = 1.0 / prior.tau2
     slope = 1.0 - inv_tau2
     lead = max(a_post - 1.0, 0.0)
-    peak = lead / s_post if s_post > lead else 1.0
+    if s_post > lead:
+        peak = lead / s_post
+        width = max(math.sqrt(lead), 1.0) / s_post
+    else:
+        peak = 1.0
+        width = 1.0 / max(lead - s_post, math.sqrt(lead), 1.0)
+    if min(peak + width, 1.0) <= max(peak - width, 0.0):
+        raise AccuracyError(
+            "posterior kernel peak is narrower than the float spacing at it",
+            estimate=math.nan,
+            error_bound=math.inf,
+        )
     log_scale = (lead * math.log(peak) if lead else 0.0) - s_post * peak
 
     def f(kappa: float) -> float:
@@ -273,7 +296,21 @@ def _posterior_kernel_integral(
         )
         return value if weight is None else value * weight(kappa)
 
-    return log_scale, integrate_unit(f, a_post, b, cfg, f_complement=fc)
+    cuts = [c for c in (peak + k * width for k in _PEAK_CUTS) if 0.0 < c < 1.0]
+    edges = [0.0] + cuts + [1.0]
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        span = hi - lo
+        # only the end pieces carry the endpoint singularities
+        value = integrate_unit(
+            lambda u: f(lo + span * u),
+            a_post if lo == 0.0 else 1.0,
+            b if hi == 1.0 else 1.0,
+            cfg,
+            f_complement=lambda v: fc(1.0 - hi + span * v),
+        )
+        total += span * value
+    return log_scale, total
 
 
 def oracle_hib_moment(prior, n: int, p: int, Z: float, cfg: QuadConfig = QuadConfig()) -> float:

@@ -20,6 +20,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import DomainError, NumericalWarning
 from .posterior import kappa_moment, kappa_moment12_batch, update
 from .prior import HIBParams
 from .quadrature import QuadConfig, integrate_unit
-from .specfun import DEFAULT_MAX_TERMS, DEFAULT_REL_TOL
+from .specfun import DEFAULT_MAX_TERMS
 from .streams import stream
 
 __all__ = [
@@ -124,7 +125,6 @@ def sure_integrand(
     prior: HIBParams,
     p: int,
     Z: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
     """Inner risk expression r(Z), so that risk = p + 2 E_Z[r(Z)].
@@ -135,8 +135,8 @@ def sure_integrand(
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     state = update(prior, p, Z, 1.0)
-    g = kappa_moment(state, 1, rel_tol, max_terms)
-    g2 = kappa_moment(state, 2, rel_tol, max_terms)
+    g = kappa_moment(state, 1, max_terms)
+    g2 = kappa_moment(state, 2, max_terms)
     return Z * g2 - p * g - 0.5 * Z * g * g
 
 
@@ -153,7 +153,6 @@ def risk_analytic(
     n_mc: int = 200_000,
     seed: int = 0,
     method: str = "mc",
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> RiskPoint:
     """Risk of the posterior mean via the moment identity.
@@ -167,61 +166,75 @@ def risk_analytic(
     _check_point(p, beta_norm)
     _check_draws(n_mc, seed)
     if method == "quadrature":
-        mse = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm, rel_tol, max_terms)
+        mse = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm, max_terms)
         return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=0.0, estimator_tag=_BAYES_TAG)
     if method != "mc":
         raise DomainError(f"method must be 'mc' or 'quadrature', got {method!r}")
     rng = stream(seed, "risk-analytic", str(p), f"{beta_norm:.17g}")
     _, z = _draw_z(beta_norm, p, rng, n_mc)
-    g1, g2 = kappa_moment12_batch(prior, p, z, rel_tol, max_terms)
+    g1, g2 = kappa_moment12_batch(prior, p, z, max_terms)
     inner = z * g2 - p * g1 - 0.5 * z * g1 * g1
     mse = p + 2.0 * float(np.mean(inner))
     se = 2.0 * float(np.std(inner, ddof=1) / math.sqrt(n_mc))
     return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=se, estimator_tag=_BAYES_TAG)
 
 
-def _noncentral_chi2_logpdf(z: float, p: int, theta: float) -> float:
-    """log density of Z at z, as a Poisson(theta) mixture of central terms."""
-    if z <= 0.0:
-        return -math.inf
+def _poisson_log_weights(theta: float) -> tuple[int, list[float]]:
+    """Log Poisson(theta) masses over a 12-sigma window around the mean.
+
+    Returns ``(lo, logs)`` with ``logs[j]`` the log mass at k = lo + j; the
+    window reaches far past any 1e-12 tail mass.  theta = 0 is the point
+    mass at k = 0.
+    """
     if theta == 0.0:
-        half = 0.5 * p
-        return (half - 1.0) * math.log(z) - 0.5 * z - half * math.log(2.0) - math.lgamma(half)
+        return 0, [0.0]
     sd = math.sqrt(theta)
     lo = max(0, int(theta - 12.0 * sd - 20.0))
     hi = int(theta + 12.0 * sd + 30.0)
     log_theta = math.log(theta)
-    best = -math.inf
-    logs = []
-    for k in range(lo, hi + 1):
+    return lo, [k * log_theta - theta - math.lgamma(k + 1.0) for k in range(lo, hi + 1)]
+
+
+def _noncentral_chi2_logpdf(p: int, theta: float) -> Callable[[float], float]:
+    """log density of Z ~ noncentral chi-square_p(2 theta), as a function of z.
+
+    Z is a Poisson(theta) mixture of central chi-square_(p+2k) laws.  The
+    z-free parts of every mixture term, lgamma included, are built here
+    once; the returned function only adds the two terms in z.
+    """
+    lo, log_weights = _poisson_log_weights(theta)
+    parts = []
+    for k, log_w in enumerate(log_weights, lo):
         half = 0.5 * p + k
-        lp = (
-            k * log_theta
-            - theta
-            - math.lgamma(k + 1.0)
-            + (half - 1.0) * math.log(z)
-            - 0.5 * z
-            - half * math.log(2.0)
-            - math.lgamma(half)
-        )
-        logs.append(lp)
-        best = max(best, lp)
-    return best + math.log(sum(math.exp(v - best) for v in logs))
+        parts.append((log_w, half - 1.0, half * math.log(2.0), math.lgamma(half)))
+
+    def logpdf(z: float) -> float:
+        if z <= 0.0:
+            return -math.inf
+        log_z = math.log(z)
+        half_z = 0.5 * z
+        logs = [w + power * log_z - half_z - log_two - log_gamma
+                for w, power, log_two, log_gamma in parts]
+        best = max(logs)
+        return best + math.log(sum(math.exp(v - best) for v in logs))
+
+    return logpdf
 
 
 def _expect_integrand_quadrature(
-    prior: HIBParams, p: int, beta_norm: float, rel_tol: float, max_terms: int
+    prior: HIBParams, p: int, beta_norm: float, max_terms: int
 ) -> float:
     theta = 0.5 * beta_norm * beta_norm
     mean = p + 2.0 * theta
     z_max = mean + 12.0 * math.sqrt(2.0 * p + 8.0 * theta) + 30.0
+    logpdf = _noncentral_chi2_logpdf(p, theta)
 
     def f(t: float) -> float:
         z = z_max * t
-        density = math.exp(_noncentral_chi2_logpdf(z, p, theta)) * z_max
+        density = math.exp(logpdf(z)) * z_max
         if density == 0.0:
             return 0.0
-        return density * sure_integrand(prior, p, z, rel_tol, max_terms)
+        return density * sure_integrand(prior, p, z, max_terms)
 
     return integrate_unit(f, 0.5 * p, 1.0, QuadConfig(abs_tol=1e-10, rel_tol=1e-8))
 
@@ -274,19 +287,12 @@ def js_risk(p: int, beta_norm: float) -> float:
     theta = 0.5 * beta_norm * beta_norm
     if theta == 0.0:
         return p - (p - 2.0)
-    sd = math.sqrt(theta)
-    lo = max(0, int(theta - 12.0 * sd - 20.0))
-    hi = int(theta + 12.0 * sd + 30.0)
-    log_theta = math.log(theta)
     # accumulate E[1/(p-2+2K)] in a numerically flat window around the mode
-    log_weights = []
-    values = []
-    for k in range(lo, hi + 1):
-        log_weights.append(k * log_theta - theta - math.lgamma(k + 1.0))
-        values.append(1.0 / (p - 2.0 + 2.0 * k))
+    lo, log_weights = _poisson_log_weights(theta)
     peak = max(log_weights)
     weights = [math.exp(lw - peak) for lw in log_weights]
-    expectation = sum(w * v for w, v in zip(weights, values)) / sum(weights)
+    total = sum(w * (1.0 / (p - 2.0 + 2.0 * k)) for k, w in enumerate(weights, lo))
+    expectation = total / sum(weights)
     return p - (p - 2.0) ** 2 * expectation
 
 

@@ -1,14 +1,15 @@
 """Series evaluation of the special functions behind the HIB family.
 
-Rising factorials, log-beta (through ``math.lgamma``), the Gauss
-hypergeometric function 2F1, and the bivariate confluent hypergeometric
-function
+Rising factorials, log-beta (through ``math.lgamma``), and the bivariate
+confluent hypergeometric function
 
     phi1(alpha, beta; gamma; x, y)
         = sum_{m,n >= 0} (alpha)_{m+n} (beta)_n
           / ((gamma)_{m+n} m! n!) * x^m y^n,
 
-which converges for all real x when y < 1.  One dispatch, ``_plan``, maps
+which converges for all real x when y < 1.  At x = 0 it is the Gauss
+function 2F1(alpha, beta; gamma; y), so the inner 2F1 needs no entry point
+of its own.  One dispatch, ``_plan``, maps
 the arguments to a single series of 2F1 values: it applies the y < 0
 substitution once and picks the representation for the sign of ``x``, so
 that, for the parameter patterns used by the statistical modules, every term
@@ -41,7 +42,6 @@ __all__ = [
     "SeriesResult",
     "pochhammer",
     "log_beta",
-    "gauss_2f1",
     "phi1",
     "log_phi1",
     "log_phi1_batch",
@@ -150,42 +150,6 @@ def _hyp2f1_series(
         else:
             streak = 0
     raise ConvergenceError("2F1 series did not converge", terms_used=max_terms)
-
-
-def gauss_2f1(
-    a: float,
-    b: float,
-    c: float,
-    y: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> SeriesResult:
-    """Gauss hypergeometric function 2F1(a, b; c; y) for ``y < 1``.
-
-    Arguments ``y`` in [0, 1) are summed directly; negative ``y`` is mapped
-    into [0, 1) with the Pfaff transformation
-
-        2F1(a, b; c; y) = (1 - y)^(-a) 2F1(a, c - b; c; y / (y - 1)).
-
-    The pair ``(a, b)`` is put in a canonical order first, which makes the
-    mathematical symmetry in (a, b) exact in floating point as well.
-    """
-    if not c > 0.0:
-        raise DomainError(f"gauss_2f1 requires c > 0, got {c}")
-    if y >= 1.0:
-        raise DomainError(f"gauss_2f1 requires y < 1, got {y}")
-    if not 0.0 < rel_tol < 1.0:
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms}")
-    lo, hi = sorted((a, b))
-    if y < 0.0:
-        z = y / (y - 1.0)
-        value, terms = _hyp2f1_series(hi, c - lo, c, z, rel_tol, max_terms)
-        value *= (1.0 - y) ** (-hi)
-    else:
-        value, terms = _hyp2f1_series(hi, lo, c, y, rel_tol, max_terms)
-    return SeriesResult(value=value, terms_used=terms, converged=True)
 
 
 def _check_y(y: float, max_terms: int) -> int:

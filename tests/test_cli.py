@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from hibshrink import cli
 from hibshrink.cli import main
 from hibshrink.posterior import shrink
 from hibshrink.prior import half_cauchy
@@ -293,3 +294,31 @@ def test_marglik_profile_unwritable_output_exit_code(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: cannot write ")
+
+
+# ---- one parser per process -------------------------------------------------
+
+
+def test_cached_parser_carries_no_flag_between_commands(capsys, tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    src = tmp_path / "y.txt"
+    src.write_text("1 2 2.5\n-0.5, 3\n")
+    commands = [
+        ["prior-density", "--var", "kappa", "--prior", "1,0.5,4,0", "--grid", "0.1:0.9:5"],
+        ["shrink", "--input", str(src)],
+        ["prior-density", "--var", "kappa", "--grid", "0.1:0.9:5"],
+    ]
+
+    def outputs(fresh: bool) -> list[bytes]:
+        texts = []
+        for k, argv in enumerate(commands):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out = tmp_path / f"{fresh}-{k}.txt"
+            assert run(capsys, argv + ["--out", str(out)])[0] == 0
+            texts.append(out.read_bytes())
+        return texts
+
+    shared = outputs(fresh=False)
+    assert shared == outputs(fresh=True)
+    assert b'"prior": "half-cauchy"' in shared[2]

@@ -4,14 +4,16 @@ Every module under ``src/hibshrink`` is parsed with ``ast`` (nothing is
 executed), and the ``hibshrink`` modules each one imports are checked
 against the intended layering: ``specfun`` and ``quadrature`` sit at the
 bottom above ``errors`` only, and ``oracles`` sits on top, imported by the
-CLI alone.
+CLI alone.  The series tolerance belongs to ``specfun`` alone: no public
+function above it takes ``rel_tol``.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import hibshrink
-from hibshrink import risk, specfun
+from hibshrink import oracles, posterior, prior, risk, sparse, specfun
 
 PACKAGE = Path(hibshrink.__file__).resolve().parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -73,3 +75,20 @@ def test_no_oracle_name_in_production_api():
         for name in ORACLE_NAMES:
             assert name not in defined, (module.__name__, name)
             assert not hasattr(module, name), (module.__name__, name)
+
+
+def test_only_specfun_takes_the_series_tolerance():
+    # every function of the statistical modules, and the public oracles
+    # (``_rect_sum`` sums phi1 itself, at the tolerance its Phi1Args carries)
+    functions = [
+        obj
+        for module in (prior, posterior, risk, sparse)
+        for obj in vars(module).values()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+    ]
+    functions += [getattr(oracles, name) for name in oracles.__all__]
+    assert risk._expect_integrand_quadrature in functions
+    for fn in functions:
+        assert "rel_tol" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert not hasattr(specfun, "gauss_2f1")
+    assert "gauss_2f1" not in specfun.__all__

@@ -169,3 +169,20 @@ def test_oracle_resolves_narrow_peak_of_tiny_kernel_integral(prior):
         for n in (1, 2):
             series = kappa_moment(update(prior, p, z), n)
             assert rel_err(oracle_hib_moment(prior, n, p, z), series) <= 1e-8, (p, z, n)
+
+
+@pytest.mark.parametrize("prior", [half_cauchy(), HIBParams(1.0, 0.5, 4.0, 0.0)])
+def test_oracle_resolves_peak_narrower_than_first_panel(prior):
+    # at Z = 1e5 the posterior peak sits near kappa = 2e-5, well inside the
+    # first Kronrod panel of the whole interval
+    for p in (3, 15):
+        for n in (1, 2):
+            series = kappa_moment(update(prior, p, 1e5), n)
+            assert rel_err(oracle_hib_moment(prior, n, p, 1e5), series) <= 1e-8, (p, n)
+
+
+def test_oracle_refuses_peak_below_float_spacing():
+    # a tilt of -1e17 squeezes the kernel against kappa = 1 into less than
+    # the float spacing there, which no panel can resolve
+    with pytest.raises(AccuracyError):
+        oracle_hib_moment(HIBParams(0.5, 0.5, 1.0, -1e17), 1, 3, 0.0)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from hibshrink import specfun
+from hibshrink import risk, specfun
 from hibshrink.errors import DomainError, NumericalWarning
 from hibshrink.oracles import risk_direct, sure_integrand_by_parts
 from hibshrink.posterior import kappa_moment, update
@@ -202,6 +202,64 @@ def test_js_risk_monotone_and_bounded():
 def test_js_risk_matches_simulation():
     sim = simulate_estimator_risk("js", 7, 2.0, n_mc=100_000, seed=17)
     assert abs(sim.mse - js_risk(7, 2.0)) <= 3.0 * sim.mc_std_err
+
+
+def _js_risk_by_hand(p: int, beta_norm: float) -> float:
+    """js_risk with its Poisson(|beta|^2/2) window written out in place."""
+    theta = 0.5 * beta_norm * beta_norm
+    if theta == 0.0:
+        return p - (p - 2.0)
+    sd = math.sqrt(theta)
+    lo = max(0, int(theta - 12.0 * sd - 20.0))
+    hi = int(theta + 12.0 * sd + 30.0)
+    log_theta = math.log(theta)
+    log_weights = []
+    values = []
+    for k in range(lo, hi + 1):
+        log_weights.append(k * log_theta - theta - math.lgamma(k + 1.0))
+        values.append(1.0 / (p - 2.0 + 2.0 * k))
+    peak = max(log_weights)
+    weights = [math.exp(lw - peak) for lw in log_weights]
+    expectation = sum(w * v for w, v in zip(weights, values)) / sum(weights)
+    return p - (p - 2.0) ** 2 * expectation
+
+
+def _noncentral_chi2_logpdf_by_hand(z: float, p: int, theta: float) -> float:
+    """The noncentral chi-square log density, every mixture term written out."""
+    if z <= 0.0:
+        return -math.inf
+    if theta == 0.0:
+        half = 0.5 * p
+        return (half - 1.0) * math.log(z) - 0.5 * z - half * math.log(2.0) - math.lgamma(half)
+    sd = math.sqrt(theta)
+    lo = max(0, int(theta - 12.0 * sd - 20.0))
+    hi = int(theta + 12.0 * sd + 30.0)
+    log_theta = math.log(theta)
+    logs = []
+    for k in range(lo, hi + 1):
+        half = 0.5 * p + k
+        logs.append(
+            k * log_theta
+            - theta
+            - math.lgamma(k + 1.0)
+            + (half - 1.0) * math.log(z)
+            - 0.5 * z
+            - half * math.log(2.0)
+            - math.lgamma(half)
+        )
+    best = max(logs)
+    return best + math.log(sum(math.exp(v - best) for v in logs))
+
+
+def test_poisson_window_matches_written_out_formulas_bitwise():
+    z_grid = (0.0, 1e-300, 1e-6, 0.5, 1.0, 2.0, 7.5, 15.0, 40.0, 120.0, 500.0, 1300.0, 3000.0)
+    for p in (3, 7, 15, 50):
+        for beta_norm in np.linspace(0.0, 36.0, 13):
+            assert js_risk(p, beta_norm) == _js_risk_by_hand(p, beta_norm), (p, beta_norm)
+            theta = 0.5 * beta_norm * beta_norm
+            logpdf = risk._noncentral_chi2_logpdf(p, theta)
+            for z in z_grid:
+                assert logpdf(z) == _noncentral_chi2_logpdf_by_hand(z, p, theta), (p, beta_norm, z)
 
 
 # ---- comparator estimators ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Special-function layer: log-beta, Gauss 2F1, and the confluent
+"""Special-function layer: log-beta, Gauss 2F1 (phi1 at x = 0), and the confluent
 two-variable series behind every posterior quantity in this package.
 
 Expected values come from closed forms, from an inline brute-force double
@@ -16,7 +16,6 @@ from hibshrink.errors import ConvergenceError, DomainError, NumericalWarning
 from hibshrink.oracles import phi1_double_series
 from hibshrink.specfun import (
     Phi1Args,
-    gauss_2f1,
     log_beta,
     log_phi1,
     log_phi1_batch,
@@ -96,23 +95,23 @@ def test_log_beta_symmetry_and_anchor():
             log_beta(*bad)
 
 
-# ---- gauss_2f1 -----------------------------------------------------------
+# ---- 2F1 as phi1 at x = 0 -------------------------------------------------
 
 
 def test_2f1_at_zero_is_one():
-    assert gauss_2f1(1.3, 0.7, 2.1, 0.0).value == 1.0
+    assert phi1(Phi1Args(1.3, 0.7, 2.1, 0.0, 0.0)).value == 1.0
 
 
 def test_2f1_log_closed_form():
     # 2F1(1,1;2;z) = -ln(1-z)/z
-    got = gauss_2f1(1.0, 1.0, 2.0, 0.5).value
+    got = phi1(Phi1Args(1.0, 1.0, 2.0, 0.0, 0.5)).value
     assert rel_err(got, 2.0 * math.log(2.0)) < 1e-12
 
 
 def test_2f1_binomial_closed_form():
     # 2F1(a,b;b;z) = (1-z)^(-a), here via the symmetric argument order;
     # the term-ratio stop leaves a ~2e-12 truncation tail at y = 0.75
-    got = gauss_2f1(1.0, 0.5, 1.0, 0.75).value
+    got = phi1(Phi1Args(1.0, 0.5, 1.0, 0.0, 0.75)).value
     assert rel_err(got, 2.0) < 1e-10
 
 
@@ -122,26 +121,28 @@ def test_2f1_argument_symmetry():
         (1.0, 0.3, 2.0, -0.8),
         (2.0, 0.7, 3.5, 0.9),
     ]:
-        assert rel_err(gauss_2f1(a, b, c, y).value, gauss_2f1(b, a, c, y).value) < 1e-12
+        got = phi1(Phi1Args(a, b, c, 0.0, y)).value
+        assert rel_err(got, phi1(Phi1Args(b, a, c, 0.0, y)).value) < 1e-12
 
 
 def test_2f1_negative_argument_matches_direct_series():
     # |y| < 1 keeps the naive alternating series usable as an oracle
     for (a, b, c) in [(0.5, 1.0, 1.5), (1.0, 1.0, 2.5), (2.0, 0.5, 3.0)]:
         for y in (-0.5, -0.9):
-            assert rel_err(gauss_2f1(a, b, c, y).value, raw_2f1(a, b, c, y)) < 1e-11
+            got = phi1(Phi1Args(a, b, c, 0.0, y)).value
+            assert rel_err(got, raw_2f1(a, b, c, y)) < 1e-11
 
 
 def test_2f1_far_negative_argument_is_finite_and_positive():
     # the direct series diverges here; the implementation must transform
-    r = gauss_2f1(0.5, 1.0, 1.5, -40.0)
+    r = phi1(Phi1Args(0.5, 1.0, 1.5, 0.0, -40.0))
     assert r.converged
     assert 0.0 < r.value < 1.0
 
 
 def test_2f1_convergence_error_carries_terms():
     with pytest.raises(ConvergenceError) as exc:
-        gauss_2f1(1.0, 0.5, 1.0, 0.99, max_terms=50)
+        phi1(Phi1Args(1.0, 0.5, 1.0, 0.0, 0.99, max_terms=50))
     assert exc.value.terms_used == 50
 
 
