@@ -33,7 +33,6 @@ from .specfun import (
     _RESCALE,
     _SCALE_HI,
     _SCALE_LO,
-    DEFAULT_MAX_TERMS,
     Phi1Args,
     SeriesResult,
     _check_y,
@@ -137,7 +136,7 @@ def phi1_double_series(args: Phi1Args) -> SeriesResult:
     terms are nonnegative whenever gamma > alpha, so the summation itself is
     cancellation-free for the parameter patterns the tests exercise.
     """
-    max_terms = _check_y(args.y, args.max_terms)
+    max_terms = _check_y(args.y, abs(args.x), args.max_terms)
     alpha, beta, gamma = args.alpha, args.beta, args.gamma
     x, y = args.x, args.y
     log_pref = 0.0
@@ -160,7 +159,6 @@ def risk_direct(
     beta_norm: float,
     n_mc: int = 200_000,
     seed: int = 0,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> RiskPoint:
     """Definitional risk oracle: simulate data, apply the posterior mean.
 
@@ -172,7 +170,7 @@ def risk_direct(
     _check_draws(n_mc, seed)
     rng = stream(seed, "risk-direct", str(p), f"{beta_norm:.17g}")
     y1, z = _draw_z(beta_norm, p, rng, n_mc)
-    g1, _ = kappa_moment12_batch(prior, p, z, max_terms)
+    g1, _ = kappa_moment12_batch(prior, p, z)
     keep = 1.0 - g1
     losses = keep * keep * z - 2.0 * keep * beta_norm * y1 + beta_norm * beta_norm
     return _point(_BAYES_TAG, beta_norm, losses)

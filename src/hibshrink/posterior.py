@@ -21,14 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .prior import HIBParams, log_normalizer
-from .specfun import (
-    DEFAULT_MAX_TERMS,
-    DEFAULT_REL_TOL,
-    log_beta,
-    log_phi1,
-    log_phi1_batch,
-    pochhammer,
-)
+from .specfun import log_beta, log_phi1, log_phi1_batch, pochhammer
 
 __all__ = [
     "PosteriorState",
@@ -109,11 +102,7 @@ def prior_state(prior: HIBParams) -> PosteriorState:
     )
 
 
-def kappa_moment(
-    state: PosteriorState,
-    n: int,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def kappa_moment(state: PosteriorState, n: int) -> float:
     """n-th posterior moment of the shrinkage weight, in [0, 1].
 
     E(kappa^n | y) = [(a')_n / (a'+b)_n] * phi1(b,1; a'+b+n; s', y)
@@ -125,8 +114,8 @@ def kappa_moment(
         return 1.0
     pr = state.prior
     c = state.a_post + pr.b
-    log_num = log_phi1(pr.b, 1.0, c + n, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
-    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
+    log_num = log_phi1(pr.b, 1.0, c + n, state.s_post, pr.y)
+    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y)
     return _moment_from_logs(state, int(n), log_num, log_den)
 
 
@@ -141,7 +130,6 @@ def kappa_moment12_batch(
     prior: HIBParams,
     p: int,
     z_values: np.ndarray,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First and second posterior kappa moments over many Z values at once.
 
@@ -157,20 +145,15 @@ def kappa_moment12_batch(
     a_post = prior.a + 0.5 * p
     c = a_post + prior.b
     s_post = prior.s + 0.5 * z
-    log_den = log_phi1_batch(prior.b, 1.0, c, s_post, prior.y, DEFAULT_REL_TOL, max_terms)
-    log_n1 = log_phi1_batch(prior.b, 1.0, c + 1.0, s_post, prior.y, DEFAULT_REL_TOL, max_terms)
-    log_n2 = log_phi1_batch(prior.b, 1.0, c + 2.0, s_post, prior.y, DEFAULT_REL_TOL, max_terms)
+    log_den = log_phi1_batch(prior.b, 1.0, c, s_post, prior.y)
+    log_n1 = log_phi1_batch(prior.b, 1.0, c + 1.0, s_post, prior.y)
+    log_n2 = log_phi1_batch(prior.b, 1.0, c + 2.0, s_post, prior.y)
     g1 = (a_post / c) * np.exp(log_n1 - log_den)
     g2 = (a_post * (a_post + 1.0) / (c * (c + 1.0))) * np.exp(log_n2 - log_den)
     return g1, g2
 
 
-def marginal_log_likelihood(
-    y: np.ndarray,
-    sigma2: float,
-    prior: HIBParams,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def marginal_log_likelihood(y: np.ndarray, sigma2: float, prior: HIBParams) -> float:
     """Log of p(y) with the mean vector and shrinkage weight integrated out.
 
     Equals the Gaussian base measure times the ratio of posterior to prior
@@ -179,10 +162,8 @@ def marginal_log_likelihood(
     y = _as_data_vector(y)
     state = update(prior, y.size, float(y @ y), sigma2)
     pr = prior
-    log_post = log_phi1(
-        pr.b, 1.0, state.a_post + pr.b, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms
-    )
-    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, DEFAULT_REL_TOL, max_terms)
+    log_post = log_phi1(pr.b, 1.0, state.a_post + pr.b, state.s_post, pr.y)
+    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y)
     return _marginal_from_logs(state, log_post, log_prior)
 
 
@@ -200,12 +181,7 @@ def _marginal_from_logs(state: PosteriorState, log_post: float, log_prior: float
     )
 
 
-def shrink(
-    y: np.ndarray,
-    sigma2: float,
-    prior: HIBParams,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> ShrinkageFit:
+def shrink(y: np.ndarray, sigma2: float, prior: HIBParams) -> ShrinkageFit:
     """Posterior-mean estimate of the mean vector with its shrinkage weight.
 
     Three series evaluations: the posterior denominator at a'+b is shared by
@@ -215,9 +191,9 @@ def shrink(
     state = update(prior, y.size, float(y @ y), sigma2)
     pr = prior
     c = state.a_post + pr.b
-    log_num = log_phi1(pr.b, 1.0, c + 1, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
-    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
-    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y, DEFAULT_REL_TOL, max_terms)
+    log_num = log_phi1(pr.b, 1.0, c + 1, state.s_post, pr.y)
+    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y)
+    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y)
     kappa_bar = _moment_from_logs(state, 1, log_num, log_den)
     return ShrinkageFit(
         post_mean=(1.0 - kappa_bar) * y,
@@ -227,11 +203,7 @@ def shrink(
     )
 
 
-def mgf_kappa(
-    state: PosteriorState,
-    t: float,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def mgf_kappa(state: PosteriorState, t: float) -> float:
     """Moment generating function E(e^{t kappa} | y), always positive.
 
     Tilting by t shifts the series argument: M(t) = e^t phi1(..., s'-t, y)
@@ -241,17 +213,12 @@ def mgf_kappa(
         raise DomainError(f"t must be finite, got {t}")
     pr = state.prior
     c = state.a_post + pr.b
-    log_num = log_phi1(pr.b, 1.0, c, state.s_post - t, pr.y, DEFAULT_REL_TOL, max_terms)
-    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y, DEFAULT_REL_TOL, max_terms)
+    log_num = log_phi1(pr.b, 1.0, c, state.s_post - t, pr.y)
+    log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y)
     return math.exp(t + log_num - log_den)
 
 
-def log_m_kernel(
-    prior: HIBParams,
-    p_eff: int,
-    Z: float,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def log_m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:
     """Log of the kernel moment integral(kappa^{p_eff/2} e^{-Z kappa/2} dP).
 
     Computed as a log-normalizer difference: the integrand is, up to the
@@ -263,16 +230,11 @@ def log_m_kernel(
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     tilted = HIBParams(prior.a + 0.5 * p_eff, prior.b, prior.tau2, prior.s + 0.5 * Z)
-    log_c_num = log_normalizer(tilted, max_terms)
-    log_c_den = log_normalizer(prior, max_terms)
+    log_c_num = log_normalizer(tilted)
+    log_c_den = log_normalizer(prior)
     return log_c_num - log_c_den
 
 
-def m_kernel(
-    prior: HIBParams,
-    p_eff: int,
-    Z: float,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:
     """Kernel moment m_{p_eff}(Z), a positive real."""
-    return math.exp(log_m_kernel(prior, p_eff, Z, max_terms))
+    return math.exp(log_m_kernel(prior, p_eff, Z))

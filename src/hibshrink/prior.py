@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import QuadConfig, integrate_unit
-from .specfun import DEFAULT_MAX_TERMS, DEFAULT_REL_TOL, log_beta, log_phi1
+from .specfun import log_beta, log_phi1
 
 __all__ = [
     "HIBParams",
@@ -87,15 +87,12 @@ def half_cauchy() -> HIBParams:
     return HIBParams(a=0.5, b=0.5, tau2=1.0, s=0.0)
 
 
-def log_normalizer(
-    prior: HIBParams,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def log_normalizer(prior: HIBParams) -> float:
     """Natural log of the normalizing constant C of the kappa density."""
     return (
         -prior.s
         + log_beta(prior.a, prior.b)
-        + log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y, DEFAULT_REL_TOL, max_terms)
+        + log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y)
     )
 
 

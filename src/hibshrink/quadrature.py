@@ -229,6 +229,11 @@ def integrate_unit(
 # kernel is large, and 64 widths from the peak it has fallen below e^-59
 _PEAK_CUTS = (-64.0, -16.0, -4.0, -1.0, 1.0, 4.0, 16.0, 64.0)
 
+# narrowest piece of the unit interval: each piece is evaluated both in kappa
+# and in 1 - kappa, whose float spacing is 2**-53 near either end, and a
+# piece only a few spacings wide collapses onto that end
+_MIN_PIECE = 2.0**-50
+
 
 def _posterior_kernel_integral(
     prior,
@@ -258,8 +263,9 @@ def _posterior_kernel_integral(
     then step over it.  So (0, 1) is cut at ``peak + k * width`` for each k in
     ``_PEAK_CUTS``, where ``width`` is the scale over which the smooth factor
     falls off from its peak, and each piece is integrated in its own
-    rescaled variable.  A peak narrower than the float spacing at its
-    location cannot be cut out and raises AccuracyError.
+    rescaled variable.  No piece is narrower than ``_MIN_PIECE``: cuts
+    closer than that to an end are dropped, and a narrower peak raises
+    AccuracyError.
     """
     b = prior.b
     inv_tau2 = 1.0 / prior.tau2
@@ -271,9 +277,9 @@ def _posterior_kernel_integral(
     else:
         peak = 1.0
         width = 1.0 / max(lead - s_post, math.sqrt(lead), 1.0)
-    if min(peak + width, 1.0) <= max(peak - width, 0.0):
+    if width < _MIN_PIECE:
         raise AccuracyError(
-            "posterior kernel peak is narrower than the float spacing at it",
+            "posterior kernel peak is too narrow to cut out in floating point",
             estimate=math.nan,
             error_bound=math.inf,
         )
@@ -296,7 +302,8 @@ def _posterior_kernel_integral(
         )
         return value if weight is None else value * weight(kappa)
 
-    cuts = [c for c in (peak + k * width for k in _PEAK_CUTS) if 0.0 < c < 1.0]
+    cuts = [c for c in (peak + k * width for k in _PEAK_CUTS)
+            if _MIN_PIECE < c < 1.0 - _MIN_PIECE]
     edges = [0.0] + cuts + [1.0]
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):

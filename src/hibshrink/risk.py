@@ -28,7 +28,6 @@ from .errors import DomainError, NumericalWarning
 from .posterior import kappa_moment, kappa_moment12_batch, update
 from .prior import HIBParams
 from .quadrature import QuadConfig, integrate_unit
-from .specfun import DEFAULT_MAX_TERMS
 from .streams import stream
 
 __all__ = [
@@ -110,8 +109,7 @@ def _draw_z(beta_norm: float, p: int, rng: np.random.Generator, size: int):
     generality.
     """
     u = rng.normal(loc=beta_norm, scale=1.0, size=size)
-    v = rng.chisquare(p - 1, size=size) if p > 1 else np.zeros(size)
-    return u, u * u + v
+    return u, u * u + rng.chisquare(p - 1, size=size)
 
 
 def sample_z(beta_norm: float, p: int, rng: np.random.Generator) -> float:
@@ -121,22 +119,15 @@ def sample_z(beta_norm: float, p: int, rng: np.random.Generator) -> float:
     return float(z[0])
 
 
-def sure_integrand(
-    prior: HIBParams,
-    p: int,
-    Z: float,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
+def sure_integrand(prior: HIBParams, p: int, Z: float) -> float:
     """Inner risk expression r(Z), so that risk = p + 2 E_Z[r(Z)].
 
     Uses r = Z E(kappa^2|Z) - p g - (Z/2) g^2 with g = E(kappa|Z).
     """
     _check_point(p, 0.0)
-    if not (math.isfinite(Z) and Z >= 0.0):
-        raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     state = update(prior, p, Z, 1.0)
-    g = kappa_moment(state, 1, max_terms)
-    g2 = kappa_moment(state, 2, max_terms)
+    g = kappa_moment(state, 1)
+    g2 = kappa_moment(state, 2)
     return Z * g2 - p * g - 0.5 * Z * g * g
 
 
@@ -153,7 +144,6 @@ def risk_analytic(
     n_mc: int = 200_000,
     seed: int = 0,
     method: str = "mc",
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> RiskPoint:
     """Risk of the posterior mean via the moment identity.
 
@@ -166,13 +156,13 @@ def risk_analytic(
     _check_point(p, beta_norm)
     _check_draws(n_mc, seed)
     if method == "quadrature":
-        mse = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm, max_terms)
+        mse = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm)
         return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=0.0, estimator_tag=_BAYES_TAG)
     if method != "mc":
         raise DomainError(f"method must be 'mc' or 'quadrature', got {method!r}")
     rng = stream(seed, "risk-analytic", str(p), f"{beta_norm:.17g}")
     _, z = _draw_z(beta_norm, p, rng, n_mc)
-    g1, g2 = kappa_moment12_batch(prior, p, z, max_terms)
+    g1, g2 = kappa_moment12_batch(prior, p, z)
     inner = z * g2 - p * g1 - 0.5 * z * g1 * g1
     mse = p + 2.0 * float(np.mean(inner))
     se = 2.0 * float(np.std(inner, ddof=1) / math.sqrt(n_mc))
@@ -221,9 +211,7 @@ def _noncentral_chi2_logpdf(p: int, theta: float) -> Callable[[float], float]:
     return logpdf
 
 
-def _expect_integrand_quadrature(
-    prior: HIBParams, p: int, beta_norm: float, max_terms: int
-) -> float:
+def _expect_integrand_quadrature(prior: HIBParams, p: int, beta_norm: float) -> float:
     theta = 0.5 * beta_norm * beta_norm
     mean = p + 2.0 * theta
     z_max = mean + 12.0 * math.sqrt(2.0 * p + 8.0 * theta) + 30.0
@@ -234,7 +222,7 @@ def _expect_integrand_quadrature(
         density = math.exp(logpdf(z)) * z_max
         if density == 0.0:
             return 0.0
-        return density * sure_integrand(prior, p, z, max_terms)
+        return density * sure_integrand(prior, p, z)
 
     return integrate_unit(f, 0.5 * p, 1.0, QuadConfig(abs_tol=1e-10, rel_tol=1e-8))
 
@@ -282,8 +270,7 @@ def js_risk(p: int, beta_norm: float) -> float:
     """
     if not (isinstance(p, (int, np.integer)) and p >= 3):
         raise DomainError(f"p must be an integer >= 3, got {p!r}")
-    if not (math.isfinite(beta_norm) and beta_norm >= 0.0):
-        raise DomainError(f"beta_norm must be nonnegative and finite, got {beta_norm}")
+    _check_point(p, beta_norm)
     theta = 0.5 * beta_norm * beta_norm
     if theta == 0.0:
         return p - (p - 2.0)

@@ -55,6 +55,11 @@ DEFAULT_MAX_TERMS = 100_000
 _Y_WARN = 0.999
 _Y_WARN_MAX_TERMS = 50_000
 
+# Ceiling on the term budget derived from |x|: the x-series needs about |x|
+# terms, and this admits |x| up to about 2e6 (Z = 1e6 sums 5e5 of its 1.1M)
+# while refusing larger tilts before a single term is summed.
+_MAX_TERMS_CEILING = 2**22
+
 # Scaled accumulation bounds: partial sums are renormalized by 2**512 whenever
 # they leave [1e-280, 1e280] so that series ~ exp(x) never overflow.
 _SCALE_HI = 1e280
@@ -75,7 +80,8 @@ class Phi1Args:
     """Arguments and convergence controls for a phi1 evaluation.
 
     ``alpha``, ``beta``, ``gamma`` must be positive; ``x`` is unrestricted and
-    ``y`` must satisfy ``y < 1`` (checked at evaluation time).
+    ``y`` must satisfy ``y < 1`` (checked at evaluation time).  With no
+    ``max_terms`` the term budget follows from ``x`` (see ``_check_y``).
     """
 
     alpha: float
@@ -84,7 +90,7 @@ class Phi1Args:
     x: float
     y: float
     rel_tol: float = DEFAULT_REL_TOL
-    max_terms: int = DEFAULT_MAX_TERMS
+    max_terms: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
@@ -95,7 +101,7 @@ class Phi1Args:
             raise DomainError("x and y must be finite")
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms < 1:
+        if self.max_terms is not None and self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
@@ -152,10 +158,25 @@ def _hyp2f1_series(
     raise ConvergenceError("2F1 series did not converge", terms_used=max_terms)
 
 
-def _check_y(y: float, max_terms: int) -> int:
-    """Domain checks shared by all phi1 entry points; may tighten max_terms."""
+def _check_y(y: float, xabs: float, max_terms: int | None) -> int:
+    """Domain checks shared by all phi1 entry points; returns the term budget.
+
+    An explicit ``max_terms`` is used as given.  Otherwise the budget is
+    ``DEFAULT_MAX_TERMS + 2 ceil(xabs)``, with ``xabs`` the largest ``|x|``
+    to be summed, and a budget past ``_MAX_TERMS_CEILING`` raises
+    ConvergenceError before any term is summed.  y in [0.999, 1) caps
+    either budget.
+    """
     if y >= 1.0:
         raise DomainError(f"phi1 requires y < 1, got {y}")
+    if max_terms is None:
+        # compared as a float first, so NaN and inf fail here too
+        if not xabs <= 0.5 * (_MAX_TERMS_CEILING - DEFAULT_MAX_TERMS):
+            raise ConvergenceError(
+                f"phi1 at |x| = {xabs:g} needs more than {_MAX_TERMS_CEILING} terms",
+                terms_used=0,
+            )
+        max_terms = DEFAULT_MAX_TERMS + 2 * math.ceil(xabs)
     if y >= _Y_WARN:
         warnings.warn(
             f"phi1 argument y={y} lies in [{_Y_WARN}, 1); results this close to "
@@ -234,7 +255,7 @@ def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
     log value.
     """
     gamma, x, rel_tol = args.gamma, args.x, args.rel_tol
-    max_terms = _check_y(args.y, args.max_terms)
+    max_terms = _check_y(args.y, abs(x), args.max_terms)
     a, inner, log_pref, tilt = _plan(
         args.alpha, args.beta, gamma, args.y, x < 0.0, rel_tol, max_terms
     )
@@ -248,7 +269,7 @@ def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
     while n < max_terms:
         n += 1
         weight *= (a + n - 1.0) * xabs / ((gamma + n - 1.0) * n)
-        term = weight * inner(n)
+        term = weight * inner(n) if weight else 0.0  # x = 0 needs no inner(1)
         total += term
         if abs(term) <= rel_tol * abs(total):
             streak += 1
@@ -291,7 +312,7 @@ def log_phi1(
     x: float,
     y: float,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    max_terms: int | None = None,
 ) -> float:
     """Natural log of phi1 for positive parameters.
 
@@ -390,7 +411,7 @@ def log_phi1_batch(
     x: np.ndarray,
     y: float,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    max_terms: int | None = None,
 ) -> np.ndarray:
     """Vectorized :func:`log_phi1` over an array of ``x`` values.
 
@@ -406,8 +427,9 @@ def log_phi1_batch(
     """
     if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
         raise DomainError("log_phi1_batch requires positive alpha, beta, gamma")
-    max_terms = _check_y(y, max_terms)
     x = np.asarray(x, dtype=float)
+    xabs = max(x.max(initial=0.0), -x.min(initial=0.0))  # no |x| array
+    max_terms = _check_y(y, float(xabs), max_terms)
     out = np.empty(x.shape, dtype=float)
     nonneg = x >= 0.0
     for negative, mask in ((False, nonneg), (True, ~nonneg)):

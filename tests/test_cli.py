@@ -163,6 +163,29 @@ def test_shrink_malformed_input(capsys, tmp_path):
     assert code == 2
 
 
+def test_shrink_absurd_tilt_exit_code(capsys, tmp_path):
+    # the series would need ~1e121 terms: exit 3 rather than write a NaN
+    # kappa_bar and an infinite log_marginal
+    src = tmp_path / "y.txt"
+    src.write_text("1e60,2e60,3e60\n")
+    out = tmp_path / "fit.json"
+    code, _ = run(capsys, ["shrink", "--input", str(src), "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
+def test_shrink_huge_signal_converges(capsys, tmp_path):
+    # Z = 1e6 needs ~5e5 series terms, five times DEFAULT_MAX_TERMS
+    values = np.full(10, math.sqrt(1e5))
+    src = tmp_path / "y.txt"
+    src.write_text(",".join(repr(float(v)) for v in values) + "\n")
+    out = tmp_path / "fit.json"
+    code, _ = run(capsys, ["shrink", "--input", str(src), "--out", str(out)])
+    assert code == 0
+    record = last_json_record(out.read_text())
+    assert record["kappa_bar"] == shrink(values, 1.0, half_cauchy()).kappa_bar
+
+
 # ---- risk-curve ------------------------------------------------------------------
 
 

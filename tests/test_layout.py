@@ -4,8 +4,8 @@ Every module under ``src/hibshrink`` is parsed with ``ast`` (nothing is
 executed), and the ``hibshrink`` modules each one imports are checked
 against the intended layering: ``specfun`` and ``quadrature`` sit at the
 bottom above ``errors`` only, and ``oracles`` sits on top, imported by the
-CLI alone.  The series tolerance belongs to ``specfun`` alone: no public
-function above it takes ``rel_tol``.
+CLI alone.  The series tolerance and term budget belong to ``specfun``
+alone: no public function above it takes ``rel_tol`` or ``max_terms``.
 """
 
 import ast
@@ -92,3 +92,18 @@ def test_only_specfun_takes_the_series_tolerance():
         assert "rel_tol" not in inspect.signature(fn).parameters, fn.__qualname__
     assert not hasattr(specfun, "gauss_2f1")
     assert "gauss_2f1" not in specfun.__all__
+
+
+def test_only_specfun_takes_a_term_budget():
+    # the budget follows from each series' own tilt, so no function of the
+    # statistical modules, and no public oracle, passes one on
+    functions = [
+        obj
+        for module in (prior, posterior, risk, sparse)
+        for obj in vars(module).values()
+        if inspect.isfunction(obj) and obj.__module__ == module.__name__
+    ]
+    functions += [getattr(oracles, name) for name in oracles.__all__]
+    assert posterior.shrink in functions and risk.risk_analytic in functions
+    for fn in functions:
+        assert "max_terms" not in inspect.signature(fn).parameters, fn.__qualname__

@@ -145,11 +145,20 @@ def test_kappa_moment_batch_matches_scalar():
 
 
 def test_kappa_moment_huge_tilt_needs_longer_series():
+    # the series needs ~5e5 terms here; the budget grows with the tilt, and
+    # the value is the one a flat 3M-term budget gives, bit for bit
     st = update(half_cauchy(), 10, 1e6, 1.0)
-    with pytest.raises(ConvergenceError):
-        kappa_moment(st, 1)  # default term budget is too small here
-    val = kappa_moment(st, 1, max_terms=3_000_000)
+    val = kappa_moment(st, 1)
+    assert val == 1.1000011000209332e-05
     assert 0.0 < val < 1e-4
+
+
+def test_absurd_tilt_fails_before_summing():
+    # Z = 1.4e121 would need ~1e121 terms; an overflowing series must not
+    # pass a NaN shrinkage weight off as converged
+    with pytest.raises(ConvergenceError) as exc:
+        shrink(np.array([1e60, 2e60, 3e60]), 1.0, half_cauchy())
+    assert exc.value.terms_used == 0
 
 
 # ---- score identity -------------------------------------------------------------
@@ -217,7 +226,7 @@ def test_shrink_constant_vector_frozen_anchor():
 
 def test_shrink_huge_signal_barely_shrinks():
     y = np.full(10, math.sqrt(1e5))
-    fit = shrink(y, 1.0, half_cauchy(), max_terms=3_000_000)
+    fit = shrink(y, 1.0, half_cauchy())
     assert fit.kappa_bar < 1e-4
     assert np.all(np.abs(fit.post_mean - y) / y < 1e-4)
 

@@ -186,3 +186,19 @@ def test_oracle_refuses_peak_below_float_spacing():
     # the float spacing there, which no panel can resolve
     with pytest.raises(AccuracyError):
         oracle_hib_moment(HIBParams(0.5, 0.5, 1.0, -1e17), 1, 3, 0.0)
+
+
+def test_oracle_refuses_peak_too_narrow_for_the_complement():
+    # a tilt this large squeezes the kernel against kappa = 0, where the
+    # pieces' complements 1 - kappa collapse onto 1; the oracle must refuse
+    # with a typed error, not a math domain error from log1p(-1) or log(0)
+    with pytest.raises(AccuracyError):
+        oracle_hib_moment(half_cauchy(), 1, 3, 1e300)
+    for p in (3, 10, 50):
+        for k in range(160, 301, 2):  # Z from 1e16 to 1e30, across the collapse
+            with pytest.raises(AccuracyError):
+                oracle_hib_moment(half_cauchy(), 1, p, 10.0 ** (k / 10))
+    # here the peak is wide enough, but its cut at peak - 4 width lands 1.6e-16
+    # from kappa = 0, and the piece below it collapses the same way
+    with pytest.raises(AccuracyError):
+        oracle_hib_moment(HIBParams(1.0, 0.5, 4.0, 0.0), 1, 33, 10.0 ** 15.5)

@@ -369,6 +369,17 @@ def test_risk_curve_spec_validation():
         RiskCurveSpec(**{**good, "comparators": frozenset({"ridge"})})
 
 
+def test_risk_inputs_are_checked_once_and_still_rejected():
+    # sure_integrand leaves Z to posterior.update, js_risk leaves the norm to
+    # _check_point; both still refuse bad input with a DomainError
+    for z in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="Z must be nonnegative and finite"):
+            sure_integrand(half_cauchy(), 7, z)
+    for p, beta_norm in ((2, 1.0), (7.0, 1.0), (7, -1.0), (7, math.nan), (7, math.inf)):
+        with pytest.raises(DomainError):
+            js_risk(p, beta_norm)
+
+
 # ---- structural identity between risk and posterior layers ----------------------------
 
 

@@ -140,6 +140,52 @@ def test_2f1_far_negative_argument_is_finite_and_positive():
     assert 0.0 < r.value < 1.0
 
 
+def test_phi1_x_zero_sums_one_inner_series(monkeypatch):
+    # at x = 0 every outer weight past the first is zero, so inner(1) is skipped
+    calls = []
+    real = specfun._hyp2f1_series
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "_hyp2f1_series", counting)
+    r = phi1(Phi1Args(0.5, 1.0, 1.0, 0.0, 0.75))
+    assert len(calls) == 1
+    # the truncated 2F1 value; skipping inner(1) must not move its bits
+    assert r.value == 1.9999999999967915 and r.terms_used == 1
+
+
+def test_term_budget_follows_the_tilt():
+    ceiling = specfun._MAX_TERMS_CEILING
+    widest = 0.5 * (ceiling - specfun.DEFAULT_MAX_TERMS)
+    assert specfun._check_y(0.3, 0.0, None) == specfun.DEFAULT_MAX_TERMS
+    assert specfun._check_y(0.3, 5e5, None) == specfun.DEFAULT_MAX_TERMS + 1_000_000
+    assert specfun._check_y(0.3, widest, None) == ceiling
+    assert specfun._check_y(0.3, 1e31, 50) == 50  # an explicit budget stays flat
+    with pytest.warns(NumericalWarning):
+        assert specfun._check_y(0.9995, 5e5, None) == specfun._Y_WARN_MAX_TERMS
+    for xabs in (math.nextafter(widest, math.inf), math.inf, math.nan):
+        with pytest.raises(ConvergenceError) as exc:
+            specfun._check_y(0.3, xabs, None)
+        assert exc.value.terms_used == 0
+
+
+def test_absurd_tilt_raises_before_summing():
+    # the series would overflow here; inf must not pass for a converged value
+    np = pytest.importorskip("numpy")
+    for x in (1e31, -1e31):
+        with pytest.raises(ConvergenceError) as exc:
+            log_phi1(0.5, 1.0, 2.0, x, 0.0)
+        assert exc.value.terms_used == 0
+    with pytest.raises(ConvergenceError) as exc:
+        log_phi1_batch(0.5, 1.0, 2.0, np.array([0.0, 3.0, 1e31]), 0.0)
+    assert exc.value.terms_used == 0
+    with pytest.raises(ConvergenceError) as exc:
+        phi1_double_series(Phi1Args(0.5, 1.0, 2.0, 1e31, 0.0))
+    assert exc.value.terms_used == 0
+
+
 def test_2f1_convergence_error_carries_terms():
     with pytest.raises(ConvergenceError) as exc:
         phi1(Phi1Args(1.0, 0.5, 1.0, 0.0, 0.99, max_terms=50))
