@@ -36,7 +36,7 @@ from .prior import (
 from .oracles import phi1_double_series
 from .risk import RiskCurveSpec, risk_curve
 from .sparse import GibbsConfig, horseshoe_gibbs, simulate_sparse
-from .specfun import DEFAULT_MAX_TERMS, DEFAULT_REL_TOL, Phi1Args, phi1
+from .specfun import Phi1Args, phi1
 
 __all__ = ["main"]
 
@@ -123,15 +123,7 @@ def _read_values(path: str) -> np.ndarray:
 
 
 def _cmd_phi1(args: argparse.Namespace) -> int:
-    call = Phi1Args(
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        x=args.x,
-        y=args.y,
-        rel_tol=args.rel_tol,
-        max_terms=args.max_terms,
-    )
+    call = Phi1Args(alpha=args.alpha, beta=args.beta, gamma=args.gamma, x=args.x, y=args.y)
     result = phi1(call)
     record = {
         "value": result.value,
@@ -259,8 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi1.add_argument("--gamma", type=float, required=True)
     p_phi1.add_argument("--x", type=float, required=True)
     p_phi1.add_argument("--y", type=float, required=True)
-    p_phi1.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL, dest="rel_tol")
-    p_phi1.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS, dest="max_terms")
     p_phi1.add_argument("--oracle", action="store_true",
                         help="also evaluate the direct double series and report the gap")
     p_phi1.set_defaults(func=_cmd_phi1)

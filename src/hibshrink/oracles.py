@@ -29,6 +29,7 @@ from .prior import HIBParams
 from .quadrature import _posterior_kernel_integral
 from .risk import RiskPoint, _BAYES_TAG, _check_draws, _check_point, _draw_z, _point
 from .specfun import (
+    DEFAULT_REL_TOL,
     _LOG_RESCALE,
     _RESCALE,
     _SCALE_HI,
@@ -44,14 +45,7 @@ __all__ = ["phi1_double_series", "risk_direct", "sure_integrand_by_parts"]
 
 
 def _rect_sum(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    x: float,
-    y: float,
-    rel_tol: float,
-    max_terms: int,
-    flipped: bool,
+    alpha: float, beta: float, gamma: float, x: float, y: float, max_terms: int, flipped: bool
 ) -> tuple[float, float, int]:
     """Rectangle-truncated double series; needs ``x >= 0`` and ``0 <= y < 1``.
 
@@ -69,6 +63,7 @@ def _rect_sum(
     directions stop after three consecutive negligible contributions.
     Returns ``(log|value|, sign, terms)``.
     """
+    rel_tol = DEFAULT_REL_TOL
     row_param = gamma - alpha if flipped else alpha
     total = 0.0
     off = 0.0
@@ -136,7 +131,7 @@ def phi1_double_series(args: Phi1Args) -> SeriesResult:
     terms are nonnegative whenever gamma > alpha, so the summation itself is
     cancellation-free for the parameter patterns the tests exercise.
     """
-    max_terms = _check_y(args.y, abs(args.x), args.max_terms)
+    max_terms = _check_y(args.y, abs(args.x))
     alpha, beta, gamma = args.alpha, args.beta, args.gamma
     x, y = args.x, args.y
     log_pref = 0.0
@@ -149,7 +144,7 @@ def phi1_double_series(args: Phi1Args) -> SeriesResult:
     if flipped:
         log_pref += x
         x = -x
-    log_abs, sign, terms = _rect_sum(alpha, beta, gamma, x, y, args.rel_tol, max_terms, flipped)
+    log_abs, sign, terms = _rect_sum(alpha, beta, gamma, x, y, max_terms, flipped)
     return _linear(log_abs + log_pref, sign, terms)
 
 

@@ -265,7 +265,10 @@ def _posterior_kernel_integral(
     falls off from its peak, and each piece is integrated in its own
     rescaled variable.  No piece is narrower than ``_MIN_PIECE``: cuts
     closer than that to an end are dropped, and a narrower peak raises
-    AccuracyError.
+    AccuracyError.  Only the last piece reaches kappa = 1, so only there is
+    the mirrored half of the rule evaluated in 1 - kappa; every other piece
+    measures its mirrored half back from its own upper end, which keeps the
+    low bits of a kappa near 0.
     """
     b = prior.b
     inv_tau2 = 1.0 / prior.tau2
@@ -314,7 +317,9 @@ def _posterior_kernel_integral(
             a_post if lo == 0.0 else 1.0,
             b if hi == 1.0 else 1.0,
             cfg,
-            f_complement=lambda v: fc(1.0 - hi + span * v),
+            f_complement=(
+                (lambda v: fc(span * v)) if hi == 1.0 else (lambda v: f(hi - span * v))
+            ),
         )
         total += span * value
     return log_scale, total

@@ -9,16 +9,20 @@ confluent hypergeometric function
 
 which converges for all real x when y < 1.  At x = 0 it is the Gauss
 function 2F1(alpha, beta; gamma; y), so the inner 2F1 needs no entry point
-of its own.  One dispatch, ``_plan``, maps
-the arguments to a single series of 2F1 values: it applies the y < 0
-substitution once and picks the representation for the sign of ``x``, so
-that, for the parameter patterns used by the statistical modules, every term
-is positive and no cancellation occurs.  The scalar ``phi1``/``log_phi1`` and
-the vectorized ``log_phi1_batch`` both sum the series ``_plan`` returns.
-The batch sorts its ``|x|`` and sums them in fixed blocks of neighbours, each
-block stopping as soon as its own largest element has converged, so its work
-follows each element's own term count rather than the largest one's; the
-series coefficients are built once per call and shared by every block.
+of its own.  One dispatch, ``_plan``, maps the arguments to a single series
+of 2F1 values: it applies the y < 0 substitution once and picks the
+representation for the sign of ``x``, so that, for the parameter patterns
+used by the statistical modules, every term is positive and no cancellation
+occurs.  The scalar ``phi1``/``log_phi1`` and the vectorized
+``log_phi1_batch`` both sum the series ``_plan`` returns.  The batch sorts
+its ``|x|`` and sums them in fixed blocks of neighbours, each block stopping
+as soon as its own largest element has converged, so its work follows each
+element's own term count rather than the largest one's; the series
+coefficients are built once per call and shared by every block.
+
+No caller sets how a series is summed: every series stops at the relative
+tolerance ``DEFAULT_REL_TOL``, within a term budget that follows from its
+largest ``|x|`` (see ``_check_y``).
 
 Large arguments make the function value overflow a float even though ratios
 of values stay moderate, so the statistical modules consume ``log_phi1`` and
@@ -36,8 +40,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, NumericalWarning
 
 __all__ = [
-    "DEFAULT_REL_TOL",
-    "DEFAULT_MAX_TERMS",
     "Phi1Args",
     "SeriesResult",
     "pochhammer",
@@ -77,11 +79,11 @@ _BATCH_BLOCK = 32768
 
 @dataclass(frozen=True)
 class Phi1Args:
-    """Arguments and convergence controls for a phi1 evaluation.
+    """Arguments of a phi1 evaluation.
 
     ``alpha``, ``beta``, ``gamma`` must be positive; ``x`` is unrestricted and
-    ``y`` must satisfy ``y < 1`` (checked at evaluation time).  With no
-    ``max_terms`` the term budget follows from ``x`` (see ``_check_y``).
+    ``y`` must satisfy ``y < 1`` (checked at evaluation time).  The term
+    budget follows from ``x`` (see ``_check_y``).
     """
 
     alpha: float
@@ -89,8 +91,6 @@ class Phi1Args:
     gamma: float
     x: float
     y: float
-    rel_tol: float = DEFAULT_REL_TOL
-    max_terms: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
@@ -99,10 +99,6 @@ class Phi1Args:
                 raise DomainError(f"{name} must be positive and finite, got {value}")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise DomainError("x and y must be finite")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 @dataclass(frozen=True)
@@ -132,17 +128,13 @@ def log_beta(a: float, b: float) -> float:
 
 
 def _hyp2f1_series(
-    a: float,
-    b: float,
-    c: float,
-    z: float,
-    rel_tol: float,
-    max_terms: int,
+    a: float, b: float, c: float, z: float, max_terms: int
 ) -> tuple[float, int]:
     """Raw 2F1 power series; caller guarantees it converges (|z| < 1).
 
     Returns ``(value, terms)``.  Raises ConvergenceError past ``max_terms``.
     """
+    rel_tol = DEFAULT_REL_TOL
     total = 1.0
     term = 1.0
     streak = 0
@@ -158,25 +150,23 @@ def _hyp2f1_series(
     raise ConvergenceError("2F1 series did not converge", terms_used=max_terms)
 
 
-def _check_y(y: float, xabs: float, max_terms: int | None) -> int:
+def _check_y(y: float, xabs: float) -> int:
     """Domain checks shared by all phi1 entry points; returns the term budget.
 
-    An explicit ``max_terms`` is used as given.  Otherwise the budget is
-    ``DEFAULT_MAX_TERMS + 2 ceil(xabs)``, with ``xabs`` the largest ``|x|``
-    to be summed, and a budget past ``_MAX_TERMS_CEILING`` raises
-    ConvergenceError before any term is summed.  y in [0.999, 1) caps
-    either budget.
+    The budget is ``DEFAULT_MAX_TERMS + 2 ceil(xabs)``, with ``xabs`` the
+    largest ``|x|`` to be summed; a budget past ``_MAX_TERMS_CEILING`` raises
+    ConvergenceError before any term is summed.  y in [0.999, 1) caps the
+    budget.
     """
     if y >= 1.0:
         raise DomainError(f"phi1 requires y < 1, got {y}")
-    if max_terms is None:
-        # compared as a float first, so NaN and inf fail here too
-        if not xabs <= 0.5 * (_MAX_TERMS_CEILING - DEFAULT_MAX_TERMS):
-            raise ConvergenceError(
-                f"phi1 at |x| = {xabs:g} needs more than {_MAX_TERMS_CEILING} terms",
-                terms_used=0,
-            )
-        max_terms = DEFAULT_MAX_TERMS + 2 * math.ceil(xabs)
+    # compared as a float first, so NaN and inf fail here too
+    if not xabs <= 0.5 * (_MAX_TERMS_CEILING - DEFAULT_MAX_TERMS):
+        raise ConvergenceError(
+            f"phi1 at |x| = {xabs:g} needs more than {_MAX_TERMS_CEILING} terms",
+            terms_used=0,
+        )
+    max_terms = DEFAULT_MAX_TERMS + 2 * math.ceil(xabs)
     if y >= _Y_WARN:
         warnings.warn(
             f"phi1 argument y={y} lies in [{_Y_WARN}, 1); results this close to "
@@ -199,15 +189,7 @@ def _linear(log_abs: float, sign: float, terms: int) -> SeriesResult:
     return SeriesResult(value=value, terms_used=terms, converged=True)
 
 
-def _plan(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    y: float,
-    negative: bool,
-    rel_tol: float,
-    max_terms: int,
-):
+def _plan(alpha: float, beta: float, gamma: float, y: float, negative: bool, max_terms: int):
     """Single-series form of phi1 for the ``x`` of one sign.
 
     Returns ``(a, inner, log_pref, tilt)`` such that, for every ``x`` with
@@ -241,7 +223,7 @@ def _plan(
     def inner(n: int) -> float:
         if y == 0.0:
             return 1.0
-        return _hyp2f1_series(beta, alpha + shift * n, gamma + n, y, rel_tol, max_terms)[0]
+        return _hyp2f1_series(beta, alpha + shift * n, gamma + n, y, max_terms)[0]
 
     return a, inner, log_pref, tilt
 
@@ -254,12 +236,10 @@ def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
     overflow; the log of the accumulated scale is folded into the returned
     log value.
     """
-    gamma, x, rel_tol = args.gamma, args.x, args.rel_tol
-    max_terms = _check_y(args.y, abs(x), args.max_terms)
-    a, inner, log_pref, tilt = _plan(
-        args.alpha, args.beta, gamma, args.y, x < 0.0, rel_tol, max_terms
-    )
+    gamma, x, y, rel_tol = args.gamma, args.x, args.y, DEFAULT_REL_TOL
     xabs = abs(x)
+    max_terms = _check_y(y, xabs)
+    a, inner, log_pref, tilt = _plan(args.alpha, args.beta, gamma, y, x < 0.0, max_terms)
     weight = 1.0
     off = 0.0
     total = inner(0)
@@ -305,47 +285,35 @@ def phi1(args: Phi1Args) -> SeriesResult:
     return _linear(*_phi1_core(args))
 
 
-def log_phi1(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    x: float,
-    y: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_terms: int | None = None,
-) -> float:
+def log_phi1(alpha: float, beta: float, gamma: float, x: float, y: float) -> float:
     """Natural log of phi1 for positive parameters.
 
     For positive ``alpha``, ``beta``, ``gamma`` (and in particular for every
     argument pattern produced by the HIB posterior formulas) phi1 is strictly
     positive, so the log is well defined for arbitrarily large ``x``.
     """
-    log_abs, sign, _ = _phi1_core(Phi1Args(alpha, beta, gamma, x, y, rel_tol, max_terms))
+    log_abs, sign, _ = _phi1_core(Phi1Args(alpha, beta, gamma, x, y))
     if sign <= 0.0:
         raise DomainError("phi1 evaluated non-positive; log_phi1 undefined here")
     return log_abs
 
 
 def _batch_sum(
-    x: np.ndarray,
-    a_param: float,
-    gamma: float,
-    inner,
-    rel_tol: float,
-    max_terms: int,
+    x: np.ndarray, a_param: float, gamma: float, inner, max_terms: int
 ) -> np.ndarray:
     """log of sum_n (a_param)_n/(gamma)_n x^n/n! inner(n) over an array x >= 0.
 
     The series needs more terms the larger x is, so x is sorted once and
     summed in blocks of ``_BATCH_BLOCK`` neighbours, each stopping when its
-    own largest relative term stays below ``rel_tol`` on 3 checks, 8 terms
-    apart.  Blocks of small x thus leave after tens of terms instead of
-    running as long as the largest x, and each block's working arrays stay
-    in cache.  The term ratios q(n)/(q(n-1) n), with q(n) = (a_param)_n /
-    (gamma)_n inner(n), are built on first use and shared by every block, so
-    each inner(n) is evaluated once per call.  All series terms are
-    nonnegative, so the streaming rescaled accumulation is stable.  The logs
-    are scattered back to the order of ``x``.
+    own largest relative term stays below ``DEFAULT_REL_TOL`` on 3 checks, 8
+    terms apart; a block that needs more than ``max_terms`` raises
+    ConvergenceError.  Blocks of small x thus leave after tens of terms
+    instead of running as long as the largest x, and each block's working
+    arrays stay in cache.  The term ratios q(n)/(q(n-1) n), with q(n) =
+    (a_param)_n / (gamma)_n inner(n), are built on first use and shared by
+    every block, so each inner(n) is evaluated once per call.  All series
+    terms are nonnegative, so the streaming rescaled accumulation is stable.
+    The logs are scattered back to the order of ``x``.
     """
     q0 = inner(0)
     if q0 <= 0.0:
@@ -388,7 +356,7 @@ def _batch_sum(
             if n % 8 == 0:
                 # terms are nonnegative, so term / total is the relative term
                 worst = float(np.divide(term, total, out=scratch).max())
-                if worst <= rel_tol:
+                if worst <= DEFAULT_REL_TOL:
                     streak += 1
                     if streak >= 3:
                         break
@@ -405,13 +373,7 @@ def _batch_sum(
 
 
 def log_phi1_batch(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    x: np.ndarray,
-    y: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    max_terms: int | None = None,
+    alpha: float, beta: float, gamma: float, x: np.ndarray, y: float
 ) -> np.ndarray:
     """Vectorized :func:`log_phi1` over an array of ``x`` values.
 
@@ -425,11 +387,13 @@ def log_phi1_batch(
     for the posterior patterns, where gamma - alpha is the posterior shape
     a').
     """
-    if not (alpha > 0.0 and beta > 0.0 and gamma > 0.0):
-        raise DomainError("log_phi1_batch requires positive alpha, beta, gamma")
+    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf and 0.0 < gamma < math.inf):
+        raise DomainError("log_phi1_batch requires positive finite alpha, beta, gamma")
     x = np.asarray(x, dtype=float)
-    xabs = max(x.max(initial=0.0), -x.min(initial=0.0))  # no |x| array
-    max_terms = _check_y(y, float(xabs), max_terms)
+    xabs = float(max(x.max(initial=0.0), -x.min(initial=0.0)))  # no |x| array
+    if not (math.isfinite(xabs) and math.isfinite(y)):
+        raise DomainError("x and y must be finite")
+    max_terms = _check_y(y, xabs)
     out = np.empty(x.shape, dtype=float)
     nonneg = x >= 0.0
     for negative, mask in ((False, nonneg), (True, ~nonneg)):
@@ -437,11 +401,11 @@ def log_phi1_batch(
             continue
         if negative and gamma <= alpha:
             raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
-        a, inner, log_pref, tilt = _plan(alpha, beta, gamma, y, negative, rel_tol, max_terms)
+        a, inner, log_pref, tilt = _plan(alpha, beta, gamma, y, negative, max_terms)
         xs = x[mask]
         if negative:
             np.negative(xs, out=xs)
-        logs = _batch_sum(xs, a, gamma, inner, rel_tol, max_terms)
+        logs = _batch_sum(xs, a, gamma, inner, max_terms)
         logs += log_pref
         if tilt:
             # xs is free again: reuse it for tilt * x = -tilt * |x|

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from hibshrink import cli
+from hibshrink import cli, specfun
 from hibshrink.cli import main
 from hibshrink.posterior import shrink
 from hibshrink.prior import half_cauchy
@@ -63,10 +63,33 @@ def test_phi1_domain_error_exit_code(capsys):
     assert code == 2
 
 
-def test_phi1_convergence_error_exit_code(capsys):
+def test_phi1_convergence_error_exit_code(capsys, monkeypatch):
+    # a budget of 1 + 2 * 30 terms is too few for the x-series at x = 30
+    monkeypatch.setattr(specfun, "DEFAULT_MAX_TERMS", 1)
     code, _ = run(capsys, ["phi1", "--alpha", "0.5", "--beta", "1", "--gamma", "1.5",
-                           "--x", "300", "--y", "0.3", "--max-terms", "50"])
+                           "--x", "30", "--y", "0.3"])
     assert code == 3
+
+
+def test_phi1_budget_follows_the_tilt(capsys):
+    # |x| = 2e5 needs about 2e5 terms, twice a flat budget of DEFAULT_MAX_TERMS
+    code, out = run(capsys, ["phi1", "--alpha", "0.5", "--beta", "1", "--gamma", "6",
+                             "--x", "200000", "--y", "0"])
+    assert code == 0
+    record = last_json_record(out)
+    assert record["converged"] is True and record["terms_used"] > 100_000
+    # past the ceiling on the derived budget, no term is summed
+    code, _ = run(capsys, ["phi1", "--alpha", "0.5", "--beta", "1", "--gamma", "6",
+                           "--x", "3e6", "--y", "0"])
+    assert code == 3
+
+
+def test_phi1_takes_no_series_settings(capsys):
+    for flag, value in (("--max-terms", "50"), ("--rel-tol", "1e-6")):
+        with pytest.raises(SystemExit) as exc:
+            main(["phi1", "--alpha", "0.5", "--beta", "1", "--gamma", "1.5",
+                  "--x", "3", "--y", "0.3", flag, value])
+        assert exc.value.code == 2
 
 
 def test_phi1_stdout_reproducible(capsys):

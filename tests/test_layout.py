@@ -4,8 +4,9 @@ Every module under ``src/hibshrink`` is parsed with ``ast`` (nothing is
 executed), and the ``hibshrink`` modules each one imports are checked
 against the intended layering: ``specfun`` and ``quadrature`` sit at the
 bottom above ``errors`` only, and ``oracles`` sits on top, imported by the
-CLI alone.  The series tolerance and term budget belong to ``specfun``
-alone: no public function above it takes ``rel_tol`` or ``max_terms``.
+CLI alone.  ``specfun`` alone decides how a series is summed: no public
+function, in it or above it, and no field of ``Phi1Args`` takes ``rel_tol``
+or ``max_terms``.
 """
 
 import ast
@@ -77,9 +78,9 @@ def test_no_oracle_name_in_production_api():
             assert not hasattr(module, name), (module.__name__, name)
 
 
-def test_only_specfun_takes_the_series_tolerance():
-    # every function of the statistical modules, and the public oracles
-    # (``_rect_sum`` sums phi1 itself, at the tolerance its Phi1Args carries)
+def _series_callers():
+    """Every function of the statistical modules, the public oracles, and
+    ``specfun``'s public functions and its ``Phi1Args`` record."""
     functions = [
         obj
         for module in (prior, posterior, risk, sparse)
@@ -87,23 +88,23 @@ def test_only_specfun_takes_the_series_tolerance():
         if inspect.isfunction(obj) and obj.__module__ == module.__name__
     ]
     functions += [getattr(oracles, name) for name in oracles.__all__]
-    assert risk._expect_integrand_quadrature in functions
-    for fn in functions:
+    functions += [obj for name in specfun.__all__ if callable(obj := getattr(specfun, name))]
+    assert risk._expect_integrand_quadrature in functions and risk.risk_analytic in functions
+    assert posterior.shrink in functions
+    assert specfun.log_phi1_batch in functions and specfun.Phi1Args in functions
+    return functions
+
+
+def test_no_caller_sets_the_series_tolerance():
+    for fn in _series_callers():
         assert "rel_tol" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert "DEFAULT_REL_TOL" not in specfun.__all__
     assert not hasattr(specfun, "gauss_2f1")
     assert "gauss_2f1" not in specfun.__all__
 
 
-def test_only_specfun_takes_a_term_budget():
-    # the budget follows from each series' own tilt, so no function of the
-    # statistical modules, and no public oracle, passes one on
-    functions = [
-        obj
-        for module in (prior, posterior, risk, sparse)
-        for obj in vars(module).values()
-        if inspect.isfunction(obj) and obj.__module__ == module.__name__
-    ]
-    functions += [getattr(oracles, name) for name in oracles.__all__]
-    assert posterior.shrink in functions and risk.risk_analytic in functions
-    for fn in functions:
+def test_no_caller_sets_the_term_budget():
+    # the budget follows from each series' own tilt
+    for fn in _series_callers():
         assert "max_terms" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert "DEFAULT_MAX_TERMS" not in specfun.__all__

@@ -159,15 +159,14 @@ def test_phi1_x_zero_sums_one_inner_series(monkeypatch):
 def test_term_budget_follows_the_tilt():
     ceiling = specfun._MAX_TERMS_CEILING
     widest = 0.5 * (ceiling - specfun.DEFAULT_MAX_TERMS)
-    assert specfun._check_y(0.3, 0.0, None) == specfun.DEFAULT_MAX_TERMS
-    assert specfun._check_y(0.3, 5e5, None) == specfun.DEFAULT_MAX_TERMS + 1_000_000
-    assert specfun._check_y(0.3, widest, None) == ceiling
-    assert specfun._check_y(0.3, 1e31, 50) == 50  # an explicit budget stays flat
+    assert specfun._check_y(0.3, 0.0) == specfun.DEFAULT_MAX_TERMS
+    assert specfun._check_y(0.3, 5e5) == specfun.DEFAULT_MAX_TERMS + 1_000_000
+    assert specfun._check_y(0.3, widest) == ceiling
     with pytest.warns(NumericalWarning):
-        assert specfun._check_y(0.9995, 5e5, None) == specfun._Y_WARN_MAX_TERMS
+        assert specfun._check_y(0.9995, 5e5) == specfun._Y_WARN_MAX_TERMS
     for xabs in (math.nextafter(widest, math.inf), math.inf, math.nan):
         with pytest.raises(ConvergenceError) as exc:
-            specfun._check_y(0.3, xabs, None)
+            specfun._check_y(0.3, xabs)
         assert exc.value.terms_used == 0
 
 
@@ -186,9 +185,11 @@ def test_absurd_tilt_raises_before_summing():
     assert exc.value.terms_used == 0
 
 
-def test_2f1_convergence_error_carries_terms():
+def test_2f1_convergence_error_carries_terms(monkeypatch):
+    # at x = 0 the derived budget is DEFAULT_MAX_TERMS itself
+    monkeypatch.setattr(specfun, "DEFAULT_MAX_TERMS", 50)
     with pytest.raises(ConvergenceError) as exc:
-        phi1(Phi1Args(1.0, 0.5, 1.0, 0.0, 0.99, max_terms=50))
+        phi1(Phi1Args(1.0, 0.5, 1.0, 0.0, 0.99))
     assert exc.value.terms_used == 50
 
 
@@ -334,10 +335,12 @@ def test_phi1_warns_close_to_unit_y():
     assert rel_err(r.value, (1.0 - 0.9995) ** -0.5) < 1e-7
 
 
-def test_phi1_convergence_error_carries_terms():
+def test_phi1_convergence_error_carries_terms(monkeypatch):
+    # a budget of 1 + 2 * 30 terms is too few for the x-series at x = 30
+    monkeypatch.setattr(specfun, "DEFAULT_MAX_TERMS", 1)
     with pytest.raises(ConvergenceError) as exc:
-        phi1(Phi1Args(0.5, 1.0, 1.5, 30.0, 0.3, max_terms=20))
-    assert exc.value.terms_used == 20
+        phi1(Phi1Args(0.5, 1.0, 1.5, 30.0, 0.3))
+    assert exc.value.terms_used == 61
 
 
 # ---- log variants and batching --------------------------------------------
@@ -369,6 +372,22 @@ def test_log_phi1_batch_negative_x_requires_gamma_above_alpha():
     np = pytest.importorskip("numpy")
     with pytest.raises(DomainError):
         log_phi1_batch(2.5, 1.0, 1.0, np.array([-1.0, 2.0]), 0.5)
+
+
+def test_log_phi1_batch_rejects_non_finite_arguments():
+    # a domain error, as on the scalar path, not a term budget it cannot meet
+    np = pytest.importorskip("numpy")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            log_phi1(0.5, 1.0, 1.5, bad, 0.3)
+        for y in (-1.5, 0.0, 0.6):
+            with pytest.raises(DomainError):
+                log_phi1_batch(0.5, 1.0, 1.5, np.array([-6.0, bad, 0.0, 3.0]), y)
+        with pytest.raises(DomainError):
+            log_phi1_batch(0.5, 1.0, 1.5, np.array([-6.0, 0.0, 3.0]), bad)
+    for params in ((math.inf, 1.0, 1.5), (0.5, math.inf, 1.5), (0.5, 1.0, math.inf)):
+        with pytest.raises(DomainError):
+            log_phi1_batch(*params, np.array([-6.0, 0.0, 3.0]), 0.3)
 
 
 def _spread_xs(np):
