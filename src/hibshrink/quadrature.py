@@ -265,10 +265,14 @@ def _posterior_kernel_integral(
     falls off from its peak, and each piece is integrated in its own
     rescaled variable.  No piece is narrower than ``_MIN_PIECE``: cuts
     closer than that to an end are dropped, and a narrower peak raises
-    AccuracyError.  Only the last piece reaches kappa = 1, so only there is
-    the mirrored half of the rule evaluated in 1 - kappa; every other piece
-    measures its mirrored half back from its own upper end, which keeps the
-    low bits of a kappa near 0.
+    AccuracyError.  A peak inside (0, 1) is cut and integrated in kappa:
+    only the last piece reaches kappa = 1, so only there is the mirrored
+    half of the rule evaluated in 1 - kappa; every other piece measures its
+    mirrored half back from its own upper end, which keeps the low bits of a
+    kappa near 0.  A peak at kappa = 1 (s_post <= a_post - 1, as under a
+    large negative s) is the mirror image: the cuts are placed as distances
+    from 1 and every piece is integrated in v = 1 - kappa, with the tilt
+    written as exp(s_post v), so that 1 - kappa keeps its low bits there.
     """
     b = prior.b
     inv_tau2 = 1.0 / prior.tau2
@@ -287,6 +291,9 @@ def _posterior_kernel_integral(
             error_bound=math.inf,
         )
     log_scale = (lead * math.log(peak) if lead else 0.0) - s_post * peak
+    # the same scale for the kernel in v = 1 - kappa, where exp(-s_post kappa)
+    # is exp(-s_post) exp(s_post v); exactly 0 when the peak is at kappa = 1
+    shift = s_post + log_scale
 
     def f(kappa: float) -> float:
         value = (
@@ -299,13 +306,20 @@ def _posterior_kernel_integral(
     def fc(v: float) -> float:
         kappa = 1.0 - v
         value = (
-            math.exp((a_post - 1.0) * math.log1p(-v) - s_post * kappa - log_scale)
+            math.exp((a_post - 1.0) * math.log1p(-v) + s_post * v - shift)
             * v ** (b - 1.0)
             / (inv_tau2 + slope * kappa)
         )
         return value if weight is None else value * weight(kappa)
 
-    cuts = [c for c in (peak + k * width for k in _PEAK_CUTS)
+    # the pieces are cut and integrated in t = kappa, or, when the peak sits
+    # at kappa = 1, in t = v = 1 - kappa, where the peak is at t = 0; g is the
+    # kernel at t and g_end the kernel at distance 1 - t from the far end
+    if peak < 1.0:
+        g, g_end, exp_lo, exp_hi, center = f, fc, a_post, b, peak
+    else:
+        g, g_end, exp_lo, exp_hi, center = fc, f, b, a_post, 0.0
+    cuts = [c for c in (center + k * width for k in _PEAK_CUTS)
             if _MIN_PIECE < c < 1.0 - _MIN_PIECE]
     edges = [0.0] + cuts + [1.0]
     total = 0.0
@@ -313,12 +327,12 @@ def _posterior_kernel_integral(
         span = hi - lo
         # only the end pieces carry the endpoint singularities
         value = integrate_unit(
-            lambda u: f(lo + span * u),
-            a_post if lo == 0.0 else 1.0,
-            b if hi == 1.0 else 1.0,
+            lambda u: g(lo + span * u),
+            exp_lo if lo == 0.0 else 1.0,
+            exp_hi if hi == 1.0 else 1.0,
             cfg,
             f_complement=(
-                (lambda v: fc(span * v)) if hi == 1.0 else (lambda v: f(hi - span * v))
+                (lambda v: g_end(span * v)) if hi == 1.0 else (lambda v: g(hi - span * v))
             ),
         )
         total += span * value

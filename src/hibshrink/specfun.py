@@ -18,7 +18,15 @@ occurs.  The scalar ``phi1``/``log_phi1`` and the vectorized
 its ``|x|`` and sums them in fixed blocks of neighbours, each block stopping
 as soon as its own largest element has converged, so its work follows each
 element's own term count rather than the largest one's; the series
-coefficients are built once per call and shared by every block.
+coefficients are built once per call and shared by every block.  At y = 0,
+where phi1 is the confluent 1F1 and the power series needs about
+|x| + 12 sqrt(|x|) terms, the batch sums its sorted elements at or above a
+crossover x0(a, gamma) by the dominant Kummer asymptotic series (DLMF
+13.7.2) instead, in a term count fixed by (a, gamma), so a batch point's
+cost there no longer grows with the tilt.  x0 is the smallest x from which
+the neglected subdominant term and the first omitted term both stay below
+``DEFAULT_REL_TOL`` 2^-10 and the terms summed add up to at most 1/2, so
+they cannot cancel (see ``_crossover``).  The scalar path always sums the power series.
 
 No caller sets how a series is summed: every series stops at the relative
 tolerance ``DEFAULT_REL_TOL``, within a term budget that follows from its
@@ -75,6 +83,14 @@ _EXP_OVERFLOW = 709.782712893384  # log of the largest double
 # threads: a block's four working arrays then stay in L2 cache, while half as
 # many elements per block cost more in per-call overhead than they save.
 _BATCH_BLOCK = 32768
+
+# Lowest crossover of the batch's large-x branch at y = 0 (see _crossover).
+# Over a, gamma - a in [0.05, 200] its bounds alone never put the crossover
+# below 15.7, and from x = 10 up the leading-order estimate of the
+# neglected subdominant term stayed within 4.3x of the measured error (the
+# bounds keep a 2^10 margin), so this floor only guards parameters outside
+# that sweep; below it the power series needs under ~65 terms anyway.
+_ASYMP_X_MIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -220,12 +236,18 @@ def _plan(alpha: float, beta: float, gamma: float, y: float, negative: bool, max
     else:
         a, shift = a_pos, 1  # only the x' >= 0 form shifts alpha with n
 
+    if y == 0.0:
+        return a, _unit_inner, log_pref, tilt
+
     def inner(n: int) -> float:
-        if y == 0.0:
-            return 1.0
         return _hyp2f1_series(beta, alpha + shift * n, gamma + n, y, max_terms)[0]
 
     return a, inner, log_pref, tilt
+
+
+def _unit_inner(n: int) -> float:
+    """inner(n) at y = 0, where every inner 2F1 is 1 and phi1 is 1F1."""
+    return 1.0
 
 
 def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
@@ -298,10 +320,99 @@ def log_phi1(alpha: float, beta: float, gamma: float, x: float, y: float) -> flo
     return log_abs
 
 
-def _batch_sum(
-    x: np.ndarray, a_param: float, gamma: float, inner, max_terms: int
-) -> np.ndarray:
-    """log of sum_n (a_param)_n/(gamma)_n x^n/n! inner(n) over an array x >= 0.
+def _kummer_terms(a: float, c: float, x: float, tol: float) -> int:
+    """Terms of the dominant Kummer series at ``x`` until one is <= ``tol``.
+
+    The terms are (1-a)_s (c)_s / (s! x^s), with c = gamma - a.  Returns 0
+    when their magnitudes add up past 1/2 first: the sum then either cancels
+    or diverges before it converges.  Each term shrinks as x grows, so a
+    nonzero count at x stays nonzero, and no larger, at every larger x.
+    """
+    term, spent, s = 1.0, 0.0, 0
+    while True:
+        s += 1
+        term *= (s - a) * (c + s - 1.0) / (s * x)
+        spent += abs(term)
+        if spent > 0.5:
+            return 0
+        if abs(term) <= tol:
+            return s
+
+
+def _crossover(a: float, gamma: float) -> tuple[float, int]:
+    """Crossover x0 of the large-x branch of log 1F1(a; gamma; x), and its terms.
+
+    DLMF 13.7.2 gives, for gamma - a > 0,
+
+        1F1(a; gamma; x) = Gamma(gamma)/Gamma(a) e^x x^(a-gamma)
+            sum_s (1-a)_s (gamma-a)_s / (s! x^s)
+
+    up to a subdominant term of relative size about
+    Gamma(a)/Gamma(gamma-a) x^(gamma-2a) e^(-x).  x0 is the smallest x >=
+    max(_ASYMP_X_MIN, gamma - 2a), to 2^-10 relative, at which that term and
+    the first omitted term of the sum are both <= DEFAULT_REL_TOL 2^-10, and
+    the terms summed before it add up to at most 1/2 (see _kummer_terms),
+    which bounds the cancellation.  All three hold at every larger x too.
+    Returns ``(inf, 0)`` when gamma <= a or when x0 lies past every |x|
+    that ``_check_y`` admits.
+    """
+    c = gamma - a
+    if not c > 0.0:
+        return math.inf, 0
+    tol = DEFAULT_REL_TOL * 2.0**-10
+    # log(subdominant / (dominant tol)) falls with x from x = c - a on
+    k = math.lgamma(a) - math.lgamma(c) - math.log(tol)
+
+    def fits(x: float) -> bool:
+        return k + (c - a) * math.log(x) - x <= 0.0 and _kummer_terms(a, c, x, tol) > 0
+
+    lo = hi = max(_ASYMP_X_MIN, c - a)
+    while not fits(hi):
+        if hi > 0.5 * _MAX_TERMS_CEILING:
+            return math.inf, 0
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 2.0**-10 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi, _kummer_terms(a, c, hi, tol)
+
+
+def _kummer_tail(xb: np.ndarray, a: float, gamma: float, terms: int) -> np.ndarray:
+    """log(e^-x 1F1(a; gamma; x)) over sorted x >= the crossover, by DLMF 13.7.2.
+
+    Sums the dominant series of :func:`_crossover` until the term of the
+    block's first, smallest x is <= DEFAULT_REL_TOL 2^-10; that term is the
+    block's largest, and it gets there within the crossover's ``terms``.
+    The e^x factor is left out, so that the caller's e^-x tilt of a negative
+    x cancels exactly instead of losing the low bits of a log near x.
+    """
+    tol = DEFAULT_REL_TOL * 2.0**-10
+    c = gamma - a
+    inv = np.divide(1.0, xb)
+    term = np.ones_like(xb)
+    total = np.ones_like(xb)
+    for s in range(1, terms + 1):
+        term *= inv
+        term *= (s - a) * (c + s - 1.0) / s
+        total += term
+        if abs(term[0]) <= tol:
+            break
+    else:
+        raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
+    np.log(total, out=total)
+    np.log(xb, out=inv)
+    inv *= a - gamma
+    total += inv
+    total += math.lgamma(gamma) - math.lgamma(a)
+    return total
+
+
+def _batch_sum(x: np.ndarray, gamma: float, plan, max_terms: int) -> np.ndarray:
+    """log phi1 over an array x >= 0 of |x|, by the series ``plan`` of their sign.
+
+    ``plan`` is the ``(a_param, inner, log_pref, tilt)`` that :func:`_plan`
+    returns, and the logs are log_pref - tilt x + log of
+    sum_n (a_param)_n/(gamma)_n x^n/n! inner(n).
 
     The series needs more terms the larger x is, so x is sorted once and
     summed in blocks of ``_BATCH_BLOCK`` neighbours, each stopping when its
@@ -313,8 +424,15 @@ def _batch_sum(
     (a_param)_n / (gamma)_n inner(n), are built on first use and shared by
     every block, so each inner(n) is evaluated once per call.  All series
     terms are nonnegative, so the streaming rescaled accumulation is stable.
+
+    At y = 0 (``inner`` is ``_unit_inner``) the sum is 1F1(a_param; gamma;
+    x), and the sorted elements at or above the crossover x0(a_param, gamma)
+    of :func:`_crossover` form a tail that skips the power series: its
+    blocks sum the dominant Kummer asymptotic series in :func:`_kummer_tail`
+    instead, in at most the crossover's term count, however large x is.
     The logs are scattered back to the order of ``x``.
     """
+    a_param, inner, log_pref, tilt = plan
     q0 = inner(0)
     if q0 <= 0.0:
         raise DomainError("phi1 batch requires positive series coefficients")
@@ -323,9 +441,12 @@ def _batch_sum(
     ratios = [0.0]  # ratios[n] = q(n) / (q(n-1) n); index 0 is unused
     order = np.argsort(x)
     x_sorted = x[order]
+    x0, tail_terms = _crossover(a_param, gamma) if inner is _unit_inner else (math.inf, 0)
+    split = int(np.searchsorted(x_sorted, x0))
     out = np.empty(x.shape, dtype=float)
-    for start in range(0, x.size, _BATCH_BLOCK):
-        xb = x_sorted[start:start + _BATCH_BLOCK]
+    for start in range(0, split, _BATCH_BLOCK):
+        stop = min(start + _BATCH_BLOCK, split)
+        xb = x_sorted[start:stop]
         total = np.full(xb.shape, q0)
         term = total.copy()
         off = np.zeros_like(total)
@@ -368,7 +489,19 @@ def _batch_sum(
             raise DomainError("phi1 batch accumulated a non-positive partial sum")
         np.log(total, out=total)
         total += off
-        out[order[start:start + _BATCH_BLOCK]] = total
+        total += log_pref
+        if tilt:
+            total += np.multiply(xb, -tilt, out=scratch)
+        out[order[start:stop]] = total
+    for start in range(split, x.size, _BATCH_BLOCK):
+        stop = start + _BATCH_BLOCK
+        xb = x_sorted[start:stop]
+        logs = _kummer_tail(xb, a_param, gamma, tail_terms)
+        # y = 0: log_pref is 0, and tilt is 1 for negative x, where it
+        # cancels the tail's e^x, or 0 for nonnegative x, which keep it
+        if not tilt:
+            logs += xb
+        out[order[start:stop]] = logs
     return out
 
 
@@ -382,7 +515,9 @@ def log_phi1_batch(
     moments at many data draws.  Negative and nonnegative ``x`` entries are
     each summed with the series :func:`_plan` picks for their sign (the same
     ones ``phi1`` uses), with only positive terms, so the results match the
-    scalar path to near machine precision for any magnitude of ``x``.
+    scalar path to near machine precision for any magnitude of ``x``.  At
+    y = 0 the entries at or above the crossover of their sign take the
+    asymptotic series of :func:`_batch_sum` instead.
     Requires ``gamma > alpha`` when negative ``x`` are present (always true
     for the posterior patterns, where gamma - alpha is the posterior shape
     a').
@@ -401,14 +536,9 @@ def log_phi1_batch(
             continue
         if negative and gamma <= alpha:
             raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
-        a, inner, log_pref, tilt = _plan(alpha, beta, gamma, y, negative, max_terms)
         xs = x[mask]
         if negative:
             np.negative(xs, out=xs)
-        logs = _batch_sum(xs, a, gamma, inner, max_terms)
-        logs += log_pref
-        if tilt:
-            # xs is free again: reuse it for tilt * x = -tilt * |x|
-            logs += np.multiply(xs, -tilt, out=xs)
-        out[mask] = logs
+        plan = _plan(alpha, beta, gamma, y, negative, max_terms)
+        out[mask] = _batch_sum(xs, gamma, plan, max_terms)
     return out

@@ -6,11 +6,14 @@ against the intended layering: ``specfun`` and ``quadrature`` sit at the
 bottom above ``errors`` only, and ``oracles`` sits on top, imported by the
 CLI alone.  ``specfun`` alone decides how a series is summed: no public
 function, in it or above it, and no field of ``Phi1Args`` takes ``rel_tol``
-or ``max_terms``.
+or ``max_terms``, and the crossover of the batch's large-x branch is private:
+no public name, no parameter of ``log_phi1_batch`` or of any function that
+reaches it, and no ``hibshrink`` flag names it.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import hibshrink
@@ -108,3 +111,56 @@ def test_no_caller_sets_the_term_budget():
     for fn in _series_callers():
         assert "max_terms" not in inspect.signature(fn).parameters, fn.__qualname__
     assert "DEFAULT_MAX_TERMS" not in specfun.__all__
+
+
+# words that would name the crossover of the batch's large-x branch
+CROSSOVER_WORDS = re.compile(r"crossover|x0|x_0|asymp|kummer", re.IGNORECASE)
+
+
+def _functions_reaching(target: str) -> dict[str, set[str]]:
+    """Module-level functions of the package that call ``target``, directly or
+    through another such function, by module short name."""
+    trees = {name: ast.parse(path.read_text()) for name, path in MODULES.items()}
+    reaching = {target}
+    found: dict[str, set[str]] = {}
+    grew = True
+    while grew:
+        grew = False
+        for module, tree in trees.items():
+            for node in tree.body:
+                if not isinstance(node, ast.FunctionDef) or node.name in found.get(module, ()):
+                    continue
+                used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                used |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+                if used & reaching:
+                    found.setdefault(module, set()).add(node.name)
+                    reaching.add(node.name)
+                    grew = True
+    return found
+
+
+def test_the_large_x_crossover_is_private():
+    assert callable(specfun._crossover)  # the private name this guards
+    for name in specfun.__all__ + hibshrink.__all__:
+        assert not CROSSOVER_WORDS.search(name), name
+    callers = _functions_reaching("log_phi1_batch")
+    assert "kappa_moment12_batch" in callers["posterior"] and callers.get("risk")
+    functions = [specfun.log_phi1_batch]
+    for module, names in callers.items():
+        if module != "specfun":
+            imported = __import__(f"hibshrink.{module}", fromlist=["_"])
+            functions += [getattr(imported, name) for name in names]
+    for fn in functions:
+        for param in inspect.signature(fn).parameters:
+            assert not CROSSOVER_WORDS.search(param), (fn.__qualname__, param)
+    cli_tree = ast.parse(MODULES["cli"].read_text())
+    flags = [
+        arg.value
+        for node in ast.walk(cli_tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+        for arg in node.args
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    ]
+    assert "--x" in flags
+    for flag in flags:
+        assert not CROSSOVER_WORDS.search(flag), flag

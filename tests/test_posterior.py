@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hibshrink import posterior as posterior_module
+from hibshrink import specfun
 from hibshrink.errors import ConvergenceError, DomainError
 from hibshrink.posterior import (
     kappa_moment,
@@ -142,6 +143,27 @@ def test_kappa_moment_batch_matches_scalar():
             st = update(prior, 9, float(z), 1.0)
             assert rel_err(m1, kappa_moment(st, 1)) < 1e-11
             assert rel_err(m2, kappa_moment(st, 2)) < 1e-11
+
+
+def test_kappa_moment_batch_across_the_large_x_crossover_matches_scalar(monkeypatch):
+    # at tau2 = 1 the batch sums the tilts past a crossover by the asymptotic
+    # series and the rest by the power series; blocks of 5 make some blocks
+    # straddle it.  s = -500 puts half the tilts below 0, where the crossover
+    # is that of the other series.  1e-9 is the benchmark's probe bound.
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
+    p = 15
+    for prior in (half_cauchy(), HIBParams(0.5, 0.5, 1.0, -500.0)):
+        c = prior.a + 0.5 * p + prior.b
+        x0s = [specfun._crossover(prior.b, c + n)[0] for n in (0, 1, 2)]
+        x0s += [-specfun._crossover(c - prior.b, c)[0]]
+        tilts = [x * f for x in x0s for f in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]
+        tilts += list(np.geomspace(1.0, 1e5, 9)) + list(-np.geomspace(1.0, 400.0, 5))
+        z = np.array([2.0 * (t - prior.s) for t in tilts if t >= prior.s])
+        g1, g2 = kappa_moment12_batch(prior, p, z)
+        for zi, m1, m2 in zip(z, g1, g2):
+            st = update(prior, p, float(zi), 1.0)
+            assert rel_err(m1, kappa_moment(st, 1)) <= 1e-9, (prior, zi)
+            assert rel_err(m2, kappa_moment(st, 2)) <= 1e-9, (prior, zi)
 
 
 def test_kappa_moment_huge_tilt_needs_longer_series():

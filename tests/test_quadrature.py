@@ -250,3 +250,16 @@ def test_oracle_is_accurate_at_large_tilt():
             expected = reference(mpmath, prior, n, p, z)
             got = oracle_hib_moment(prior, n, p, z)
             assert float(abs(got / expected - 1)) <= 1e-12, (prior, n, p, z)
+
+
+def test_oracle_is_accurate_with_its_peak_at_one():
+    # a large negative s pins the posterior peak to kappa = 1; measured in
+    # kappa, 1 - kappa there would lose its low bits, about |s| 2^-53 relative
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in (-1e4, -1e6, -1e8):
+            prior = HIBParams(0.5, 0.5, 1.0, s)
+            for n in (1, 2):
+                expected = _moment_unit_tau2(mpmath, prior, n, 3, 0.0)
+                got = oracle_hib_moment(prior, n, 3, 0.0)
+                assert float(abs(got / expected - 1)) <= 1e-12, (s, n)

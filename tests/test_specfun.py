@@ -435,6 +435,65 @@ def test_log_phi1_batch_edge_sizes(monkeypatch):
             assert rel_err(got, log_phi1(0.5, 1.0, 1.5, float(x), y)) < 1e-11, (x, y)
 
 
+def _crossing_xs(np, alpha, gamma):
+    """x of both signs at y = 0, across both crossovers of the large-x branch.
+
+    Nonnegative x sum 1F1(alpha; gamma; x), crossing over at x0(alpha,
+    gamma); negative x sum e^x 1F1(gamma - alpha; gamma; -x), crossing over
+    at x0(gamma - alpha, gamma).  Each crossover gets the points just below,
+    at and just above it, and |x| runs geometrically on either side: up to
+    1e5 for x > 0, and up to 1e4 for x < 0, because there the scalar
+    reference's own error, which builds up in its rescale offsets, grows
+    past the bound (3.3e-11 relative at x = -1e5, where the batch is within
+    1e-14 of mpmath).
+    """
+    xs = [0.0, 1.0]
+    for sign, a, top in ((1.0, alpha, 1e5), (-1.0, gamma - alpha, 1e4)):
+        x0, _ = specfun._crossover(a, gamma)
+        assert 16.0 <= x0 < 1e3, (a, gamma, x0)
+        near = [x0 * (1.0 - 1e-3), x0, x0 * (1.0 + 1e-3)]
+        xs += [sign * v for v in near + list(np.geomspace(2.0, top, 13))]
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("alpha, gamma", [(0.5, 8.5), (1.0, 50.0), (2.5, 3.0)])
+def test_log_phi1_batch_blocks_straddling_the_crossover_match_scalar(monkeypatch, alpha, gamma):
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
+    xs = _crossing_xs(np, alpha, gamma)
+    batch = log_phi1_batch(alpha, 1.0, gamma, xs, 0.0)
+    for x, got in zip(xs, batch):
+        assert rel_err(got, log_phi1(alpha, 1.0, gamma, float(x), 0.0)) < 1e-11, (x, alpha, gamma)
+
+
+def test_log_phi1_batch_across_the_crossover_is_equivariant_under_permutation(monkeypatch):
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
+    for alpha, gamma in ((0.5, 8.5), (1.0, 50.0), (2.5, 3.0)):
+        xs = _crossing_xs(np, alpha, gamma)
+        assert np.unique(xs).size == xs.size
+        perm = np.random.default_rng(22).permutation(xs.size)
+        whole = log_phi1_batch(alpha, 1.0, gamma, xs, 0.0)
+        assert np.array_equal(log_phi1_batch(alpha, 1.0, gamma, xs[perm], 0.0), whole[perm])
+
+
+def test_crossover_keeps_the_power_series_off_nonunit_inner_series(monkeypatch):
+    # only y = 0 has a large-x branch: a y != 0 batch sums every element by
+    # the power series, and so calls no part of the asymptotic branch
+    np = pytest.importorskip("numpy")
+
+    def refuse(*args):
+        raise AssertionError("asymptotic branch reached at y != 0")
+
+    monkeypatch.setattr(specfun, "_crossover", refuse)
+    monkeypatch.setattr(specfun, "_kummer_tail", refuse)
+    xs = np.array([-900.0, -40.0, 0.0, 40.0, 900.0])
+    for y in (-1.5, 0.6):
+        got = log_phi1_batch(0.5, 1.0, 8.5, xs, y)
+        for x, value in zip(xs, got):
+            assert rel_err(value, log_phi1(0.5, 1.0, 8.5, float(x), y)) < 1e-11, (x, y)
+
+
 def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
     # every inner 2F1 is evaluated at most once per term index, however many
     # blocks reach that index
@@ -524,5 +583,45 @@ def test_log_phi1_matches_mpmath_on_unit_beta_domain():
             bound = 1e-10 * max(1.0, abs(ref))
             assert abs(log_phi1(alpha, 1.0, gamma, x, y) - ref) <= bound, (alpha, gamma, x, y)
             assert abs(got_batch - ref) <= bound, (alpha, gamma, x, y)
+
+    check()
+
+
+def test_log_phi1_batch_large_x_branch_matches_mpmath():
+    """Batch log phi1 at y = 0, i.e. log 1F1, against mpmath on both sides of
+    the crossover to the asymptotic series.
+
+    alpha covers [0.3, 3] and the integers 1 and 2, whose (1 - a)_s ends the
+    dominant series early; gamma - alpha covers [0.3, 60].  |x| runs from
+    half the crossover of its sign to 1e5, and every draw also checks x
+    exactly at both crossovers.  The bound 1e-13 max(1, |ref|) was fixed
+    before the results were seen.  The power series alone meets it on these
+    draws for 0 <= x <= 1e4 and -3e3 <= x < 0, but misses it by up to 6.4x
+    at the three in [-1e4, -3e3], where its e^x tilt cancels a log near |x|.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    hypothesis = pytest.importorskip("hypothesis")
+    np = pytest.importorskip("numpy")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        alpha=st.one_of(st.floats(0.3, 3.0), st.sampled_from([1.0, 2.0])),
+        shape=st.floats(0.3, 60.0),
+        spots=st.lists(
+            st.tuples(st.sampled_from([1.0, -1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=3
+        ),
+    )
+    def check(alpha, shape, spots):
+        gamma = alpha + shape
+        x0 = {1.0: specfun._crossover(alpha, gamma)[0], -1.0: specfun._crossover(shape, gamma)[0]}
+        xs = [x0[1.0], -x0[-1.0]]
+        # |x| = x0/2 (2e5/x0)^u runs from x0/2 to 1e5
+        xs += [sign * 0.5 * x0[sign] * (2e5 / x0[sign]) ** u for sign, u in spots]
+        got = log_phi1_batch(alpha, 1.0, gamma, np.array(xs), 0.0)
+        with mpmath.workdps(40):
+            for x, value in zip(xs, got):
+                ref = float(mpmath.log(mpmath.hyp1f1(alpha, gamma, x)))
+                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), (alpha, gamma, x)
 
     check()
