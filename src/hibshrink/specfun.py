@@ -529,8 +529,11 @@ def log_phi1_batch(
     if not (math.isfinite(xabs) and math.isfinite(y)):
         raise DomainError("x and y must be finite")
     max_terms = _check_y(y, xabs)
-    out = np.empty(x.shape, dtype=float)
     nonneg = x >= 0.0
+    if nonneg.all():  # one sign, as at every s >= 0 risk point: no copy of x
+        plan = _plan(alpha, beta, gamma, y, False, max_terms)
+        return _batch_sum(x.ravel(), gamma, plan, max_terms).reshape(x.shape)
+    out = np.empty(x.shape, dtype=float)
     for negative, mask in ((False, nonneg), (True, ~nonneg)):
         if not mask.any():
             continue
