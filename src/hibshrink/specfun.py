@@ -26,7 +26,8 @@ crossover x0(a, gamma) by the dominant Kummer asymptotic series (DLMF
 cost there no longer grows with the tilt.  x0 is the smallest x from which
 the neglected subdominant term and the first omitted term both stay below
 ``DEFAULT_REL_TOL`` 2^-10 and the terms summed add up to at most 1/2, so
-they cannot cancel (see ``_crossover``).  The scalar path always sums the power series.
+they cannot cancel (see ``_crossover``).  The scalar path always sums the
+power series.
 
 No caller sets how a series is summed: every series stops at the relative
 tolerance ``DEFAULT_REL_TOL``, within a term budget that follows from its
