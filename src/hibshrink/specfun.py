@@ -18,16 +18,20 @@ occurs.  The scalar ``phi1``/``log_phi1`` and the vectorized
 its ``|x|`` and sums them in fixed blocks of neighbours, each block stopping
 as soon as its own largest element has converged, so its work follows each
 element's own term count rather than the largest one's; the series
-coefficients are built once per call and shared by every block.  At y = 0,
-where phi1 is the confluent 1F1 and the power series needs about
-|x| + 12 sqrt(|x|) terms, the batch sums its sorted elements at or above a
-crossover x0(a, gamma) by the dominant Kummer asymptotic series (DLMF
-13.7.2) instead, in a term count fixed by (a, gamma), so a batch point's
-cost there no longer grows with the tilt.  x0 is the smallest x from which
-the neglected subdominant term and the first omitted term both stay below
-``DEFAULT_REL_TOL`` 2^-10 and the terms summed add up to at most 1/2, so
-they cannot cancel (see ``_crossover``).  The scalar path always sums the
-power series.
+coefficients are built once per call and shared by every block.
+
+The power series needs about |x| + 12 sqrt(|x|) terms, and at y != 0 each
+costs an inner 2F1.  So ``_plan`` also returns, for every y and both signs
+of x, a crossover x0 and the coefficients of the expansion of phi1's Euler
+integral at its dominant endpoint (Watson's lemma; at y = 0 the Kummer
+asymptotic series of 1F1, DLMF 13.7.2).  Its term count is fixed by the
+parameters, however large |x| is, and it needs no inner 2F1.  x0 is the
+smallest |x| from which the neglected other endpoint and the last summed
+term both stay below ``DEFAULT_REL_TOL`` 2^-10 and the terms summed add up
+to at most 1/2, so they cannot cancel (see ``_crossover``); where no such
+|x| lies within the term budget, the power series is kept.  Scalar and batch
+take the expansion at the same x0, each with its own accumulator, and each
+x0 is derived once per process.
 
 No caller sets how a series is summed: every series stops at the relative
 tolerance ``DEFAULT_REL_TOL``, within a term budget that follows from its
@@ -40,9 +44,14 @@ the vectorized ``log_phi1_batch`` rather than the linear-scale ``phi1``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
+from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,13 +94,19 @@ _EXP_OVERFLOW = 709.782712893384  # log of the largest double
 # many elements per block cost more in per-call overhead than they save.
 _BATCH_BLOCK = 32768
 
-# Lowest crossover of the batch's large-x branch at y = 0 (see _crossover).
-# Over a, gamma - a in [0.05, 200] its bounds alone never put the crossover
+# Lowest crossover of the large-x expansion (see _crossover).  At y = 0,
+# over a, gamma - a in [0.05, 200], its bounds alone never put the crossover
 # below 15.7, and from x = 10 up the leading-order estimate of the
 # neglected subdominant term stayed within 4.3x of the measured error (the
 # bounds keep a 2^10 margin), so this floor only guards parameters outside
-# that sweep; below it the power series needs under ~65 terms anyway.
+# that sweep; below it the power series needs under ~65 terms anyway.  A
+# call whose |x| all lie below it looks no crossover up.
 _ASYMP_X_MIN = 16.0
+
+# A large-|x| expansion stops at its first term whose bound is at most this,
+# 2^-10 below the series tolerance (see _crossover).
+_TAIL_TOL = DEFAULT_REL_TOL * 2.0**-10
+_NO_TERMS = array("d")
 
 
 @dataclass(frozen=True)
@@ -206,11 +221,27 @@ def _linear(log_abs: float, sign: float, terms: int) -> SeriesResult:
     return SeriesResult(value=value, terms_used=terms, converged=True)
 
 
-def _plan(alpha: float, beta: float, gamma: float, y: float, negative: bool, max_terms: int):
-    """Single-series form of phi1 for the ``x`` of one sign.
+class _Plan(NamedTuple):
+    """Single-series form of phi1 for the ``x`` of one sign (see :func:`_plan`)."""
 
-    Returns ``(a, inner, log_pref, tilt)`` such that, for every ``x`` with
-    ``(x < 0) == negative`` (``x = 0`` fits both forms),
+    a: float
+    inner: Callable[[int], float]
+    log_pref: float
+    tilt: float
+    x0: float
+    coefs: array  # k_s, s = 0..S (see _crossover); never written to
+    bounds: array  # K_s >= |k_s|
+    tail_log: float
+
+
+def _plan(
+    alpha: float, beta: float, gamma: float, y: float, negative: bool, max_terms: int, xabs: float
+) -> _Plan:
+    """Single-series form of phi1 for the ``x`` of one sign, and its large-|x| tail.
+
+    Returns the ``_Plan`` ``(a, inner, log_pref, tilt, x0, coefs, bounds,
+    tail_log)`` such that, for every ``x`` with ``(x < 0) == negative``
+    (``x = 0`` fits both forms),
 
         phi1(alpha, beta; gamma; x, y)
             = exp(log_pref + tilt x) sum_n (a)_n/(gamma)_n |x|^n/n! inner(n).
@@ -222,7 +253,20 @@ def _plan(alpha: float, beta: float, gamma: float, y: float, negative: bool, max
         (alpha)_n/(gamma)_n x'^n/n! 2F1(beta, alpha+n; gamma+n; y),
     and x' < 0 sums
         e^(x') (gamma-alpha)_n/(gamma)_n (-x')^n/n! 2F1(beta, alpha; gamma+n; y),
-    whose terms carry no sign changes from x, avoiding cancellation.
+    whose terms carry no sign changes from x, avoiding cancellation.  tilt is
+    1 for x < 0 and 0 for x >= 0.
+
+    From |x| >= x0 on, the sum is replaced by the expansion at the dominant
+    endpoint of the Euler integral (see :func:`_crossover`, which returns x0
+    and the k_s in ``coefs`` and K_s in ``bounds``):
+
+        log phi1 = tail_log + (a - gamma) log|x| + log sum_s k_s |x|^-s
+                   + (1 - tilt) |x|,
+
+    so the e^|x| of the expansion and the e^x of a tilt of 1 cancel exactly
+    instead of in floating point.  The crossover is looked up only when
+    ``xabs``, the largest |x| the caller sums, reaches _ASYMP_X_MIN, below
+    which x0 never lies; otherwise x0 is inf and coefs and bounds are empty.
     """
     log_pref, tilt, x_sign = 0.0, 0.0, 1.0  # x' = x_sign * x
     a_pos, a_neg = alpha, gamma - alpha
@@ -237,13 +281,18 @@ def _plan(alpha: float, beta: float, gamma: float, y: float, negative: bool, max
     else:
         a, shift = a_pos, 1  # only the x' >= 0 form shifts alpha with n
 
+    x0, coefs, bounds, tail_log = math.inf, _NO_TERMS, _NO_TERMS, 0.0
+    if xabs >= _ASYMP_X_MIN:
+        x0, coefs, bounds, log_scale = _crossover(a, beta, gamma, y, negative)
+        tail_log = log_pref + log_scale
+
     if y == 0.0:
-        return a, _unit_inner, log_pref, tilt
+        return _Plan(a, _unit_inner, log_pref, tilt, x0, coefs, bounds, tail_log)
 
     def inner(n: int) -> float:
         return _hyp2f1_series(beta, alpha + shift * n, gamma + n, y, max_terms)[0]
 
-    return a, inner, log_pref, tilt
+    return _Plan(a, inner, log_pref, tilt, x0, coefs, bounds, tail_log)
 
 
 def _unit_inner(n: int) -> float:
@@ -252,17 +301,22 @@ def _unit_inner(n: int) -> float:
 
 
 def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
-    """Scalar phi1 engine returning ``(log|value|, sign, outer_terms)``.
+    """Scalar phi1 engine returning ``(log|value|, sign, terms)``.
 
-    Sums the series :func:`_plan` picks for the sign of ``x``.  Partial sums
-    are rescaled by powers of two so series comparable to exp(|x|) never
-    overflow; the log of the accumulated scale is folded into the returned
-    log value.
+    Sums the series :func:`_plan` picks for the sign of ``x``, or, from its
+    crossover on, the plan's large-|x| expansion (:func:`_tail_log`).  Partial
+    sums of the series are rescaled by powers of two so series comparable to
+    exp(|x|) never overflow; the log of the accumulated scale is folded into
+    the returned log value.
     """
     gamma, x, y, rel_tol = args.gamma, args.x, args.y, DEFAULT_REL_TOL
     xabs = abs(x)
     max_terms = _check_y(y, xabs)
-    a, inner, log_pref, tilt = _plan(args.alpha, args.beta, gamma, y, x < 0.0, max_terms)
+    plan = _plan(args.alpha, args.beta, gamma, y, x < 0.0, max_terms, xabs)
+    if xabs >= plan.x0:
+        log_abs, n = _tail_log(xabs, gamma, plan)
+        return log_abs, 1.0, n
+    a, inner = plan.a, plan.inner
     weight = 1.0
     off = 0.0
     total = inner(0)
@@ -294,7 +348,7 @@ def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
         raise ConvergenceError("phi1 series did not converge", terms_used=n)
     if total == 0.0:
         return -math.inf, 0.0, n
-    log_abs = math.log(abs(total)) + off + log_pref + tilt * x
+    log_abs = math.log(abs(total)) + off + plan.log_pref + plan.tilt * x
     return log_abs, math.copysign(1.0, total), n
 
 
@@ -303,7 +357,9 @@ def phi1(args: Phi1Args) -> SeriesResult:
 
     The value can legitimately overflow to ``inf`` for large positive ``x``
     (the function grows like ``e^x``); callers needing ratios of large values
-    should use :func:`log_phi1` instead.
+    should use :func:`log_phi1` instead.  ``terms_used`` counts the terms of
+    whichever sum was taken: the series, or past a crossover the large-|x|
+    expansion.
     """
     return _linear(*_phi1_core(args))
 
@@ -321,99 +377,172 @@ def log_phi1(alpha: float, beta: float, gamma: float, x: float, y: float) -> flo
     return log_abs
 
 
-def _kummer_terms(a: float, c: float, x: float, tol: float) -> int:
-    """Terms of the dominant Kummer series at ``x`` until one is <= ``tol``.
+def _endpoint_coefficients(
+    a: float, beta: float, c: float, w: float
+) -> Iterator[tuple[float, float]]:
+    """Yield (k_s, K_s), s = 0, 1, ..., where
 
-    The terms are (1-a)_s (c)_s / (s! x^s), with c = gamma - a.  Returns 0
-    when their magnitudes add up past 1/2 first: the sum then either cancels
-    or diverges before it converges.  Each term shrinks as x grows, so a
-    nonzero count at x stays nonzero, and no larger, at every larger x.
+        k_s = (c)_s sum_{j+m=s} (1-a)_j/j! (beta)_m w^m/m!
+
+    is the Cauchy product of the binomial series of (1-u)^(a-1) and
+    (1-wu)^(-beta) times (c)_s, and K_s >= |k_s| the same sum over the
+    magnitudes of its products.  The products in k_s can alternate in sign,
+    so they are summed with ``math.fsum``, and k_s can vanish by cancellation
+    (k_1 = 0 when a - 1 = beta w) while later ones do not; K_s cannot, so
+    it is K_s that decides when an expansion has converged.  At y = 0
+    (w = 0), K_s = |k_s|.
     """
-    term, spent, s = 1.0, 0.0, 0
+    f, g = [1.0], [1.0]
+    poch = 1.0
+    yield 1.0, 1.0
+    s = 0
     while True:
         s += 1
-        term *= (s - a) * (c + s - 1.0) / (s * x)
-        spent += abs(term)
-        if spent > 0.5:
-            return 0
-        if abs(term) <= tol:
-            return s
+        f.append(f[-1] * (s - a) / s)
+        g.append(g[-1] * (beta + s - 1.0) * w / s)
+        poch *= c + s - 1.0
+        products = list(map(operator.mul, f, reversed(g)))
+        yield poch * math.fsum(products), poch * sum(map(abs, products))
 
 
-def _crossover(a: float, gamma: float) -> tuple[float, int]:
-    """Crossover x0 of the large-x branch of log 1F1(a; gamma; x), and its terms.
+@functools.lru_cache(maxsize=4096)
+def _crossover(
+    a: float, beta: float, gamma: float, y: float, negative: bool
+) -> tuple[float, array, array, float]:
+    """Crossover x0 of a plan's large-|x| expansion, and its coefficients.
 
-    DLMF 13.7.2 gives, for gamma - a > 0,
+    ``a``, ``y`` (in [0, 1)) and ``negative`` are those of the plan, after
+    its y < 0 flip.  With c = gamma - a > 0 and v = |x|, the plan's sum is
+    Gamma(gamma)/(Gamma(a) Gamma(c)) e^v times the Euler integral
 
-        1F1(a; gamma; x) = Gamma(gamma)/Gamma(a) e^x x^(a-gamma)
-            sum_s (1-a)_s (gamma-a)_s / (s! x^s)
+        int_0^1 u^(c-1) (1-u)^(a-1) h(u) e^(-v u) du,
 
-    up to a subdominant term of relative size about
-    Gamma(a)/Gamma(gamma-a) x^(gamma-2a) e^(-x).  x0 is the smallest x >=
-    max(_ASYMP_X_MIN, gamma - 2a), to 2^-10 relative, at which that term and
-    the first omitted term of the sum are both <= DEFAULT_REL_TOL 2^-10, and
-    the terms summed before it add up to at most 1/2 (see _kummer_terms),
-    which bounds the cancellation.  All three hold at every larger x too.
-    Returns ``(inf, 0)`` when gamma <= a or when x0 lies past every |x|
-    that ``_check_y`` admits.
+    with h(u) = (1-y)^(-beta) (1 - w u)^(-beta), w = -y/(1-y), for x' >= 0
+    (the t = 1 endpoint of phi1's own integral, t = 1 - u), and h(u) =
+    (1 - w u)^(-beta), w = y, for x' < 0 (the t = 0 endpoint, t = u).  Its
+    dominant endpoint is u = 0, where Watson's lemma (Olver 1974, ch. 3; DLMF
+    2.3(ii)) gives
+
+        Gamma(gamma)/Gamma(a) h(0) e^v v^(a-gamma) sum_s k_s v^-s
+
+    with the k_s of :func:`_endpoint_coefficients`; at y = 0 this is DLMF
+    13.7.2 for 1F1(a; gamma; v).  The other endpoint, u = 1, adds a term of
+    relative size about Gamma(a)/Gamma(c) v^(c-a) e^-v h(1)/h(0).  Each
+    term k_s v^-s is bounded by K_s v^-s, with the K_s >= |k_s| of the same
+    function.  x0 is the smallest v >= max(_ASYMP_X_MIN, c - a), to 2^-10
+    relative, at which the endpoint term and the bound of the last summed
+    term are both <= _TAIL_TOL, and the bounds of the terms summed add up to
+    at most 1/2, which bounds their cancellation.  All three hold at every
+    larger v too.  Returns ``(x0, k, K, log_scale)``, with k_s and K_s for
+    s = 0..S in two arrays of doubles, S the term count at x0, which bounds
+    it at every larger v, and log_scale = log(Gamma(gamma)/Gamma(a) h(0)); or
+    ``(inf, k, K, 0.0)`` with k and K empty when a <= 0 or c <= 0 (there is
+    no Euler integral), or when x0 lies past every |x| that ``_check_y``
+    admits.  Each argument tuple is derived once per process; its arrays
+    are shared by every caller, which only read them.
     """
     c = gamma - a
-    if not c > 0.0:
-        return math.inf, 0
-    tol = DEFAULT_REL_TOL * 2.0**-10
-    # log(subdominant / (dominant tol)) falls with x from x = c - a on
-    k = math.lgamma(a) - math.lgamma(c) - math.log(tol)
+    if not (a > 0.0 and c > 0.0):
+        return math.inf, _NO_TERMS, _NO_TERMS, 0.0
+    w = y if negative else -y / (1.0 - y)
+    # log(h(1)/h(0)) is -beta log(1-y) for x' < 0 and beta log(1-y) otherwise
+    log_h = (-beta if negative else beta) * math.log1p(-y)
+    # log(subdominant / (dominant tol)) falls with v from v = c - a on
+    k = math.lgamma(a) - math.lgamma(c) + log_h - math.log(_TAIL_TOL)
+    coefs: list[tuple[float, float]] = []
+    source = _endpoint_coefficients(a, beta, c, w)
 
-    def fits(x: float) -> bool:
-        return k + (c - a) * math.log(x) - x <= 0.0 and _kummer_terms(a, c, x, tol) > 0
+    def terms(v: float) -> int:
+        """Terms summed at v until a bound is <= _TAIL_TOL, or 0 when the
+        bounds add up past 1/2 first (or a coefficient overflows)."""
+        inv, power, spent, s = 1.0 / v, 1.0, 0.0, 0
+        while True:
+            s += 1
+            if s == len(coefs):
+                coefs.append(next(source))
+            power *= inv
+            bound = coefs[s][1] * power
+            spent += bound
+            if not spent <= 0.5:  # also catches an overflowed coefficient
+                return 0
+            if bound <= _TAIL_TOL:
+                return s
 
+    coefs.append(next(source))
     lo = hi = max(_ASYMP_X_MIN, c - a)
+
+    def fits(v: float) -> bool:
+        return k + (c - a) * math.log(v) - v <= 0.0 and terms(v) > 0
+
     while not fits(hi):
         if hi > 0.5 * _MAX_TERMS_CEILING:
-            return math.inf, 0
+            return math.inf, _NO_TERMS, _NO_TERMS, 0.0
         lo, hi = hi, 2.0 * hi
     while hi - lo > 2.0**-10 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if fits(mid) else (mid, hi)
-    return hi, _kummer_terms(a, c, hi, tol)
+    # h(0) is (1-y)^(-beta) for x' >= 0 and 1 for x' < 0
+    log_scale = math.lgamma(gamma) - math.lgamma(a)
+    if not negative:
+        log_scale -= beta * math.log1p(-y)
+    kept = coefs[: terms(hi) + 1]
+    return hi, array("d", [k for k, _ in kept]), array("d", [b for _, b in kept]), log_scale
 
 
-def _kummer_tail(xb: np.ndarray, a: float, gamma: float, terms: int) -> np.ndarray:
-    """log(e^-x 1F1(a; gamma; x)) over sorted x >= the crossover, by DLMF 13.7.2.
+def _tail_log(v: float, gamma: float, plan: _Plan) -> tuple[float, int]:
+    """log phi1 at one |x| = v >= plan.x0, by the plan's large-|x| expansion.
 
-    Sums the dominant series of :func:`_crossover` until the term of the
-    block's first, smallest x is <= DEFAULT_REL_TOL 2^-10; that term is the
-    block's largest, and it gets there within the crossover's ``terms``.
-    The e^x factor is left out, so that the caller's e^-x tilt of a negative
-    x cancels exactly instead of losing the low bits of a log near x.
+    Returns ``(log phi1, terms)``: the sum stops at the first term whose
+    bound is <= _TAIL_TOL, within the plan's coefficients.
     """
-    tol = DEFAULT_REL_TOL * 2.0**-10
-    c = gamma - a
+    inv, power, total = 1.0 / v, 1.0, 1.0
+    coefs, bounds = plan.coefs, plan.bounds
+    for s in range(1, len(coefs)):
+        power *= inv
+        total += coefs[s] * power
+        if bounds[s] * power <= _TAIL_TOL:
+            log_abs = math.log(total) + (plan.a - gamma) * math.log(v) + plan.tail_log
+            return (log_abs if plan.tilt else log_abs + v), s
+    terms = len(plan.coefs) - 1
+    raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
+
+
+def _tail_logs(xb: np.ndarray, gamma: float, plan: _Plan) -> np.ndarray:
+    """:func:`_tail_log` over sorted |x| >= plan.x0 of one sign.
+
+    Sums until the bound of the term of the block's first, smallest |x| is
+    <= _TAIL_TOL; that bound is the block's largest, and it gets there
+    within the plan's coefficients.
+    """
     inv = np.divide(1.0, xb)
-    term = np.ones_like(xb)
+    power = np.ones_like(xb)
+    term = np.empty_like(xb)
     total = np.ones_like(xb)
-    for s in range(1, terms + 1):
-        term *= inv
-        term *= (s - a) * (c + s - 1.0) / s
+    for coef, bound in zip(plan.coefs[1:], plan.bounds[1:]):
+        power *= inv
+        np.multiply(power, coef, out=term)
         total += term
-        if abs(term[0]) <= tol:
+        if bound * float(power[0]) <= _TAIL_TOL:
             break
     else:
+        terms = len(plan.coefs) - 1
         raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
     np.log(total, out=total)
     np.log(xb, out=inv)
-    inv *= a - gamma
+    inv *= plan.a - gamma
     total += inv
-    total += math.lgamma(gamma) - math.lgamma(a)
+    total += plan.tail_log
+    if not plan.tilt:
+        total += xb
     return total
 
 
-def _batch_sum(x: np.ndarray, gamma: float, plan, max_terms: int) -> np.ndarray:
-    """log phi1 over an array x >= 0 of |x|, by the series ``plan`` of their sign.
+def _batch_sum(x: np.ndarray, gamma: float, plan: _Plan, max_terms: int) -> np.ndarray:
+    """log phi1 over an array x >= 0 of |x|, by the ``plan`` of their sign.
 
-    ``plan`` is the ``(a_param, inner, log_pref, tilt)`` that :func:`_plan`
-    returns, and the logs are log_pref - tilt x + log of
-    sum_n (a_param)_n/(gamma)_n x^n/n! inner(n).
+    Below the plan's crossover x0 the logs are log_pref - tilt x + log of
+    sum_n (a)_n/(gamma)_n x^n/n! inner(n), with the ``a``, ``inner``,
+    ``log_pref`` and ``tilt`` of :func:`_plan`.
 
     The series needs more terms the larger x is, so x is sorted once and
     summed in blocks of ``_BATCH_BLOCK`` neighbours, each stopping when its
@@ -422,29 +551,28 @@ def _batch_sum(x: np.ndarray, gamma: float, plan, max_terms: int) -> np.ndarray:
     ConvergenceError.  Blocks of small x thus leave after tens of terms
     instead of running as long as the largest x, and each block's working
     arrays stay in cache.  The term ratios q(n)/(q(n-1) n), with q(n) =
-    (a_param)_n / (gamma)_n inner(n), are built on first use and shared by
-    every block, so each inner(n) is evaluated once per call.  All series
-    terms are nonnegative, so the streaming rescaled accumulation is stable.
+    (a)_n / (gamma)_n inner(n), are built on first use and shared by every
+    block, so each inner(n) is evaluated once per call.  All series terms are
+    nonnegative, so the streaming rescaled accumulation is stable.
 
-    At y = 0 (``inner`` is ``_unit_inner``) the sum is 1F1(a_param; gamma;
-    x), and the sorted elements at or above the crossover x0(a_param, gamma)
-    of :func:`_crossover` form a tail that skips the power series: its
-    blocks sum the dominant Kummer asymptotic series in :func:`_kummer_tail`
-    instead, in at most the crossover's term count, however large x is.
-    The logs are scattered back to the order of ``x``.
+    The sorted elements at or above x0, at every y, form a tail that skips
+    the power series: its blocks sum the plan's large-|x| expansion in
+    :func:`_tail_logs` instead, in at most the crossover's term count,
+    however large x is, and with no inner 2F1.  The scalar path crosses over
+    at the same x0.  The logs are scattered back to the order of ``x``.
     """
-    a_param, inner, log_pref, tilt = plan
-    q0 = inner(0)
-    if q0 <= 0.0:
-        raise DomainError("phi1 batch requires positive series coefficients")
-    q_prev = q0
-    poch_ratio = 1.0
-    ratios = [0.0]  # ratios[n] = q(n) / (q(n-1) n); index 0 is unused
+    a, inner, log_pref, tilt = plan.a, plan.inner, plan.log_pref, plan.tilt
     order = np.argsort(x)
     x_sorted = x[order]
-    x0, tail_terms = _crossover(a_param, gamma) if inner is _unit_inner else (math.inf, 0)
-    split = int(np.searchsorted(x_sorted, x0))
+    split = int(np.searchsorted(x_sorted, plan.x0))
     out = np.empty(x.shape, dtype=float)
+    if split:
+        q0 = inner(0)
+        if q0 <= 0.0:
+            raise DomainError("phi1 batch requires positive series coefficients")
+        q_prev = q0
+        poch_ratio = 1.0
+        ratios = [0.0]  # ratios[n] = q(n) / (q(n-1) n); index 0 is unused
     for start in range(0, split, _BATCH_BLOCK):
         stop = min(start + _BATCH_BLOCK, split)
         xb = x_sorted[start:stop]
@@ -458,7 +586,7 @@ def _batch_sum(x: np.ndarray, gamma: float, plan, max_terms: int) -> np.ndarray:
         while n < max_terms:
             n += 1
             if n == len(ratios):
-                poch_ratio *= (a_param + n - 1.0) / (gamma + n - 1.0)
+                poch_ratio *= (a + n - 1.0) / (gamma + n - 1.0)
                 q = poch_ratio * inner(n)
                 ratios.append(q / (q_prev * n))
                 q_prev = q
@@ -496,13 +624,7 @@ def _batch_sum(x: np.ndarray, gamma: float, plan, max_terms: int) -> np.ndarray:
         out[order[start:stop]] = total
     for start in range(split, x.size, _BATCH_BLOCK):
         stop = start + _BATCH_BLOCK
-        xb = x_sorted[start:stop]
-        logs = _kummer_tail(xb, a_param, gamma, tail_terms)
-        # y = 0: log_pref is 0, and tilt is 1 for negative x, where it
-        # cancels the tail's e^x, or 0 for nonnegative x, which keep it
-        if not tilt:
-            logs += xb
-        out[order[start:stop]] = logs
+        out[order[start:stop]] = _tail_logs(x_sorted[start:stop], gamma, plan)
     return out
 
 
@@ -516,10 +638,10 @@ def log_phi1_batch(
     moments at many data draws.  Negative and nonnegative ``x`` entries are
     each summed with the series :func:`_plan` picks for their sign (the same
     ones ``phi1`` uses), with only positive terms, so the results match the
-    scalar path to near machine precision for any magnitude of ``x``.  At
-    y = 0 the entries at or above the crossover of their sign take the
-    asymptotic series of :func:`_batch_sum` instead.
-    Requires ``gamma > alpha`` when negative ``x`` are present (always true
+    scalar path to near machine precision for any magnitude of ``x``.  The
+    entries at or above the crossover of their sign take the plan's
+    large-|x| expansion instead, as the scalar path does (see
+    :func:`_batch_sum`).  Requires ``gamma > alpha`` when negative ``x`` are present (always true
     for the posterior patterns, where gamma - alpha is the posterior shape
     a').
     """
@@ -532,7 +654,7 @@ def log_phi1_batch(
     max_terms = _check_y(y, xabs)
     nonneg = x >= 0.0
     if nonneg.all():  # one sign, as at every s >= 0 risk point: no copy of x
-        plan = _plan(alpha, beta, gamma, y, False, max_terms)
+        plan = _plan(alpha, beta, gamma, y, False, max_terms, xabs)
         return _batch_sum(x.ravel(), gamma, plan, max_terms).reshape(x.shape)
     out = np.empty(x.shape, dtype=float)
     for negative, mask in ((False, nonneg), (True, ~nonneg)):
@@ -543,6 +665,6 @@ def log_phi1_batch(
         xs = x[mask]
         if negative:
             np.negative(xs, out=xs)
-        plan = _plan(alpha, beta, gamma, y, negative, max_terms)
+        plan = _plan(alpha, beta, gamma, y, negative, max_terms, xabs)
         out[mask] = _batch_sum(xs, gamma, plan, max_terms)
     return out

@@ -72,8 +72,16 @@ def test_phi1_convergence_error_exit_code(capsys, monkeypatch):
 
 
 def test_phi1_budget_follows_the_tilt(capsys):
-    # |x| = 2e5 needs about 2e5 terms, twice a flat budget of DEFAULT_MAX_TERMS
+    # past its crossover, |x| = 2e5 takes the large-x expansion, in a few terms
     code, out = run(capsys, ["phi1", "--alpha", "0.5", "--beta", "1", "--gamma", "6",
+                             "--x", "200000", "--y", "0"])
+    assert code == 0
+    record = last_json_record(out)
+    assert record["converged"] is True and record["terms_used"] < 10
+    # gamma = alpha leaves no Euler integral and so no crossover: the power
+    # series of e^x at |x| = 2e5 needs about 2e5 terms, twice a flat budget
+    # of DEFAULT_MAX_TERMS
+    code, out = run(capsys, ["phi1", "--alpha", "6", "--beta", "1", "--gamma", "6",
                              "--x", "200000", "--y", "0"])
     assert code == 0
     record = last_json_record(out)

@@ -6,9 +6,10 @@ against the intended layering: ``specfun`` and ``quadrature`` sit at the
 bottom above ``errors`` only, and ``oracles`` sits on top, imported by the
 CLI alone.  ``specfun`` alone decides how a series is summed: no public
 function, in it or above it, and no field of ``Phi1Args`` takes ``rel_tol``
-or ``max_terms``, and the crossover of the batch's large-x branch is private:
-no public name, no parameter of ``log_phi1_batch`` or of any function that
-reaches it, and no ``hibshrink`` flag names it.
+or ``max_terms``, and the crossover of the large-x expansion that the scalar
+and batch paths share is private: no public name, no parameter of
+``phi1``, ``log_phi1``, ``log_phi1_batch`` or of any function that reaches
+them, and no ``hibshrink`` flag names it.
 """
 
 import ast
@@ -113,8 +114,8 @@ def test_no_caller_sets_the_term_budget():
     assert "DEFAULT_MAX_TERMS" not in specfun.__all__
 
 
-# words that would name the crossover of the batch's large-x branch
-CROSSOVER_WORDS = re.compile(r"crossover|x0|x_0|asymp|kummer", re.IGNORECASE)
+# words that would name the crossover of the large-x expansion or its tail
+CROSSOVER_WORDS = re.compile(r"crossover|x0|x_0|asymp|kummer|watson|tail", re.IGNORECASE)
 
 
 def _functions_reaching(target: str) -> dict[str, set[str]]:
@@ -140,12 +141,19 @@ def _functions_reaching(target: str) -> dict[str, set[str]]:
 
 
 def test_the_large_x_crossover_is_private():
-    assert callable(specfun._crossover)  # the private name this guards
+    # the private names this guards
+    for name in ("_crossover", "_endpoint_coefficients", "_tail_log", "_tail_logs", "_plan"):
+        assert callable(getattr(specfun, name)), name
+        assert name not in specfun.__all__ and name not in hibshrink.__all__, name
     for name in specfun.__all__ + hibshrink.__all__:
         assert not CROSSOVER_WORDS.search(name), name
-    callers = _functions_reaching("log_phi1_batch")
+    callers = {}
+    for entry in ("log_phi1_batch", "log_phi1", "phi1"):
+        for module, names in _functions_reaching(entry).items():
+            callers.setdefault(module, set()).update(names)
     assert "kappa_moment12_batch" in callers["posterior"] and callers.get("risk")
-    functions = [specfun.log_phi1_batch]
+    assert "kappa_moment" in callers["posterior"] and "log_normalizer" in callers["prior"]
+    functions = [specfun.phi1, specfun.log_phi1, specfun.log_phi1_batch]
     for module, names in callers.items():
         if module != "specfun":
             imported = __import__(f"hibshrink.{module}", fromlist=["_"])

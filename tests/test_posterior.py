@@ -27,7 +27,7 @@ from hibshrink.posterior import (
 )
 from hibshrink.prior import HIBParams, density_kappa, half_cauchy
 from hibshrink.quadrature import integrate_unit
-from hibshrink.specfun import log_beta, log_phi1
+from hibshrink.specfun import Phi1Args, log_beta, log_phi1, phi1
 
 PRIOR_GRID = [
     HIBParams(a, b, tau2, s)
@@ -154,8 +154,8 @@ def test_kappa_moment_batch_across_the_large_x_crossover_matches_scalar(monkeypa
     p = 15
     for prior in (half_cauchy(), HIBParams(0.5, 0.5, 1.0, -500.0)):
         c = prior.a + 0.5 * p + prior.b
-        x0s = [specfun._crossover(prior.b, c + n)[0] for n in (0, 1, 2)]
-        x0s += [-specfun._crossover(c - prior.b, c)[0]]
+        x0s = [specfun._crossover(prior.b, 1.0, c + n, 0.0, False)[0] for n in (0, 1, 2)]
+        x0s += [-specfun._crossover(c - prior.b, 1.0, c, 0.0, True)[0]]
         tilts = [x * f for x in x0s for f in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]
         tilts += list(np.geomspace(1.0, 1e5, 9)) + list(-np.geomspace(1.0, 400.0, 5))
         z = np.array([2.0 * (t - prior.s) for t in tilts if t >= prior.s])
@@ -166,12 +166,44 @@ def test_kappa_moment_batch_across_the_large_x_crossover_matches_scalar(monkeypa
             assert rel_err(m2, kappa_moment(st, 2)) <= 1e-9, (prior, zi)
 
 
+def test_tau2_four_moment_work_stops_growing_with_the_tilt(monkeypatch):
+    # tau2 = 4 (y = 0.75) once summed ~|x| + 12 sqrt|x| outer terms with a
+    # fresh inner 2F1 each (4 s at Z = 1e5); past the crossover, which lies
+    # near s' = 170 here, the expansion's term count falls as Z grows, and
+    # it needs no inner 2F1 at all
+    prior = HIBParams(0.5, 0.5, 4.0, 0.0)
+    p = 15
+    calls = []
+    real = specfun._hyp2f1_series
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "_hyp2f1_series", counting)
+    terms, inner_calls = [], []
+    for Z in (1e3, 1e4, 1e5):
+        state = update(prior, p, Z, 1.0)
+        c = state.a_post + prior.b
+        calls.clear()
+        kappa_moment(state, 1)
+        inner_calls.append(len(calls))
+        terms.append([phi1(Phi1Args(prior.b, 1.0, c + n, state.s_post, prior.y)).terms_used
+                      for n in (0, 1)])
+    assert inner_calls == [0, 0, 0]
+    for earlier, later in zip(terms, terms[1:]):
+        assert all(t_late <= t_early for t_early, t_late in zip(earlier, later)), terms
+
+
 def test_kappa_moment_huge_tilt_needs_longer_series():
-    # the series needs ~5e5 terms here; the budget grows with the tilt, and
-    # the value is the one a flat 3M-term budget gives, bit for bit
+    # the power series would need ~5e5 terms here; past the crossover the
+    # large-x expansion takes a few, so this pins that path's bits.  The
+    # exact value is 1.10000110001540e-05 (mpmath, 40 digits).  This value
+    # and the power series' 1.1000011000209332e-05 lie 5.3e-11 and 5.0e-12
+    # from it: each log phi1 is near s' = 5e5, where one ulp is 5.8e-11.
     st = update(half_cauchy(), 10, 1e6, 1.0)
     val = kappa_moment(st, 1)
-    assert val == 1.1000011000209332e-05
+    assert val == 1.1000010999569048e-05
     assert 0.0 < val < 1e-4
 
 

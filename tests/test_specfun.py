@@ -435,24 +435,30 @@ def test_log_phi1_batch_edge_sizes(monkeypatch):
             assert rel_err(got, log_phi1(0.5, 1.0, 1.5, float(x), y)) < 1e-11, (x, y)
 
 
+def _x0(alpha: float, gamma: float, y: float, negative: bool) -> float:
+    """|x| from which phi1(alpha, 1; gamma; x, y), for the x of one sign,
+    takes the large-|x| expansion instead of the power series."""
+    max_terms = specfun.DEFAULT_MAX_TERMS
+    return specfun._plan(alpha, 1.0, gamma, y, negative, max_terms, math.inf).x0
+
+
 def _crossing_xs(np, alpha, gamma):
     """x of both signs at y = 0, across both crossovers of the large-x branch.
 
     Nonnegative x sum 1F1(alpha; gamma; x), crossing over at x0(alpha,
     gamma); negative x sum e^x 1F1(gamma - alpha; gamma; -x), crossing over
     at x0(gamma - alpha, gamma).  Each crossover gets the points just below,
-    at and just above it, and |x| runs geometrically on either side: up to
-    1e5 for x > 0, and up to 1e4 for x < 0, because there the scalar
-    reference's own error, which builds up in its rescale offsets, grows
-    past the bound (3.3e-11 relative at x = -1e5, where the batch is within
-    1e-14 of mpmath).
+    at and just above it, and |x| runs geometrically on either side up to
+    1e5.  Past its crossover the scalar path takes the same expansion as the
+    batch, so its error no longer builds up in rescale offsets at large
+    negative x (3.3e-11 relative at x = -1e5 on the power series).
     """
     xs = [0.0, 1.0]
-    for sign, a, top in ((1.0, alpha, 1e5), (-1.0, gamma - alpha, 1e4)):
-        x0, _ = specfun._crossover(a, gamma)
-        assert 16.0 <= x0 < 1e3, (a, gamma, x0)
+    for sign in (1.0, -1.0):
+        x0 = _x0(alpha, gamma, 0.0, sign < 0.0)
+        assert 16.0 <= x0 < 1e3, (alpha, gamma, sign, x0)
         near = [x0 * (1.0 - 1e-3), x0, x0 * (1.0 + 1e-3)]
-        xs += [sign * v for v in near + list(np.geomspace(2.0, top, 13))]
+        xs += [sign * v for v in near + list(np.geomspace(2.0, 1e5, 13))]
     return np.array(xs)
 
 
@@ -477,21 +483,63 @@ def test_log_phi1_batch_across_the_crossover_is_equivariant_under_permutation(mo
         assert np.array_equal(log_phi1_batch(alpha, 1.0, gamma, xs[perm], 0.0), whole[perm])
 
 
-def test_crossover_keeps_the_power_series_off_nonunit_inner_series(monkeypatch):
-    # only y = 0 has a large-x branch: a y != 0 batch sums every element by
-    # the power series, and so calls no part of the asymptotic branch
+@pytest.mark.parametrize("y", [-1.5, 0.0, 0.6, 0.99])
+def test_each_x_takes_the_branch_of_its_crossover(monkeypatch, y):
+    """Scalar and batch sum the power series below the crossover of their y
+    and sign of x, and the large-|x| expansion from it on, at every y.
+
+    Each branch is pinned by stubs that refuse the other one: below the
+    crossover the expansion's evaluators refuse, and from it on the power
+    series' inner terms do.  No |x| < 16 looks a crossover up at all.  At
+    y = 0.99 the crossover of x >= 0 lies past 5e3, so x = 40 and 200 stay
+    on the power series (x just below that crossover would take seconds).
+    """
     np = pytest.importorskip("numpy")
 
     def refuse(*args):
-        raise AssertionError("asymptotic branch reached at y != 0")
+        raise AssertionError("branch refused here was taken")
 
-    monkeypatch.setattr(specfun, "_crossover", refuse)
-    monkeypatch.setattr(specfun, "_kummer_tail", refuse)
-    xs = np.array([-900.0, -40.0, 0.0, 40.0, 900.0])
-    for y in (-1.5, 0.6):
-        got = log_phi1_batch(0.5, 1.0, 8.5, xs, y)
-        for x, value in zip(xs, got):
-            assert rel_err(value, log_phi1(0.5, 1.0, 8.5, float(x), y)) < 1e-11, (x, y)
+    alpha, gamma = 0.5, 8.5
+    x0 = {sign: _x0(alpha, gamma, y, sign < 0.0) for sign in (1.0, -1.0)}
+    if y == 0.99:
+        assert x0[1.0] > 5e3
+    small = [0.0, 2.0, -2.0, 15.9, -15.9]
+    below = [sign * v for sign in (1.0, -1.0)
+             for v in (40.0, 200.0, x0[sign] * (1.0 - 1e-3)) if v < x0[sign] and v < 1e3]
+    above = [sign * v for sign in (1.0, -1.0) for v in (x0[sign], x0[sign] * (1.0 + 1e-3), 1e5)]
+    values = {}
+    for xs, refused in ((small, ("_crossover",)), (below, ("_tail_log", "_tail_logs")),
+                        (above, ("_hyp2f1_series", "_unit_inner"))):
+        with monkeypatch.context() as m:
+            for name in refused:
+                m.setattr(specfun, name, refuse)
+            batch = log_phi1_batch(alpha, 1.0, gamma, np.array(xs), y)
+            for x, got in zip(xs, batch):
+                values[x] = (got, log_phi1(alpha, 1.0, gamma, x, y))
+    assert len(values) == len(small) + len(below) + len(above)
+    for x, (got_batch, got) in values.items():
+        assert rel_err(got_batch, got) < 1e-11, (x, y)
+
+
+def test_each_crossover_is_derived_once(monkeypatch):
+    # a scalar call costs tens of microseconds, less than deriving a
+    # crossover, so repeated calls with the same parameters must reuse it
+    np = pytest.importorskip("numpy")
+    derived = []
+    real = specfun._endpoint_coefficients
+
+    def counting(*args):
+        derived.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "_endpoint_coefficients", counting)
+    specfun._crossover.cache_clear()
+    xs = np.array([-300.0, 300.0])
+    for _ in range(3):
+        log_phi1(0.5, 1.0, 8.5, 300.0, 0.3)
+        log_phi1(0.5, 1.0, 8.5, -300.0, 0.3)
+        log_phi1_batch(0.5, 1.0, 8.5, xs, 0.3)
+    assert len(derived) == 2  # one per sign of x
 
 
 def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
@@ -526,33 +574,51 @@ def _mpmath_log_phi1(mpmath, alpha: float, gamma: float, x: float, y: float) -> 
         * int_0^1 t^(alpha-1) (1-t)^(b-1) e^(xt) / (1-yt) dt,  b = gamma - alpha,
 
     uses none of the series rewrites under test.  The integral is split at
-    t = 1/2 and each endpoint power is substituted away, because tanh-sinh
-    nodes next to t = 1 lose 1 - t to cancellation.  ``mpmath.hyper2d`` is
-    not used: for integer alpha and y <= -1.3 it takes seconds per point and
-    can return a wrong value (-6.1 for log phi1 = -1.02 at alpha = 1,
+    t = 1/2 and, on the side of the dominant endpoint (t = 0 for x < 0,
+    t = 1 for x > 0), at distances 8^k/|x| (k >= 0) from it, so that the
+    peak of s^(p-1) e^(-|x| s), at a distance s = (p-1)/|x|, lies between
+    nearby cuts however large |x| is.  Each endpoint power s^(p-1) with
+    p < 1 is substituted away (v = s^p), because tanh-sinh nodes next to
+    t = 1 lose 1 - t to cancellation, and the integrand is scaled to about 1
+    at its peak.  ``mpmath.hyper2d`` is not
+    used: for integer alpha and y <= -1.3 it takes seconds per point and can
+    return a wrong value (-6.1 for log phi1 = -1.02 at alpha = 1,
     gamma = 18.1, x = -29.7, y = -1.4999).
     """
     with mpmath.workdps(40):
         a, g, x, y = map(mpmath.mpf, (alpha, gamma, x, y))
         b = g - a
+        half = mpmath.mpf(1) / 2
+        scale = 1 / max(abs(x), 1)
+        steps = sorted({half} | {scale * 8**k for k in range(20) if scale * 8**k < half})
+        # the dominant endpoint is t = 0 for x < 0 and t = 1 for x > 0
+        cuts = {True: steps, False: [half]}
 
-        def smooth(t):
-            return mpmath.exp(x * t) / (1 - y * t)
+        def log_weight(t):
+            log = mpmath.log
+            return (a - 1) * log(t) + (b - 1) * log(1 - t) - log(1 - y * t) + x * t
 
-        def lower(u):  # t = u^(1/a), so t^(a-1) dt = du / a
-            t = u ** (1 / a)
-            return (1 - t) ** (b - 1) * smooth(t) / a
+        shift = max(log_weight(t) for s in steps for t in (s, 1 - s))
 
-        def upper(v):  # 1 - t = v^(1/b), so (1-t)^(b-1) dt = dv / b
-            t = 1 - v ** (1 / b)
-            return t ** (a - 1) * smooth(t) / b
+        def piece(p, q, t_of, dominant):
+            # int_0^(1/2) s^(p-1) (1-s)^(q-1) e^(xt - shift) / (1 - yt) ds with
+            # t = t_of(s), in v = s^e, e = min(p, 1): s^(p-1) ds = v^(p/e-1) dv / e
+            e = min(p, 1)
 
-        lo, lo_err = mpmath.quad(lower, [0, mpmath.mpf(2) ** -a], error=True)
-        hi, hi_err = mpmath.quad(upper, [0, mpmath.mpf(2) ** -b], error=True)
+            def integrand(v):
+                s = v ** (1 / e)
+                t = t_of(s)
+                weight = v ** (p / e - 1) * (1 - s) ** (q - 1) / e
+                return weight * mpmath.exp(x * t - shift) / (1 - y * t)
+
+            return mpmath.quad(integrand, [0] + [s**e for s in cuts[dominant]], error=True)
+
+        lo, lo_err = piece(a, b, lambda s: s, x < 0)
+        hi, hi_err = piece(b, a, lambda s: 1 - s, x > 0)
         value = lo + hi
         assert lo_err + hi_err <= 1e-25 * value, (alpha, gamma, x, y)
         log_norm = mpmath.loggamma(g) - mpmath.loggamma(a) - mpmath.loggamma(b)
-        return float(mpmath.log(value) + log_norm)
+        return float(mpmath.log(value) + shift + log_norm)
 
 
 def test_log_phi1_matches_mpmath_on_unit_beta_domain():
@@ -587,9 +653,64 @@ def test_log_phi1_matches_mpmath_on_unit_beta_domain():
     check()
 
 
+@pytest.mark.parametrize("y", [-3.0, 0.25, 0.75, 0.9])
+def test_large_x_expansion_matches_mpmath(y):
+    """Scalar and batch log phi1(alpha, 1; gamma; x, y) against mpmath at
+    40 digits, across the crossover of each sign of x and up to |x| = 1e5.
+
+    Every draw checks, on both signs, |x| just below, at and just above the
+    crossover, one |x| drawn between it and 1e5, and 1e5.  From each
+    crossover on, scalar and batch take the expansion at the dominant
+    endpoint of the Euler integral, and both are held to the bound
+    1e-13 max(1, |ref|), fixed before any result was seen, and to each
+    other within it.  Just below a crossover both sum the power series,
+    held here to the 1e-10 bound it has on the statistical domain (see
+    test_log_phi1_matches_mpmath_on_unit_beta_domain): each inner 2F1 stops
+    at a relative term of 1e-12 and leaves a tail of about 1e-12 y/(1-y),
+    which reaches 1.3e-12 of max(1, |ref|) just inside -x0 at y = -3 (flipped
+    to y = 0.75).  On the power series, the scalar path missed the 1e-13
+    bound past x = -1e3 at y = 0.25, 0.75 and 0.9 (by 1e-12 at (0.5, 8.5),
+    and at y = 0.25 by 3.1e-11 at x = -1e5).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    hypothesis = pytest.importorskip("hypothesis")
+    np = pytest.importorskip("numpy")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=2, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        alpha=st.one_of(st.floats(0.3, 3.0), st.sampled_from([0.5, 1.0, 2.0])),
+        shape=st.floats(0.3, 30.0),
+        u=st.floats(0.0, 1.0),
+    )
+    @hypothesis.example(alpha=0.5, shape=8.0, u=0.5)
+    def check(alpha, shape, u):
+        gamma = alpha + shape
+        xs, past = [], []
+        for sign in (1.0, -1.0):
+            x0 = _x0(alpha, gamma, y, sign < 0.0)
+            assert x0 < 1e5, (alpha, gamma, y, sign)
+            # |x| = x0 (1e5/x0)^u runs from the crossover to 1e5
+            for v, tail in ((x0 * (1.0 - 1e-3), False), (x0, True), (x0 * (1.0 + 1e-3), True),
+                            (x0 * (1e5 / x0) ** u, True), (1e5, True)):
+                xs.append(sign * v)
+                past.append(tail)
+        batch = log_phi1_batch(alpha, 1.0, gamma, np.array(xs), y)
+        for x, tail, got_batch in zip(xs, past, batch):
+            ref = _mpmath_log_phi1(mpmath, alpha, gamma, x, y)
+            got = log_phi1(alpha, 1.0, gamma, x, y)
+            bound = (1e-13 if tail else 1e-10) * max(1.0, abs(ref))
+            assert abs(got - ref) <= bound, (alpha, gamma, x, y, got - ref)
+            assert abs(got_batch - ref) <= bound, (alpha, gamma, x, y, got_batch - ref)
+            if tail:
+                assert abs(got - got_batch) <= bound, (alpha, gamma, x, y)
+
+    check()
+
+
 def test_log_phi1_batch_large_x_branch_matches_mpmath():
     """Batch log phi1 at y = 0, i.e. log 1F1, against mpmath on both sides of
-    the crossover to the asymptotic series.
+    the crossover to the asymptotic series, and the scalar past it.
 
     alpha covers [0.3, 3] and the integers 1 and 2, whose (1 - a)_s ends the
     dominant series early; gamma - alpha covers [0.3, 60].  |x| runs from
@@ -598,6 +719,8 @@ def test_log_phi1_batch_large_x_branch_matches_mpmath():
     before the results were seen.  The power series alone meets it on these
     draws for 0 <= x <= 1e4 and -3e3 <= x < 0, but misses it by up to 6.4x
     at the three in [-1e4, -3e3], where its e^x tilt cancels a log near |x|.
+    From each crossover on the scalar path takes the same expansion, and is
+    held to the same bound.
     """
     mpmath = pytest.importorskip("mpmath")
     hypothesis = pytest.importorskip("hypothesis")
@@ -614,7 +737,7 @@ def test_log_phi1_batch_large_x_branch_matches_mpmath():
     )
     def check(alpha, shape, spots):
         gamma = alpha + shape
-        x0 = {1.0: specfun._crossover(alpha, gamma)[0], -1.0: specfun._crossover(shape, gamma)[0]}
+        x0 = {sign: _x0(alpha, gamma, 0.0, sign < 0.0) for sign in (1.0, -1.0)}
         xs = [x0[1.0], -x0[-1.0]]
         # |x| = x0/2 (2e5/x0)^u runs from x0/2 to 1e5
         xs += [sign * 0.5 * x0[sign] * (2e5 / x0[sign]) ** u for sign, u in spots]
@@ -622,6 +745,10 @@ def test_log_phi1_batch_large_x_branch_matches_mpmath():
         with mpmath.workdps(40):
             for x, value in zip(xs, got):
                 ref = float(mpmath.log(mpmath.hyp1f1(alpha, gamma, x)))
-                assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref)), (alpha, gamma, x)
+                bound = 1e-13 * max(1.0, abs(ref))
+                assert abs(value - ref) <= bound, (alpha, gamma, x)
+                if abs(x) >= x0[math.copysign(1.0, x)]:  # the scalar's expansion too
+                    scalar = log_phi1(alpha, 1.0, gamma, x, 0.0)
+                    assert abs(scalar - ref) <= bound, (alpha, gamma, x)
 
     check()
