@@ -134,7 +134,10 @@ def kappa_moment12_batch(
     """First and second posterior kappa moments over many Z values at once.
 
     Used by the risk Monte Carlo, where hundreds of thousands of Z draws
-    share (prior, p) and differ only in the series tilt argument.
+    share (prior, p) and differ only in the series tilt argument.  One
+    ``log_phi1_batch`` call sums the series at a'+b, a'+b+1 and a'+b+2 for
+    every tilt, and the two moments are formed in place in its last two
+    rows, which are returned.
     """
     z = np.asarray(z_values, dtype=float)
     if z.ndim != 1:
@@ -145,11 +148,14 @@ def kappa_moment12_batch(
     a_post = prior.a + 0.5 * p
     c = a_post + prior.b
     s_post = prior.s + 0.5 * z
-    log_den = log_phi1_batch(prior.b, 1.0, c, s_post, prior.y)
-    log_n1 = log_phi1_batch(prior.b, 1.0, c + 1.0, s_post, prior.y)
-    log_n2 = log_phi1_batch(prior.b, 1.0, c + 2.0, s_post, prior.y)
-    g1 = (a_post / c) * np.exp(log_n1 - log_den)
-    g2 = (a_post * (a_post + 1.0) / (c * (c + 1.0))) * np.exp(log_n2 - log_den)
+    logs = log_phi1_batch(prior.b, 1.0, (c, c + 1.0, c + 2.0), s_post, prior.y)
+    log_den, g1, g2 = logs
+    g1 -= log_den
+    g2 -= log_den
+    np.exp(g1, out=g1)
+    np.exp(g2, out=g2)
+    g1 *= a_post / c
+    g2 *= a_post * (a_post + 1.0) / (c * (c + 1.0))
     return g1, g2
 
 

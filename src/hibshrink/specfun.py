@@ -18,7 +18,11 @@ occurs.  The scalar ``phi1``/``log_phi1`` and the vectorized
 its ``|x|`` and sums them in fixed blocks of neighbours, each block stopping
 as soon as its own largest element has converged, so its work follows each
 element's own term count rather than the largest one's; the series
-coefficients are built once per call and shared by every block.
+coefficients are built once per call and shared by every block.  It also
+takes a 1-D ``gamma``, one output row per value, as the posterior moments
+need phi1 at gamma, gamma + 1 and gamma + 2 for the same tilts: the x are
+then split by sign and sorted once for all rows, and rows close in gamma
+share one recursion of the x-dependent part of the terms.
 
 The power series needs about |x| + 12 sqrt(|x|) terms, and at y != 0 each
 costs an inner 2F1.  So ``_plan`` also returns, for every y and both signs
@@ -44,6 +48,7 @@ the vectorized ``log_phi1_batch`` rather than the linear-scale ``phi1``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -90,9 +95,18 @@ _LOG_RESCALE = 512.0 * math.log(2.0)
 _EXP_OVERFLOW = 709.782712893384  # log of the largest double
 
 # Elements per block of the batch series, chosen by timing risk curves on two
-# threads: a block's four working arrays then stay in L2 cache, while half as
-# many elements per block cost more in per-call overhead than they save.
+# threads: a block's working arrays, four plus one per row (1.75 MiB for the
+# three rows of the posterior moments), then stay in a 2 MiB L2 cache, while
+# half as many elements per block cost more in per-call overhead than they
+# save.
 _BATCH_BLOCK = 32768
+
+# Largest spread of gamma among batch rows that share one power-series term
+# recursion (see _series_rows).  A row's term is the shared one times
+# q_r(n)/q_r0(n), which at such a spread moves with n at most like n^16, so
+# within 2^22 terms every row stays within about 1e-106 of the largest, far
+# inside the range that rescaling by 2^512 leaves.
+_ROW_SPAN = 16.0
 
 # Lowest crossover of the large-x expansion (see _crossover).  At y = 0,
 # over a, gamma - a in [0.05, 200], its bounds alone never put the crossover
@@ -107,6 +121,12 @@ _ASYMP_X_MIN = 16.0
 # 2^-10 below the series tolerance (see _crossover).
 _TAIL_TOL = DEFAULT_REL_TOL * 2.0**-10
 _NO_TERMS = array("d")
+
+# From here on in both arguments, _log_gamma_ratio sums Stirling's series
+# instead of differencing two lgamma values that each round near z log z:
+# for arguments 1-12 apart that difference is off by up to 1.7e-13 at
+# 190-300, and by at most 3.3e-14 below 64, where it is kept.
+_STIRLING_MIN = 64.0
 
 
 @dataclass(frozen=True)
@@ -157,6 +177,29 @@ def log_beta(a: float, b: float) -> float:
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError(f"log_beta requires positive finite arguments, got ({a}, {b})")
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def _log_gamma_ratio(g: float, a: float) -> float:
+    """log(Gamma(g)/Gamma(a)) for positive ``g`` and ``a``.
+
+    Below _STIRLING_MIN this is lgamma(g) - lgamma(a).  From there on, in
+    both arguments, the difference is taken inside Stirling's series, where
+    nothing large cancels: with d = g - a,
+
+        (g - 1/2) log1p(d/a) + d (log a - 1) + S(g) - S(a),
+
+    S(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5) - 1/(1680z^7), whose first
+    omitted term is below 1e-19 at z = 64.
+    """
+    if min(g, a) < _STIRLING_MIN:
+        return math.lgamma(g) - math.lgamma(a)
+
+    def series(z: float) -> float:
+        w = 1.0 / (z * z)
+        return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - w / 1680.0) * w) * w) / z
+
+    d = g - a
+    return (g - 0.5) * math.log1p(d / a) + d * (math.log(a) - 1.0) + (series(g) - series(a))
 
 
 def _hyp2f1_series(
@@ -435,7 +478,8 @@ def _crossover(
     at most 1/2, which bounds their cancellation.  All three hold at every
     larger v too.  Returns ``(x0, k, K, log_scale)``, with k_s and K_s for
     s = 0..S in two arrays of doubles, S the term count at x0, which bounds
-    it at every larger v, and log_scale = log(Gamma(gamma)/Gamma(a) h(0)); or
+    it at every larger v, and log_scale = log(Gamma(gamma)/Gamma(a) h(0))
+    (see :func:`_log_gamma_ratio`); or
     ``(inf, k, K, 0.0)`` with k and K empty when a <= 0 or c <= 0 (there is
     no Euler integral), or when x0 lies past every |x| that ``_check_y``
     admits.  Each argument tuple is derived once per process; its arrays
@@ -482,7 +526,7 @@ def _crossover(
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if fits(mid) else (mid, hi)
     # h(0) is (1-y)^(-beta) for x' >= 0 and 1 for x' < 0
-    log_scale = math.lgamma(gamma) - math.lgamma(a)
+    log_scale = _log_gamma_ratio(gamma, a)
     if not negative:
         log_scale -= beta * math.log1p(-y)
     kept = coefs[: terms(hi) + 1]
@@ -507,164 +551,294 @@ def _tail_log(v: float, gamma: float, plan: _Plan) -> tuple[float, int]:
     raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
 
 
-def _tail_logs(xb: np.ndarray, gamma: float, plan: _Plan) -> np.ndarray:
-    """:func:`_tail_log` over sorted |x| >= plan.x0 of one sign.
+def _tail_logs(
+    x: np.ndarray,
+    pos: np.ndarray,
+    negative: bool,
+    gammas: list[float],
+    plans: list[_Plan],
+    splits: list[int],
+    out: np.ndarray,
+) -> None:
+    """:func:`_tail_log` for every row r at the sorted |x| ``pos[splits[r]:]``.
 
-    Sums until the bound of the term of the block's first, smallest |x| is
-    <= _TAIL_TOL; that bound is the block's largest, and it gets there
-    within the plan's coefficients.
+    Those are the |x| at or above the crossover of ``plans[r]``.  Blocks of
+    ``_BATCH_BLOCK`` start at the smallest split; in each, the rows share
+    the powers of 1/|x| and one log|x|, and each row sums until the bound of
+    the term of its own smallest |x|, the row's largest, is <= _TAIL_TOL.
+    It gets there within its plan's coefficients.  The logs go to
+    ``out[r, pos]``.
     """
-    inv = np.divide(1.0, xb)
-    power = np.ones_like(xb)
-    term = np.empty_like(xb)
-    total = np.ones_like(xb)
-    for coef, bound in zip(plan.coefs[1:], plan.bounds[1:]):
-        power *= inv
-        np.multiply(power, coef, out=term)
-        total += term
-        if bound * float(power[0]) <= _TAIL_TOL:
-            break
-    else:
-        terms = len(plan.coefs) - 1
-        raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
-    np.log(total, out=total)
-    np.log(xb, out=inv)
-    inv *= plan.a - gamma
-    total += inv
-    total += plan.tail_log
-    if not plan.tilt:
-        total += xb
-    return total
+    first = min(splits)
+    width = min(_BATCH_BLOCK, pos.size - first)
+    buffers, sums = np.empty((4, width)), np.empty((len(splits), width))
+    for start in range(first, pos.size, _BATCH_BLOCK):
+        idx = pos[start : start + _BATCH_BLOCK]
+        xb, inv, power, term = buffers[:, : idx.size]
+        _gather(x, idx, negative, out=xb)
+        np.divide(1.0, xb, out=inv)
+        power.fill(1.0)
+        rows = []  # (row, offset of its first element in the block, its sum)
+        for r, split in enumerate(splits):
+            lo = max(split - start, 0)
+            if lo < idx.size:
+                total = sums[r, lo : idx.size]
+                total.fill(1.0)
+                rows.append((r, lo, total))
+        summing = list(range(len(rows)))
+        s = 0
+        while summing:
+            s += 1
+            power *= inv
+            for k in list(summing):
+                r, lo, total = rows[k]
+                plan = plans[r]
+                if s == len(plan.coefs):
+                    terms = len(plan.coefs) - 1
+                    raise ConvergenceError(
+                        "phi1 asymptotic series did not converge", terms_used=terms
+                    )
+                np.multiply(power[lo:], plan.coefs[s], out=term[lo:])
+                total += term[lo:]
+                if plan.bounds[s] * float(power[lo]) <= _TAIL_TOL:
+                    summing.remove(k)
+        np.log(xb, out=inv)
+        for r, lo, total in rows:
+            plan = plans[r]
+            np.log(total, out=total)
+            total += np.multiply(inv[lo:], plan.a - gammas[r], out=term[lo:])
+            total += plan.tail_log
+            if not plan.tilt:
+                total += xb[lo:]
+            out[r, idx[lo:]] = total
 
 
-def _batch_sum(x: np.ndarray, gamma: float, plan: _Plan, max_terms: int) -> np.ndarray:
-    """log phi1 over an array x >= 0 of |x|, by the ``plan`` of their sign.
+def _gather(
+    x: np.ndarray, pos: np.ndarray, negative: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """|x| at the positions ``pos``, into ``out`` or a new array; ``negative``
+    says their sign."""
+    xb = np.take(x, pos, out=out)
+    if negative:
+        np.negative(xb, out=xb)
+    return xb
 
-    Below the plan's crossover x0 the logs are log_pref - tilt x + log of
-    sum_n (a)_n/(gamma)_n x^n/n! inner(n), with the ``a``, ``inner``,
-    ``log_pref`` and ``tilt`` of :func:`_plan`.
 
-    The series needs more terms the larger x is, so x is sorted once and
-    summed in blocks of ``_BATCH_BLOCK`` neighbours, each stopping when its
-    own largest relative term stays below ``DEFAULT_REL_TOL`` on 3 checks, 8
-    terms apart; a block that needs more than ``max_terms`` raises
-    ConvergenceError.  Blocks of small x thus leave after tens of terms
-    instead of running as long as the largest x, and each block's working
-    arrays stay in cache.  The term ratios q(n)/(q(n-1) n), with q(n) =
-    (a)_n / (gamma)_n inner(n), are built on first use and shared by every
-    block, so each inner(n) is evaluated once per call.  All series terms are
-    nonnegative, so the streaming rescaled accumulation is stable.
+def _row_groups(gammas: list[float]) -> list[list[int]]:
+    """Row indices in increasing gamma, cut into runs spanning <= _ROW_SPAN."""
+    groups: list[list[int]] = []
+    for r in sorted(range(len(gammas)), key=gammas.__getitem__):
+        if groups and gammas[r] - gammas[groups[-1][0]] <= _ROW_SPAN:
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    return groups
 
-    The sorted elements at or above x0, at every y, form a tail that skips
-    the power series: its blocks sum the plan's large-|x| expansion in
-    :func:`_tail_logs` instead, in at most the crossover's term count,
-    however large x is, and with no inner 2F1.  The scalar path crosses over
-    at the same x0.  The logs are scattered back to the order of ``x``.
+
+def _series_rows(
+    x: np.ndarray,
+    pos: np.ndarray,
+    negative: bool,
+    group: list[int],
+    gammas: list[float],
+    plans: list[_Plan],
+    splits: list[int],
+    max_terms: int,
+    out: np.ndarray,
+) -> None:
+    """Power series of the rows ``group`` over the sorted |x| at ``pos``.
+
+    Row r sums, at its first ``splits[r]`` elements (those below its
+    crossover), log_pref - tilt |x| + log of sum_n q_r(n) |x|^n/n!, with
+    q(n) = (a)_n/(gamma)_n inner(n) and the ``a``, ``inner``, ``log_pref``
+    and ``tilt`` of ``plans[r]``; the logs go to ``out[r, pos]``.  Only
+    |x|^n/n! depends on x, so the rows share one term recursion, that of
+    the group's first row r0, the smallest gamma: row r's term is r0's times
+    the scalar kappa_r(n) = q_r(n)/q_r0(n).  The term ratios of r0 and the
+    kappas are built on first use and shared by every block, so each
+    inner(n) is evaluated once per row and term index.
+
+    The series needs more terms the larger |x| is, so the sorted |x| are
+    summed in blocks of ``_BATCH_BLOCK`` neighbours.  Each row stops when
+    its own largest relative term in the block, over its own elements,
+    stays below ``DEFAULT_REL_TOL`` on 3 checks, 8 terms apart, as a row
+    summed alone does; its logs are then taken, and its slot is not read
+    again.  The block ends when every row has stopped, and raises
+    ConvergenceError past ``max_terms`` terms.  Blocks of small |x| thus
+    leave after tens of terms instead of running as long as the largest,
+    and each block's working arrays stay in cache.  Partial sums are
+    rescaled per element, in every row at once, when any row's passes
+    _SCALE_HI; a group spans at most _ROW_SPAN in gamma, so no row is then
+    pushed out of the float range.  All terms are nonnegative, so the
+    streaming rescaled accumulation is stable.
     """
-    a, inner, log_pref, tilt = plan.a, plan.inner, plan.log_pref, plan.tilt
-    order = np.argsort(x)
-    x_sorted = x[order]
-    split = int(np.searchsorted(x_sorted, plan.x0))
-    out = np.empty(x.shape, dtype=float)
-    if split:
-        q0 = inner(0)
-        if q0 <= 0.0:
-            raise DomainError("phi1 batch requires positive series coefficients")
-        q_prev = q0
-        poch_ratio = 1.0
-        ratios = [0.0]  # ratios[n] = q(n) / (q(n-1) n); index 0 is unused
-    for start in range(0, split, _BATCH_BLOCK):
-        stop = min(start + _BATCH_BLOCK, split)
-        xb = x_sorted[start:stop]
-        total = np.full(xb.shape, q0)
-        term = total.copy()
-        off = np.zeros_like(total)
-        scratch = np.empty_like(total)
-        streak = 0
+    base = plans[group[0]]
+    a0, gamma0 = base.a, gammas[group[0]]
+    others = [(plans[r].a, gammas[r], plans[r].inner) for r in group[1:]]
+    q_first = [plans[r].inner(0) for r in group]
+    if min(q_first) <= 0.0:
+        raise DomainError("phi1 batch requires positive series coefficients")
+    q_prev = q_first[0]
+    poch_ratio = 1.0
+    ratios = [0.0]  # ratios[n] = q_r0(n) / (q_r0(n-1) n); index 0 is unused
+    kappa_poch = [1.0] * len(others)  # (a_r)_n (gamma0)_n / ((gamma_r)_n (a0)_n)
+    kappas: list[list[float]] = [[]]  # kappas[n][k - 1] = kappa of row group[k] at n
+    width = min(_BATCH_BLOCK, pos.size)
+    buffers, sums = np.empty((4, width)), np.empty((len(group), width))
+    for start in range(0, pos.size, _BATCH_BLOCK):
+        idx = pos[start : start + _BATCH_BLOCK]
+        xb, term, off, scratch = buffers[:, : idx.size]
+        _gather(x, idx, negative, out=xb)
+        cuts = [min(max(splits[r] - start, 0), idx.size) for r in group]
+        totals = sums[:, : idx.size]
+        totals[:] = np.array(q_first)[:, None]
+        rows = list(totals)  # one view per row
+        term.fill(q_first[0])
+        off.fill(0.0)
+        summing = [k for k, cut in enumerate(cuts) if cut]
+        streaks = [0] * len(group)
         rescaled = False
         n = 0
-        while n < max_terms:
+        while summing:
+            if n == max_terms:
+                raise ConvergenceError("phi1 batch series did not converge", terms_used=n)
             n += 1
             if n == len(ratios):
-                poch_ratio *= (a + n - 1.0) / (gamma + n - 1.0)
-                q = poch_ratio * inner(n)
+                poch_ratio *= (a0 + n - 1.0) / (gamma0 + n - 1.0)
+                inner = base.inner(n)
+                q = poch_ratio * inner
                 ratios.append(q / (q_prev * n))
                 q_prev = q
+                column = []
+                for k, (a, gamma, inner_r) in enumerate(others):
+                    kappa_poch[k] *= (
+                        (a + n - 1.0) * (gamma0 + n - 1.0) / ((gamma + n - 1.0) * (a0 + n - 1.0))
+                    )
+                    column.append(kappa_poch[k] * inner_r(n) / inner)
+                kappas.append(column)
             np.multiply(xb, ratios[n], out=scratch)
             term *= scratch
-            total += term
+            rows[0] += term
+            for row, kappa in zip(rows[1:], kappas[n]):
+                row += np.multiply(term, kappa, out=scratch)
             # per-step growth can exceed 1e6 when x is huge, so rescale checks
             # cannot be amortized the way the convergence checks are; every
-            # term grows with x, so until the block first rescales its largest
-            # partial sum is its last
-            if float(total.max() if rescaled else total[-1]) > _SCALE_HI:
+            # term grows with x, so until the block first rescales each row's
+            # largest partial sum is its last
+            if float(totals.max() if rescaled else totals[:, -1].max()) > _SCALE_HI:
                 rescaled = True
-                big = total > _SCALE_HI
-                total[big] /= _RESCALE
+                big = (totals > _SCALE_HI).any(axis=0)
+                totals[:, big] /= _RESCALE
                 term[big] /= _RESCALE
                 off[big] += _LOG_RESCALE
             if n % 8 == 0:
-                # terms are nonnegative, so term / total is the relative term
-                worst = float(np.divide(term, total, out=scratch).max())
-                if worst <= DEFAULT_REL_TOL:
-                    streak += 1
-                    if streak >= 3:
-                        break
-                else:
-                    streak = 0
-        else:
-            raise ConvergenceError("phi1 batch series did not converge", terms_used=n)
-        if not np.all(total > 0.0):
-            raise DomainError("phi1 batch accumulated a non-positive partial sum")
-        np.log(total, out=total)
-        total += off
-        total += log_pref
-        if tilt:
-            total += np.multiply(xb, -tilt, out=scratch)
-        out[order[start:stop]] = total
-    for start in range(split, x.size, _BATCH_BLOCK):
-        stop = start + _BATCH_BLOCK
-        out[order[start:stop]] = _tail_logs(x_sorted[start:stop], gamma, plan)
-    return out
+                for k in list(summing):
+                    cut = cuts[k]
+                    part = scratch[:cut]
+                    row_term = np.multiply(term[:cut], kappas[n][k - 1], out=part) if k else term[:cut]
+                    # terms are nonnegative, so term / total is the relative term
+                    if float(np.divide(row_term, rows[k][:cut], out=part).max()) > DEFAULT_REL_TOL:
+                        streaks[k] = 0
+                        continue
+                    streaks[k] += 1
+                    if streaks[k] < 3:
+                        continue
+                    summing.remove(k)
+                    plan = plans[group[k]]
+                    logs = rows[k][:cut]
+                    if not np.all(logs > 0.0):
+                        raise DomainError("phi1 batch accumulated a non-positive partial sum")
+                    np.log(logs, out=logs)
+                    logs += off[:cut]
+                    logs += plan.log_pref
+                    if plan.tilt:
+                        logs += np.multiply(xb[:cut], -plan.tilt, out=part)
+                    out[group[k], idx[:cut]] = logs
+
+
+def _batch_sum(
+    x: np.ndarray,
+    pos: np.ndarray,
+    negative: bool,
+    gammas: list[float],
+    plans: list[_Plan],
+    max_terms: int,
+    out: np.ndarray,
+) -> None:
+    """log phi1 at the x of one sign, for every row r, into ``out[r, pos]``.
+
+    ``pos`` orders the positions of those x by |x|; row r has gamma =
+    ``gammas[r]`` and ``plans[r]``, the :func:`_plan` of that gamma and
+    sign.  The |x| below a row's crossover x0 take its power series, summed
+    by :func:`_series_rows` for each group of rows close in gamma, and those
+    at or above it the plan's large-|x| expansion (:func:`_tail_logs`), as
+    on the scalar path.  x is gathered a block at a time, so no sorted copy
+    of it is kept.
+    """
+    splits = [bisect.bisect_left(pos, plan.x0, key=lambda i: abs(x[i])) for plan in plans]
+    for group in _row_groups(gammas):
+        size = max(splits[r] for r in group)
+        if size:
+            _series_rows(x, pos[:size], negative, group, gammas, plans, splits, max_terms, out)
+    if min(splits) < pos.size:
+        _tail_logs(x, pos, negative, gammas, plans, splits, out)
 
 
 def log_phi1_batch(
-    alpha: float, beta: float, gamma: float, x: np.ndarray, y: float
+    alpha: float, beta: float, gamma: float | np.ndarray, x: np.ndarray, y: float
 ) -> np.ndarray:
-    """Vectorized :func:`log_phi1` over an array of ``x`` values.
+    """Vectorized :func:`log_phi1` over an array of ``x`` and a 1-D ``gamma``.
 
-    ``alpha``, ``beta``, ``gamma`` and ``y`` are fixed across the batch, the
-    situation that arises when a Monte Carlo risk loop evaluates posterior
-    moments at many data draws.  Negative and nonnegative ``x`` entries are
-    each summed with the series :func:`_plan` picks for their sign (the same
-    ones ``phi1`` uses), with only positive terms, so the results match the
-    scalar path to near machine precision for any magnitude of ``x``.  The
-    entries at or above the crossover of their sign take the plan's
-    large-|x| expansion instead, as the scalar path does (see
-    :func:`_batch_sum`).  Requires ``gamma > alpha`` when negative ``x`` are present (always true
-    for the posterior patterns, where gamma - alpha is the posterior shape
-    a').
+    ``alpha``, ``beta`` and ``y`` are fixed across the batch, the situation
+    that arises when a Monte Carlo risk loop evaluates posterior moments at
+    many data draws.  ``gamma`` is a scalar or a 1-D sequence, and the
+    result has shape ``np.shape(gamma) + x.shape``: row r holds log phi1 at
+    ``gamma[r]``.  Each call splits x by sign and sorts the x of each sign
+    once for all rows.
+
+    Negative and nonnegative ``x`` entries are each summed with the series
+    :func:`_plan` picks for their sign (the same ones ``phi1`` uses), with
+    only positive terms, so the results match the scalar path to near
+    machine precision for any magnitude of ``x``.  The entries at or above
+    the crossover of their sign and gamma take the plan's large-|x|
+    expansion instead, as the scalar path does (see :func:`_batch_sum`).
+    Rows close in gamma share their power-series work, and each row matches
+    a call with its gamma alone to a few ulps; a scalar ``gamma`` returns
+    what it always has, bit for bit.  Requires ``gamma > alpha`` when
+    negative ``x`` are present (always true for the posterior patterns,
+    where gamma - alpha is the posterior shape a').
     """
-    if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf and 0.0 < gamma < math.inf):
+    gammas = np.asarray(gamma, dtype=float)
+    if gammas.ndim > 1:
+        raise DomainError("log_phi1_batch takes a scalar or 1-D gamma")
+    rows = gammas.ravel().tolist()
+    if not (
+        0.0 < alpha < math.inf
+        and 0.0 < beta < math.inf
+        and all(0.0 < g < math.inf for g in rows)
+    ):
         raise DomainError("log_phi1_batch requires positive finite alpha, beta, gamma")
     x = np.asarray(x, dtype=float)
-    xabs = float(max(x.max(initial=0.0), -x.min(initial=0.0)))  # no |x| array
+    lowest = float(x.min(initial=0.0))
+    xabs = max(float(x.max(initial=0.0)), -lowest)  # no |x| array
     if not (math.isfinite(xabs) and math.isfinite(y)):
         raise DomainError("x and y must be finite")
     max_terms = _check_y(y, xabs)
-    nonneg = x >= 0.0
-    if nonneg.all():  # one sign, as at every s >= 0 risk point: no copy of x
-        plan = _plan(alpha, beta, gamma, y, False, max_terms, xabs)
-        return _batch_sum(x.ravel(), gamma, plan, max_terms).reshape(x.shape)
-    out = np.empty(x.shape, dtype=float)
-    for negative, mask in ((False, nonneg), (True, ~nonneg)):
-        if not mask.any():
-            continue
-        if negative and gamma <= alpha:
+    flat = x.ravel()
+    out = np.empty((len(rows), flat.size))
+    if not rows:
+        return out.reshape(np.shape(gamma) + x.shape)
+    if lowest >= 0.0:  # one sign, as at every s >= 0 risk point: no copy of x
+        signs = [(False, np.argsort(flat))]
+    else:
+        signs = []
+        for negative in (False, True):
+            where = np.flatnonzero(flat < 0.0 if negative else flat >= 0.0)
+            if where.size:
+                signs.append((negative, where[np.argsort(_gather(flat, where, negative))]))
+    for negative, pos in signs:
+        if negative and min(rows) <= alpha:
             raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
-        xs = x[mask]
-        if negative:
-            np.negative(xs, out=xs)
-        plan = _plan(alpha, beta, gamma, y, negative, max_terms, xabs)
-        out[mask] = _batch_sum(xs, gamma, plan, max_terms)
-    return out
+        plans = [_plan(alpha, beta, g, y, negative, max_terms, xabs) for g in rows]
+        _batch_sum(flat, pos, negative, rows, plans, max_terms, out)
+    return out.reshape(np.shape(gamma) + x.shape)

@@ -51,9 +51,10 @@ def test_density_grid_spans_count_points_and_one_normalizer(tmp_path):
     assert names.count("prior.log_normalizer") == 1
 
 
-def test_risk_curve_batch_spans_are_three_per_bayes_point(tmp_path):
+def test_risk_curve_batch_spans_are_one_per_bayes_point(tmp_path):
     # keeps the base of specfun.batch.ns_per_x: every Bayes point evaluates
-    # its n_mc draws in exactly three log_phi1_batch calls
+    # its n_mc draws in exactly one log_phi1_batch call, which sums all three
+    # of its series
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
@@ -75,5 +76,5 @@ def test_risk_curve_batch_spans_are_three_per_bayes_point(tmp_path):
     points = [span for span in tracer.spans if span[2] == "risk.risk_analytic"]
     assert len(points) == 3
     assert sorted(per_point) == sorted(span[0] for span in points)
-    assert set(per_point.values()) == {3}
-    assert sum(span[5] for span in batch) == 3 * 2000 * 3
+    assert set(per_point.values()) == {1}
+    assert [span[5] for span in batch] == [2000] * 3

@@ -7,6 +7,7 @@ closed forms cover the untilted special cases.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,26 @@ def test_kappa_moment_batch_across_the_large_x_crossover_matches_scalar(monkeypa
             st = update(prior, p, float(zi), 1.0)
             assert rel_err(m1, kappa_moment(st, 1)) <= 1e-9, (prior, zi)
             assert rel_err(m2, kappa_moment(st, 2)) <= 1e-9, (prior, zi)
+
+
+def test_kappa_moment_batch_peak_memory_stays_at_seven_draw_arrays():
+    # the risk Monte Carlo holds several of these calls at once, one per
+    # thread; summing three series in one call must not cost more than the
+    # seven float arrays of n_mc that three separate calls peaked at
+    # (10.68 MiB), with s_post, the three rows of logs and the sort order
+    # of s_post among them
+    p, n = 15, 200_000
+    rng = np.random.default_rng(12)
+    u = 6.0 + rng.standard_normal(n)
+    z = u * u + rng.chisquare(p - 1, n)
+    kappa_moment12_batch(half_cauchy(), p, z[:1000])
+    tracemalloc.start()
+    try:
+        kappa_moment12_batch(half_cauchy(), p, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.7 * 2**20, peak / 2**20
 
 
 def test_tau2_four_moment_work_stops_growing_with_the_tilt(monkeypatch):

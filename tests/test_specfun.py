@@ -7,6 +7,7 @@ representations against each other; a property-based suite compares
 ``log_phi1`` and ``log_phi1_batch`` with mpmath at 40 digits.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -543,8 +544,8 @@ def test_each_crossover_is_derived_once(monkeypatch):
 
 
 def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
-    # every inner 2F1 is evaluated at most once per term index, however many
-    # blocks reach that index
+    # every inner 2F1 is evaluated at most once per gamma and term index,
+    # however many blocks and rows reach that index
     np = pytest.importorskip("numpy")
     xs = _spread_xs(np)
     calls = []
@@ -562,6 +563,125 @@ def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
     blocked = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
     assert 0 < len(calls) <= single_calls
     assert np.allclose(blocked, single, rtol=1e-12, atol=0.0)
+    # gammas with distinct fractional parts give each (gamma, n) its own
+    # 2F1 arguments in both forms of the series; one sign of x per call,
+    # since both signs start from the same 2F1 at n = 0
+    gammas = [1.5, 2.25, 3.125]
+    for part in (xs[xs >= 0.0], xs[xs < 0.0]):
+        calls.clear()
+        rows = log_phi1_batch(0.5, 1.0, gammas, part, 0.6)
+        assert calls and len(set(calls)) == len(calls)
+        for gamma, row in zip(gammas, rows):
+            assert np.allclose(row, log_phi1_batch(0.5, 1.0, gamma, part, 0.6), rtol=1e-12, atol=0.0)
+
+
+# sha256 prefixes of scalar-gamma log_phi1_batch outputs over the mixed-sign
+# x of the test below and over their |x|, at four (alpha, gamma), in blocks
+# of 5 and of the default size, recorded from the implementation that summed
+# one gamma per call, with numpy 2.4 on x86-64 (whose log may round
+# differently elsewhere)
+_SINGLE_GAMMA_DIGESTS = {
+    -3.0: "6ce9b9263648e455",
+    0.0: "0f00181fdac56a94",
+    0.25: "dd7d2f251cb90263",
+    0.75: "427a2bc498a7abfa",
+    0.9: "9dceef76d50e4182",
+}
+
+
+@pytest.mark.parametrize("y", sorted(_SINGLE_GAMMA_DIGESTS))
+def test_single_gamma_batch_is_bitwise_unchanged(monkeypatch, y):
+    np = pytest.importorskip("numpy")
+    mags = np.concatenate([np.linspace(0.0, 5.0, 11), np.geomspace(5.5, 3e3, 25),
+                           [16.0, 56.9, 126.1]])
+    xs = np.where(np.arange(mags.size) % 3 == 0, -mags, mags)
+    digest = hashlib.sha256()
+    for alpha, gamma in ((0.5, 1.5), (0.5, 8.5), (1.0, 50.0), (2.5, 3.0)):
+        for block in (5, specfun._BATCH_BLOCK):
+            with monkeypatch.context() as m:
+                m.setattr(specfun, "_BATCH_BLOCK", block)
+                digest.update(log_phi1_batch(alpha, 1.0, gamma, xs, y).tobytes())
+                digest.update(log_phi1_batch(alpha, 1.0, gamma, mags, y).tobytes())
+    assert digest.hexdigest()[:16] == _SINGLE_GAMMA_DIGESTS[y]
+
+
+# (alpha, gammas): the three series of a posterior moment, and four gammas
+# in three groups of _ROW_SPAN, given out of order
+_ROW_CASES = [(0.5, [8.5, 9.5, 10.5]), (1.0, [51.0, 3.0, 20.0, 50.0])]
+
+
+def _rows_xs(np, alpha, gammas, y):
+    """_spread_xs plus, for every gamma and sign, |x| just below, at and
+    just above its crossover."""
+    xs = list(_spread_xs(np))
+    for gamma in gammas:
+        for sign in (1.0, -1.0):
+            x0 = _x0(alpha, gamma, y, sign < 0.0)
+            xs += [sign * x0 * f for f in (1.0 - 1e-3, 1.0, 1.0 + 1e-3)]
+    return np.array(xs)
+
+
+@pytest.mark.parametrize("y", [-3.0, 0.0, 0.25, 0.75, 0.9])
+def test_log_phi1_batch_rows_match_single_gamma_calls(monkeypatch, y):
+    """Each row of a multi-gamma call matches the call with its gamma alone
+    to 1e-14 max(1, |ref|, |x|), in one block and in blocks of 5 that
+    straddle every crossover.
+
+    Rows of one group share a term recursion, so each row's terms round
+    differently from those of its own recursion, by a few ulps.  Where the
+    power series is tilted by e^x, at x < 0, the log of its sum lies near
+    |x| and rounds to an ulp of |x| before the tilt is subtracted: one ulp
+    is 2.8e-14 at |x| = 145, where the two paths differ by 2.1e-14 with a
+    log phi1 of -1.35, and each is 1.4e-14 off mpmath.  So the bound
+    scales with |x| as well as with |ref|.
+    """
+    np = pytest.importorskip("numpy")
+    for block in (5, specfun._BATCH_BLOCK):
+        monkeypatch.setattr(specfun, "_BATCH_BLOCK", block)
+        for alpha, gammas in _ROW_CASES:
+            xs = _rows_xs(np, alpha, gammas, y)
+            assert max(xs) > 0.0 > min(xs)
+            rows = log_phi1_batch(alpha, 1.0, gammas, xs, y)
+            assert rows.shape == (len(gammas), xs.size)
+            for gamma, row in zip(gammas, rows):
+                ref = log_phi1_batch(alpha, 1.0, gamma, xs, y)
+                err = np.abs(row - ref) / np.maximum(1.0, np.maximum(np.abs(ref), np.abs(xs)))
+                assert err.max() <= 1e-14, (block, alpha, gamma, y, xs[err.argmax()])
+
+
+def test_log_phi1_batch_rows_are_equivariant_under_permutation(monkeypatch):
+    # permuting x permutes the columns and permuting gamma the rows, bit for bit
+    np = pytest.importorskip("numpy")
+    monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
+    alpha, gammas = _ROW_CASES[1]
+    rng = np.random.default_rng(23)
+    for y in (-1.5, 0.0, 0.6):
+        xs = _rows_xs(np, alpha, gammas, y)
+        assert np.unique(xs).size == xs.size
+        px, pg = rng.permutation(xs.size), rng.permutation(len(gammas))
+        whole = log_phi1_batch(alpha, 1.0, gammas, xs, y)
+        permuted = log_phi1_batch(alpha, 1.0, np.array(gammas)[pg], xs[px], y)
+        assert np.array_equal(permuted, whole[pg][:, px])
+
+
+def test_log_phi1_batch_gamma_shapes():
+    np = pytest.importorskip("numpy")
+    xs = np.array([[-3.0, 0.0], [2.0, 40.0]])
+    assert log_phi1_batch(0.5, 1.0, 1.5, xs, 0.3).shape == (2, 2)
+    assert log_phi1_batch(0.5, 1.0, np.float64(1.5), xs, 0.3).shape == (2, 2)
+    one = log_phi1_batch(0.5, 1.0, [1.5], xs, 0.3)
+    assert one.shape == (1, 2, 2)
+    assert np.array_equal(one[0], log_phi1_batch(0.5, 1.0, 1.5, xs, 0.3))
+    rows = log_phi1_batch(0.5, 1.0, (1.5, 2.5), xs, 0.3)
+    assert rows.shape == (2, 2, 2)
+    assert np.allclose(rows[1], log_phi1_batch(0.5, 1.0, 2.5, xs, 0.3), rtol=1e-14, atol=1e-14)
+    assert log_phi1_batch(0.5, 1.0, [1.5, 2.5], np.array([]), 0.3).shape == (2, 0)
+    assert log_phi1_batch(0.5, 1.0, [], xs, 0.3).shape == (0, 2, 2)
+    for bad in ([[1.5, 2.5]], [1.5, 0.0], [1.5, math.inf], [1.5, math.nan]):
+        with pytest.raises(DomainError):
+            log_phi1_batch(0.5, 1.0, bad, xs, 0.3)
+    with pytest.raises(DomainError, match="gamma > alpha"):
+        log_phi1_batch(2.0, 1.0, [3.0, 1.5], xs, 0.3)
 
 
 # ---- differential suite against mpmath --------------------------------------
@@ -647,6 +767,70 @@ def test_log_phi1_matches_mpmath_on_unit_beta_domain():
         for x, got_batch in zip(xs, batch):
             ref = _mpmath_log_phi1(mpmath, alpha, gamma, x, y)
             bound = 1e-10 * max(1.0, abs(ref))
+            assert abs(log_phi1(alpha, 1.0, gamma, x, y) - ref) <= bound, (alpha, gamma, x, y)
+            assert abs(got_batch - ref) <= bound, (alpha, gamma, x, y)
+
+    check()
+
+
+def test_log_phi1_batch_rows_match_mpmath():
+    """The three rows of a posterior-moment call, gamma, gamma + 1 and
+    gamma + 2, against mpmath on the statistical domain, to the 1e-10 bound
+    of test_log_phi1_matches_mpmath_on_unit_beta_domain."""
+    mpmath = pytest.importorskip("mpmath")
+    hypothesis = pytest.importorskip("hypothesis")
+    np = pytest.importorskip("numpy")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        alpha=st.floats(0.3, 3.0),
+        shape=st.floats(0.3, 30.0),
+        xs=st.lists(st.floats(-40.0, 120.0), min_size=1, max_size=3),
+        y=st.floats(-5.0, 0.95),
+    )
+    def check(alpha, shape, xs, y):
+        gammas = [alpha + shape + k for k in (0.0, 1.0, 2.0)]
+        rows = log_phi1_batch(alpha, 1.0, gammas, np.array(xs), y)
+        for gamma, row in zip(gammas, rows):
+            for x, got in zip(xs, row):
+                ref = _mpmath_log_phi1(mpmath, alpha, gamma, x, y)
+                assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (alpha, gamma, x, y)
+
+    check()
+
+
+def test_large_gamma_expansion_at_negative_x_matches_mpmath():
+    """Scalar and batch log phi1 at gamma in [188, 300], x < 0 past the
+    crossover, against mpmath, to the bound 1e-13 max(1, |ref|) fixed
+    before running.
+
+    At x < 0 the expansion's a is gamma - alpha, and its scale log
+    Gamma(gamma)/Gamma(a) is near alpha log gamma while lgamma(gamma) and
+    lgamma(a) are near 1.4e3: their plain difference was off by up to
+    2.2e-13 here, and missed this bound by up to 2.1x.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    hypothesis = pytest.importorskip("hypothesis")
+    np = pytest.importorskip("numpy")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        alpha=st.floats(0.3, 12.0),
+        gamma=st.floats(188.0, 300.0),
+        y=st.floats(-3.0, 0.9),
+        u=st.floats(0.0, 1.0),
+    )
+    def check(alpha, gamma, y, u):
+        x0 = _x0(alpha, gamma, y, True)
+        assert x0 < 1e4, (alpha, gamma, y)
+        # |x| = x0 (1e4/x0)^u runs from the crossover to 1e4
+        xs = [-x0, -x0 * (1e4 / x0) ** u]
+        batch = log_phi1_batch(alpha, 1.0, gamma, np.array(xs), y)
+        for x, got_batch in zip(xs, batch):
+            ref = _mpmath_log_phi1(mpmath, alpha, gamma, x, y)
+            bound = 1e-13 * max(1.0, abs(ref))
             assert abs(log_phi1(alpha, 1.0, gamma, x, y) - ref) <= bound, (alpha, gamma, x, y)
             assert abs(got_batch - ref) <= bound, (alpha, gamma, x, y)
 
