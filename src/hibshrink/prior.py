@@ -28,13 +28,14 @@ a float returns a float.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadConfig, integrate_unit
+from .quadrature import integrate_unit
 from .specfun import log_beta, log_phi1
 
 __all__ = [
@@ -227,11 +228,6 @@ def density_lambda(prior: HIBParams, lam: Points) -> Points:
     return _on_points(prior, lam, _check_lambda, _lambda_at)
 
 
-# kernel of the scale mixture where the half-Cauchy's own scale gets another
-# half-Cauchy prior; its normalizer over (0, inf) is computed once on demand
-_DHC_LOG_NORM: float | None = None
-
-
 def _dhc_lambda_kernel(lam: float) -> float:
     """Unnormalized mixture density ln(lam)/(lam^2 - 1), with the removable
     point at lam = 1 filled in by a local expansion."""
@@ -257,24 +253,19 @@ def double_half_cauchy_kappa_kernel(kappa: float) -> float:
     return ratio / math.sqrt(kappa * (1.0 - kappa))
 
 
+@functools.cache
 def _dhc_log_norm() -> float:
-    """Log normalizer of the mixture kernel over lam in (0, inf), cached.
+    """Log normalizer of the mixture kernel over lam in (0, inf), computed
+    once on demand.
 
     Integrated in the kappa variable, where the change of variables gives
     integral(lambda kernel) = (1/4) integral(kappa kernel); the value is
     pi^2 / 4, and tests pin the computed constant against that closed form.
     """
-    global _DHC_LOG_NORM
-    if _DHC_LOG_NORM is None:
-        total = integrate_unit(
-            double_half_cauchy_kappa_kernel,
-            0.5,
-            0.5,
-            QuadConfig(),
-            f_complement=double_half_cauchy_kappa_kernel,
-        )
-        _DHC_LOG_NORM = math.log(0.25 * total)
-    return _DHC_LOG_NORM
+    total = integrate_unit(
+        double_half_cauchy_kappa_kernel, 0.5, 0.5, f_complement=double_half_cauchy_kappa_kernel
+    )
+    return math.log(0.25 * total)
 
 
 def double_half_cauchy_log_density(lam: float) -> float:

@@ -14,6 +14,9 @@ on the right) that removes the endpoint singularity exactly; the transformed
 integrands are then handled by adaptive bisection with a 15-point Kronrod
 rule nested over 7-point Gauss, the difference of the two serving as the
 panel error estimate.
+
+Every integral is taken to one fixed tolerance and bisection depth, the
+module constants below; no caller sets how an integral is taken.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Callable
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadConfig", "QuadResult", "integrate_unit", "integrate_unit_result", "oracle_hib_moment"]
+__all__ = ["QuadResult", "integrate_unit", "integrate_unit_result", "oracle_hib_moment"]
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; symmetric) with the
 # embedded 7-point Gauss rule at the odd-indexed nodes.
@@ -56,19 +59,11 @@ _WG = (
 )
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and recursion budget for adaptive integration."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_depth: int = 40
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.abs_tol < 1.0 and 0.0 < self.rel_tol < 1.0):
-            raise DomainError("quadrature tolerances must lie in (0, 1)")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be >= 1")
+# every integral: error <= max(_ABS_TOL, _REL_TOL * |first estimate|),
+# with panels bisected at most _MAX_DEPTH times
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
+_MAX_DEPTH = 40
 
 
 @dataclass(frozen=True)
@@ -96,16 +91,14 @@ def _g7k15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, fl
     return k15 * half, abs(k15 - g7) * half
 
 
-def _adaptive(
-    f: Callable[[float], float], cfg: QuadConfig
-) -> tuple[float, float, int, bool]:
+def _adaptive(f: Callable[[float], float]) -> tuple[float, float, int, bool]:
     """Adaptively integrate f over (0, 1); returns (value, bound, evals, ok)."""
     value0, err0 = _g7k15(f, 0.0, 1.0)
-    budget = max(cfg.abs_tol, cfg.rel_tol * abs(value0))
+    budget = max(_ABS_TOL, _REL_TOL * abs(value0))
     # panels whose estimated error sits at the rounding noise of the
     # integrand evaluations (about 100 eps of the integral scale) cannot be
     # improved by splitting; accept them rather than recurse forever
-    floor = 1.1e-14 * (abs(value0) + cfg.abs_tol)
+    floor = 1.1e-14 * (abs(value0) + _ABS_TOL)
     total = 0.0
     bound = 0.0
     evals = 15
@@ -117,7 +110,7 @@ def _adaptive(
             total += est
             bound += err
             continue
-        if depth >= cfg.max_depth:
+        if depth >= _MAX_DEPTH:
             total += est
             bound += err
             ok = False
@@ -174,7 +167,6 @@ def integrate_unit_result(
     f: Callable[[float], float],
     a_exp: float,
     b_exp: float,
-    cfg: QuadConfig = QuadConfig(),
     *,
     f_complement: Callable[[float], float] | None = None,
 ) -> QuadResult:
@@ -198,14 +190,14 @@ def integrate_unit_result(
     ok = True
     for exponent, mirrored in ((a_exp, False), (b_exp, True)):
         g = _half_transform(f, exponent, mirrored, f_complement)
-        v, e, n, good = _adaptive(g, cfg)
+        v, e, n, good = _adaptive(g)
         value += v
         bound += e
         evals += n
         ok = ok and good
     if not ok:
         raise AccuracyError(
-            "adaptive bisection exhausted max_depth before reaching tolerance",
+            "adaptive bisection reached its maximum depth before the tolerance",
             estimate=value,
             error_bound=bound,
         )
@@ -216,12 +208,11 @@ def integrate_unit(
     f: Callable[[float], float],
     a_exp: float,
     b_exp: float,
-    cfg: QuadConfig = QuadConfig(),
     *,
     f_complement: Callable[[float], float] | None = None,
 ) -> float:
     """Integral of ``f`` over (0, 1); see :func:`integrate_unit_result`."""
-    return integrate_unit_result(f, a_exp, b_exp, cfg, f_complement=f_complement).value
+    return integrate_unit_result(f, a_exp, b_exp, f_complement=f_complement).value
 
 
 # multiples of the kernel's width, on either side of its peak, at which the
@@ -240,7 +231,6 @@ def _posterior_kernel_integral(
     a_post: float,
     s_post: float,
     weight: Callable[[float], float] | None = None,
-    cfg: QuadConfig = QuadConfig(),
 ) -> tuple[float, float]:
     """Integral over (0, 1) of the posterior kappa-kernel, optionally weighted.
 
@@ -256,8 +246,8 @@ def _posterior_kernel_integral(
     ``log_scale`` is the log of the maximum over [0, 1] of the smooth factor
     kappa^max(a_post - 1, 0) exp(-s_post kappa), divided out of the
     integrand so that its peak is of order one.  A large tilt otherwise makes
-    the whole integral smaller than ``cfg.abs_tol``, at which point every
-    panel meets the absolute tolerance.
+    the whole integral smaller than the absolute tolerance, at which point
+    every panel meets it.
 
     A large tilt also makes the peak narrow, and the first rule's nodes can
     then step over it.  So (0, 1) is cut at ``peak + k * width`` for each k in
@@ -330,7 +320,6 @@ def _posterior_kernel_integral(
             lambda u: g(lo + span * u),
             exp_lo if lo == 0.0 else 1.0,
             exp_hi if hi == 1.0 else 1.0,
-            cfg,
             f_complement=(
                 (lambda v: g_end(span * v)) if hi == 1.0 else (lambda v: g(hi - span * v))
             ),
@@ -339,7 +328,7 @@ def _posterior_kernel_integral(
     return log_scale, total
 
 
-def oracle_hib_moment(prior, n: int, p: int, Z: float, cfg: QuadConfig = QuadConfig()) -> float:
+def oracle_hib_moment(prior, n: int, p: int, Z: float) -> float:
     """Posterior moment E(kappa^n) computed purely by quadrature.
 
     ``prior`` carries the four family parameters (a, b, tau2, s).  The
@@ -357,6 +346,6 @@ def oracle_hib_moment(prior, n: int, p: int, Z: float, cfg: QuadConfig = QuadCon
         raise DomainError("oracle_hib_moment requires n, p, Z nonnegative")
     a_post = prior.a + 0.5 * p
     s_post = prior.s + 0.5 * Z
-    log_den, den = _posterior_kernel_integral(prior, a_post, s_post, cfg=cfg)
-    log_num, num = _posterior_kernel_integral(prior, a_post + n, s_post, cfg=cfg)
+    log_den, den = _posterior_kernel_integral(prior, a_post, s_post)
+    log_num, num = _posterior_kernel_integral(prior, a_post + n, s_post)
     return num / den * math.exp(log_num - log_den)

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, NumericalWarning
 from .posterior import kappa_moment, kappa_moment12_batch, update
 from .prior import HIBParams
-from .quadrature import QuadConfig, integrate_unit
+from .quadrature import integrate_unit
 from .streams import stream
 
 __all__ = [
@@ -224,7 +224,7 @@ def _expect_integrand_quadrature(prior: HIBParams, p: int, beta_norm: float) -> 
             return 0.0
         return density * sure_integrand(prior, p, z)
 
-    return integrate_unit(f, 0.5 * p, 1.0, QuadConfig(abs_tol=1e-10, rel_tol=1e-8))
+    return integrate_unit(f, 0.5 * p, 1.0)
 
 
 def _shrink_factor(tag: str, z: np.ndarray, p: int) -> np.ndarray:

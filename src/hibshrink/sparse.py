@@ -276,26 +276,26 @@ def gibbs_update_global_scale(
     return float(lambda_grid[int(np.searchsorted(cdf, draw))])
 
 
-def horseshoe_gibbs(data: SparseDataset, cfg: GibbsConfig) -> ProfileResult:
+def horseshoe_gibbs(data: SparseDataset, config: GibbsConfig) -> ProfileResult:
     """Run the sampler and average conditional likelihoods over the grid.
 
     The likelihood-row evaluator and its (p, grid) buffers are built once
     per chain and reused by every retained sweep.
     """
-    grid = np.asarray(cfg.lambda_grid, dtype=float)
+    grid = np.asarray(config.lambda_grid, dtype=float)
     s1 = data.y.sum(axis=1)
     p = data.beta_true.size
-    rng = stream(cfg.seed, "horseshoe-gibbs")
+    rng = stream(config.seed, "horseshoe-gibbs")
 
     u2 = np.ones(p)
     lam = 1.0
     likelihood_rows = _LikelihoodRows(data, data.sigma, grid * grid)
     acc = LogMeanExpAccumulator(grid.size)
-    for sweep in range(cfg.n_iter):
+    for sweep in range(config.n_iter):
         beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
         u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
         lam = gibbs_update_global_scale(rng, beta, data.sigma, u2, grid)
-        if sweep >= cfg.burn_in:
+        if sweep >= config.burn_in:
             row = likelihood_rows(u2)
             if not np.all(np.isfinite(row)):
                 raise HibshrinkError("non-finite conditional likelihood in sampler")

@@ -21,8 +21,8 @@ element's own term count rather than the largest one's; the series
 coefficients are built once per call and shared by every block.  It also
 takes a 1-D ``gamma``, one output row per value, as the posterior moments
 need phi1 at gamma, gamma + 1 and gamma + 2 for the same tilts: the x are
-then split by sign and sorted once for all rows, and rows close in gamma
-share one recursion of the x-dependent part of the terms.
+sorted once, by signed value, for both signs and all rows, and rows close
+in gamma share one recursion of the x-dependent part of the terms.
 
 The power series needs about |x| + 12 sqrt(|x|) terms, and at y != 0 each
 costs an inner 2F1.  So ``_plan`` also returns, for every y and both signs
@@ -575,7 +575,7 @@ def _tail_logs(
     for start in range(first, pos.size, _BATCH_BLOCK):
         idx = pos[start : start + _BATCH_BLOCK]
         xb, inv, power, term = buffers[:, : idx.size]
-        _gather(x, idx, negative, out=xb)
+        _gather(x, idx, negative, xb)
         np.divide(1.0, xb, out=inv)
         power.fill(1.0)
         rows = []  # (row, offset of its first element in the block, its sum)
@@ -613,15 +613,12 @@ def _tail_logs(
             out[r, idx[lo:]] = total
 
 
-def _gather(
-    x: np.ndarray, pos: np.ndarray, negative: bool, out: np.ndarray | None = None
-) -> np.ndarray:
-    """|x| at the positions ``pos``, into ``out`` or a new array; ``negative``
-    says their sign."""
-    xb = np.take(x, pos, out=out)
+def _gather(x: np.ndarray, pos: np.ndarray, negative: bool, out: np.ndarray) -> None:
+    """|x| at the positions ``pos``, into ``out``; ``negative`` says their
+    sign."""
+    np.take(x, pos, out=out)
     if negative:
-        np.negative(xb, out=xb)
-    return xb
+        np.negative(out, out=out)
 
 
 def _row_groups(gammas: list[float]) -> list[list[int]]:
@@ -688,7 +685,7 @@ def _series_rows(
     for start in range(0, pos.size, _BATCH_BLOCK):
         idx = pos[start : start + _BATCH_BLOCK]
         xb, term, off, scratch = buffers[:, : idx.size]
-        _gather(x, idx, negative, out=xb)
+        _gather(x, idx, negative, xb)
         cuts = [min(max(splits[r] - start, 0), idx.size) for r in group]
         totals = sums[:, : idx.size]
         totals[:] = np.array(q_first)[:, None]
@@ -793,8 +790,9 @@ def log_phi1_batch(
     that arises when a Monte Carlo risk loop evaluates posterior moments at
     many data draws.  ``gamma`` is a scalar or a 1-D sequence, and the
     result has shape ``np.shape(gamma) + x.shape``: row r holds log phi1 at
-    ``gamma[r]``.  Each call splits x by sign and sorts the x of each sign
-    once for all rows.
+    ``gamma[r]``.  Each call sorts x once, by signed value, for both signs
+    and all rows: the nonnegative x follow the negative ones, which read
+    backwards run in increasing |x|.
 
     Negative and nonnegative ``x`` entries are each summed with the series
     :func:`_plan` picks for their sign (the same ones ``phi1`` uses), with
@@ -828,15 +826,12 @@ def log_phi1_batch(
     out = np.empty((len(rows), flat.size))
     if not rows:
         return out.reshape(np.shape(gamma) + x.shape)
-    if lowest >= 0.0:  # one sign, as at every s >= 0 risk point: no copy of x
-        signs = [(False, np.argsort(flat))]
-    else:
-        signs = []
-        for negative in (False, True):
-            where = np.flatnonzero(flat < 0.0 if negative else flat >= 0.0)
-            if where.size:
-                signs.append((negative, where[np.argsort(_gather(flat, where, negative))]))
-    for negative, pos in signs:
+    # the negatives come first; read backwards they run in increasing |x|
+    order = np.argsort(flat)
+    k = bisect.bisect_left(order, 0.0, key=flat.__getitem__) if lowest < 0.0 else 0
+    for negative, pos in ((False, order[k:]), (True, order[:k][::-1])):
+        if not pos.size:
+            continue
         if negative and min(rows) <= alpha:
             raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
         plans = [_plan(alpha, beta, g, y, negative, max_terms, xabs) for g in rows]

@@ -9,7 +9,9 @@ function, in it or above it, and no field of ``Phi1Args`` takes ``rel_tol``
 or ``max_terms``, and the crossover of the large-x expansion that the scalar
 and batch paths share is private: no public name, no parameter of
 ``phi1``, ``log_phi1``, ``log_phi1_batch`` or of any function that reaches
-them, and no ``hibshrink`` flag names it.
+them, and no ``hibshrink`` flag names it.  Likewise ``quadrature`` alone
+decides how an integral is taken: no function or class of the package
+takes ``cfg``, ``abs_tol``, ``rel_tol`` or ``max_depth``.
 """
 
 import ast
@@ -18,7 +20,7 @@ import re
 from pathlib import Path
 
 import hibshrink
-from hibshrink import oracles, posterior, prior, risk, sparse, specfun
+from hibshrink import oracles, posterior, prior, quadrature, risk, sparse, specfun
 
 PACKAGE = Path(hibshrink.__file__).resolve().parent
 MODULES = {path.stem: path for path in PACKAGE.glob("*.py")}
@@ -33,7 +35,7 @@ ORACLE_NAMES = (
     "_log_density_derivative_bracket",
     "_posterior_bracket_expectation",
 )
-TOP_LEVEL_EXCLUDED = ORACLE_NAMES + ("oracle_hib_moment", "integrate_unit", "QuadConfig", "QuadResult")
+TOP_LEVEL_EXCLUDED = ORACLE_NAMES + ("oracle_hib_moment", "integrate_unit", "QuadResult")
 
 
 def _imported_modules(name: str) -> set[str]:
@@ -105,6 +107,33 @@ def test_no_caller_sets_the_series_tolerance():
     assert "DEFAULT_REL_TOL" not in specfun.__all__
     assert not hasattr(specfun, "gauss_2f1")
     assert "gauss_2f1" not in specfun.__all__
+
+
+# parameter names through which a caller would set a tolerance or a budget
+SETTING_NAMES = {"cfg", "abs_tol", "rel_tol", "max_depth"}
+
+
+def test_no_caller_sets_how_an_integral_is_taken():
+    # every function, method and lambda in the package, and every field of
+    # its classes (dataclass and NamedTuple fields are annotated names)
+    for name, path in MODULES.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                taken = {arg.arg for arg in params if arg}
+            elif isinstance(node, ast.ClassDef):
+                taken = {
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                }
+            else:
+                continue
+            assert not taken & SETTING_NAMES, (name, getattr(node, "name", "lambda"), taken)
+    assert not hasattr(quadrature, "QuadConfig")
+    assert "QuadConfig" not in quadrature.__all__
 
 
 def test_no_caller_sets_the_term_budget():

@@ -9,15 +9,10 @@ import math
 
 import pytest
 
-from hibshrink.errors import AccuracyError, DomainError
+from hibshrink.errors import AccuracyError
 from hibshrink.posterior import kappa_moment, update
 from hibshrink.prior import HIBParams, half_cauchy, log_normalizer
-from hibshrink.quadrature import (
-    QuadConfig,
-    integrate_unit,
-    integrate_unit_result,
-    oracle_hib_moment,
-)
+from hibshrink.quadrature import integrate_unit, integrate_unit_result, oracle_hib_moment
 
 
 def rel_err(got: float, expected: float) -> float:
@@ -26,25 +21,6 @@ def rel_err(got: float, expected: float) -> float:
 
 def beta_exact(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-# ---- configuration contract ----------------------------------------------
-
-
-def test_config_defaults():
-    cfg = QuadConfig()
-    assert cfg.abs_tol == 1e-12
-    assert cfg.rel_tol == 1e-10
-    assert cfg.max_depth == 40
-
-
-def test_config_rejects_bad_fields():
-    with pytest.raises(DomainError):
-        QuadConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadConfig(rel_tol=1.5)
-    with pytest.raises(DomainError):
-        QuadConfig(max_depth=0)
 
 
 # ---- closed-form integrals -------------------------------------------------
