@@ -143,7 +143,7 @@ def kappa_moment12_batch(
     if z.ndim != 1:
         raise DomainError("z_values must be a 1-D array")
     if np.any(~np.isfinite(z)) or np.any(z < 0.0):
-        raise DomainError("z_values must be nonnegative and finite")
+        raise DomainError("z_values: every Z must be nonnegative and finite")
     _check_data(p, 0.0, 1.0)
     a_post = prior.a + 0.5 * p
     c = a_post + prior.b

@@ -3,11 +3,12 @@
 The risk of the posterior mean depends on beta only through its norm, and
 reduces to p + 2 E_Z[r(Z)] where Z is noncentral chi-square with p degrees
 of freedom and noncentrality |beta|^2, and r(Z) is an expression in the
-first two posterior moments of the shrinkage weight.  The expectation over
-Z is taken by Monte Carlo by default (honest error bars at any p), with a
-1-D quadrature route available for cross-checks.  James-Stein, positive
-part, and maximum-likelihood comparators are included, plus an exact
-Poisson-mixture series for the James-Stein risk.
+first two posterior moments of the shrinkage weight, one batch series call
+for any number of Z.  E_Z is taken by Monte Carlo by default (honest error
+bars at any p), or by a fixed 128-node Gauss-Legendre rule in sqrt(Z), a
+cheap deterministic reference for the Monte Carlo curves.  James-Stein,
+positive part, and maximum-likelihood comparators are included, plus an
+exact Poisson-mixture series for the James-Stein risk.
 
 Risk-curve grid points are independent; they are evaluated on a thread
 pool with one dedicated counter-based RNG stream per (estimator, point).
@@ -15,6 +16,7 @@ pool with one dedicated counter-based RNG stream per (estimator, point).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -25,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalWarning
-from .posterior import kappa_moment, kappa_moment12_batch, update
-from .prior import HIBParams
-from .quadrature import integrate_unit
+from .posterior import kappa_moment12_batch
+from .prior import HIBParams, Points
+from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
 from .streams import stream
 
 __all__ = [
@@ -119,16 +121,17 @@ def sample_z(beta_norm: float, p: int, rng: np.random.Generator) -> float:
     return float(z[0])
 
 
-def sure_integrand(prior: HIBParams, p: int, Z: float) -> float:
+def sure_integrand(prior: HIBParams, p: int, Z: Points) -> Points:
     """Inner risk expression r(Z), so that risk = p + 2 E_Z[r(Z)].
 
-    Uses r = Z E(kappa^2|Z) - p g - (Z/2) g^2 with g = E(kappa|Z).
+    Uses r = Z E(kappa^2|Z) - p g - (Z/2) g^2 with g = E(kappa|Z), both
+    moments from one batch call; Z is a float (giving a float) or a 1-D array.
     """
     _check_point(p, 0.0)
-    state = update(prior, p, Z, 1.0)
-    g = kappa_moment(state, 1)
-    g2 = kappa_moment(state, 2)
-    return Z * g2 - p * g - 0.5 * Z * g * g
+    z = np.asarray(Z, dtype=float)
+    g1, g2 = kappa_moment12_batch(prior, p, np.atleast_1d(z))
+    inner = z * g2 - p * g1 - 0.5 * z * g1 * g1
+    return float(inner[0]) if z.ndim == 0 else inner
 
 
 def _point(tag: str, beta_norm: float, losses: np.ndarray) -> RiskPoint:
@@ -150,22 +153,20 @@ def risk_analytic(
     method="mc" averages the inner expression over Monte Carlo draws of Z
     and reports the standard error of the resulting mse estimate, which is
     twice that of the mean inner expression.  method="quadrature" integrates
-    it against the noncentral chi-square density instead and reports zero
-    standard error.
+    it against the noncentral chi-square density instead, by a fixed
+    128-node Gauss-Legendre rule in sqrt(Z), and reports zero standard error.
     """
     _check_point(p, beta_norm)
     _check_draws(n_mc, seed)
     if method == "quadrature":
-        mse = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm)
-        return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=0.0, estimator_tag=_BAYES_TAG)
-    if method != "mc":
+        mse, se = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm), 0.0
+    elif method == "mc":
+        rng = stream(seed, "risk-analytic", str(p), f"{beta_norm:.17g}")
+        inner = sure_integrand(prior, p, _draw_z(beta_norm, p, rng, n_mc)[1])
+        mse = p + 2.0 * float(np.mean(inner))
+        se = 2.0 * float(np.std(inner, ddof=1) / math.sqrt(n_mc))
+    else:
         raise DomainError(f"method must be 'mc' or 'quadrature', got {method!r}")
-    rng = stream(seed, "risk-analytic", str(p), f"{beta_norm:.17g}")
-    _, z = _draw_z(beta_norm, p, rng, n_mc)
-    g1, g2 = kappa_moment12_batch(prior, p, z)
-    inner = z * g2 - p * g1 - 0.5 * z * g1 * g1
-    mse = p + 2.0 * float(np.mean(inner))
-    se = 2.0 * float(np.std(inner, ddof=1) / math.sqrt(n_mc))
     return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=se, estimator_tag=_BAYES_TAG)
 
 
@@ -211,23 +212,28 @@ def _noncentral_chi2_logpdf(p: int, theta: float) -> Callable[[float], float]:
     return logpdf
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """128 Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(128)
+
+
 def _expect_integrand_quadrature(prior: HIBParams, p: int, beta_norm: float) -> float:
+    """E_Z[r(Z)] by the Gauss-Legendre rule in t = sqrt(Z), dZ = 2t dt, over
+    a 12-sigma window of Z widened by 30; the density ~ t^(p-1) is smooth in t."""
     theta = 0.5 * beta_norm * beta_norm
     mean = p + 2.0 * theta
-    z_max = mean + 12.0 * math.sqrt(2.0 * p + 8.0 * theta) + 30.0
+    margin = 12.0 * math.sqrt(2.0 * p + 8.0 * theta) + 30.0
+    lo, hi = math.sqrt(max(0.0, mean - margin)), math.sqrt(mean + margin)
+    nodes, weights = _legendre_rule()
+    t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
     logpdf = _noncentral_chi2_logpdf(p, theta)
-
-    def f(t: float) -> float:
-        z = z_max * t
-        density = math.exp(logpdf(z)) * z_max
-        if density == 0.0:
-            return 0.0
-        return density * sure_integrand(prior, p, z)
-
-    return integrate_unit(f, 0.5 * p, 1.0)
+    density = np.array([math.exp(logpdf(v * v)) for v in t.tolist()])
+    r = sure_integrand(prior, p, t * t)
+    return (hi - lo) * float(np.sum(weights * t * density * r))
 
 
-def _shrink_factor(tag: str, z: np.ndarray, p: int) -> np.ndarray:
+def _shrink_factor(tag: str, z: Points, p: int) -> np.ndarray:
     """Multiplier applied to y by each comparator estimator."""
     if tag == "mle":
         return np.ones_like(z)
@@ -283,41 +289,34 @@ def js_risk(p: int, beta_norm: float) -> float:
     return p - (p - 2.0) ** 2 * expectation
 
 
-def _zero_norm_warning(tag: str) -> None:
-    warnings.warn(
-        f"{tag} estimator undefined at zero data norm; returning the zero vector",
-        NumericalWarning,
-        stacklevel=3,
-    )
+def _scaled(tag: str, y: np.ndarray) -> np.ndarray:
+    """y times the comparator's shrink factor at its own squared norm."""
+    y = np.asarray(y, dtype=float)
+    if tag != "mle" and (y.ndim != 1 or y.size < 3):
+        raise DomainError("James-Stein estimators require a vector of length >= 3")
+    z = float(np.vdot(y, y))
+    if z == 0.0 and tag != "mle":
+        if tag == "js":
+            warnings.warn("James-Stein estimator undefined at zero data norm; returning "
+                          "the zero vector", NumericalWarning, stacklevel=3)
+        return np.zeros_like(y)
+    return _shrink_factor(tag, z, y.size) * y
 
 
 def js_estimate(y: np.ndarray) -> np.ndarray:
     """James-Stein estimate (1 - (p-2)/|y|^2) y; zero vector (with a
     warning) when the data norm vanishes."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 3:
-        raise DomainError("James-Stein estimators require a vector of length >= 3")
-    z = float(y @ y)
-    if z == 0.0:
-        _zero_norm_warning("James-Stein")
-        return np.zeros_like(y)
-    return (1.0 - (y.size - 2.0) / z) * y
+    return _scaled("js", y)
 
 
 def js_plus_estimate(y: np.ndarray) -> np.ndarray:
     """Positive-part James-Stein estimate: the shrink factor clamped at 0."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 3:
-        raise DomainError("James-Stein estimators require a vector of length >= 3")
-    z = float(y @ y)
-    if z == 0.0:
-        return np.zeros_like(y)
-    return max(0.0, 1.0 - (y.size - 2.0) / z) * y
+    return _scaled("js_plus", y)
 
 
 def mle_estimate(y: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood estimate: the data itself."""
-    return np.array(y, dtype=float, copy=True)
+    """Maximum-likelihood estimate: the data itself, as a new array."""
+    return _scaled("mle", y)
 
 
 def _thread_count(n_tasks: int) -> int:

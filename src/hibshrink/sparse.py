@@ -322,4 +322,5 @@ def ig_induced_density(lam: float) -> float:
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"lam must be positive and finite, got {lam}")
-    return math.sqrt(2.0 / math.pi) * math.exp(-0.5 / (lam * lam)) / (lam * lam)
+    lam2 = lam * lam  # 0 only where the exponential underflowed long before
+    return 0.0 if lam2 == 0.0 else math.sqrt(2.0 / math.pi) * math.exp(-0.5 / lam2) / lam2

@@ -11,12 +11,20 @@ and batch paths share is private: no public name, no parameter of
 ``phi1``, ``log_phi1``, ``log_phi1_batch`` or of any function that reaches
 them, and no ``hibshrink`` flag names it.  Likewise ``quadrature`` alone
 decides how an integral is taken: no function or class of the package
-takes ``cfg``, ``abs_tol``, ``rel_tol`` or ``max_depth``.
+takes ``cfg``, ``abs_tol``, ``rel_tol`` or ``max_depth``.  And no production
+module uses the adaptive integrator at all: outside ``quadrature`` and
+``oracles`` nothing calls or passes on ``integrate_unit``, and each module
+that still imports it (``risk`` and ``prior``, whose names
+``bench/tracer.py`` hooks) says so on the import line.  The deterministic
+risk route's Gauss-Legendre nodes are built on first use, not at import.
 """
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hibshrink
@@ -134,6 +142,37 @@ def test_no_caller_sets_how_an_integral_is_taken():
             assert not taken & SETTING_NAMES, (name, getattr(node, "name", "lambda"), taken)
     assert not hasattr(quadrature, "QuadConfig")
     assert "QuadConfig" not in quadrature.__all__
+
+
+# the comment every remaining production import of the integrator carries
+TRACER_HOOK_COMMENT = "uncalled; bench/tracer.py hooks this name"
+
+
+def test_no_production_function_calls_the_integrator():
+    importers = set()
+    for name, path in MODULES.items():
+        if name in ("quadrature", "oracles"):
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and any(
+                alias.name == "integrate_unit" for alias in node.names
+            ):
+                importers.add(name)
+                assert TRACER_HOOK_COMMENT in lines[node.lineno - 1], (name, node.lineno)
+            if isinstance(node, ast.Name):
+                assert node.id != "integrate_unit", (name, node.lineno)
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "integrate_unit", (name, node.lineno)
+    assert importers <= {"risk", "prior"}
+
+
+def test_gauss_nodes_are_not_built_at_import():
+    code = "import sys, hibshrink; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "False"
 
 
 def test_no_caller_sets_the_term_budget():

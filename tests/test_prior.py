@@ -311,6 +311,16 @@ class TestDoubleHalfCauchy:
             got = math.exp(double_half_cauchy_log_density(lam))
             assert rel_err(got, double_half_cauchy_density(lam)) < 1e-12
 
+    def test_scale_inversion_survives_overflow_of_lambda_squared(self):
+        # past lam ~ 1.34e154, lam^2 overflows and the kernel rounds to 0;
+        # log p(1/l) = log p(l) + 2 ln l must still hold, in log space
+        for lam in (1e155, 1e200, 1.7e308):
+            small = double_half_cauchy_log_density(1.0 / lam)
+            big = double_half_cauchy_log_density(lam)
+            assert rel_err(big + 2.0 * math.log(lam), small) < 1e-12, lam
+        assert abs(double_half_cauchy_log_density(1e200) + 915.8) < 0.05
+        assert double_half_cauchy_density(1e200) == 0.0
+
     def test_total_mass(self):
         # inversion symmetry folds the integral onto (0, 1]
         mass = 2.0 * integrate_unit(lambda t: double_half_cauchy_density(t), 0.9, 1.0)

@@ -1,6 +1,8 @@
 """Frequentist risk evaluation: the two analytic routes to the unbiased
-risk expression, Monte Carlo and quadrature risk estimates, the closed-form
-James-Stein risk, and the comparator estimators.
+risk expression, Monte Carlo and quadrature risk estimates (the fixed Gauss
+rule against the adaptive integral it replaced, and the Monte Carlo points
+against the Gauss rule), the closed-form James-Stein risk, and the
+comparator estimators.
 
 Every stochastic check is pinned to a fixed stream and asserted within
 explicit standard-error bounds computed from the sample itself.
@@ -16,7 +18,7 @@ from hibshrink.errors import DomainError, NumericalWarning
 from hibshrink.oracles import risk_direct, sure_integrand_by_parts
 from hibshrink.posterior import kappa_moment, update
 from hibshrink.prior import HIBParams, half_cauchy
-from hibshrink.quadrature import oracle_hib_moment
+from hibshrink.quadrature import integrate_unit, oracle_hib_moment
 from hibshrink.risk import (
     RiskCurveSpec,
     js_estimate,
@@ -131,6 +133,78 @@ def test_risk_analytic_quadrature_route():
     # the deterministic route is reproducible bit for bit
     again = risk_analytic(half_cauchy(), 7, 1.0, method="quadrature")
     assert again.mse == a.mse
+
+
+def test_sure_integrand_takes_a_float_or_an_array():
+    prior, p = HIBParams(1.0, 0.5, 4.0, 0.0), 15
+    z = np.array([0.0, 0.5, 3.0, 14.0, 60.0, 250.0, 1e3, 1e4])
+    along = sure_integrand(prior, p, z)
+    assert isinstance(along, np.ndarray) and along.shape == z.shape
+    for zi, ri in zip(z.tolist(), along.tolist()):
+        one = sure_integrand(prior, p, zi)
+        assert isinstance(one, float)
+        assert abs(one - ri) <= 1e-12 * max(1.0, abs(one)), zi
+
+
+def _adaptive_risk(prior: HIBParams, p: int, beta_norm: float) -> float:
+    """The deterministic route as it was before the Gauss rule: an adaptive
+    integral over Z = z_max t, t in (0, 1), with two scalar moments a node."""
+    theta = 0.5 * beta_norm * beta_norm
+    mean = p + 2.0 * theta
+    z_max = mean + 12.0 * math.sqrt(2.0 * p + 8.0 * theta) + 30.0
+    logpdf = risk._noncentral_chi2_logpdf(p, theta)
+
+    def f(t: float) -> float:
+        z = z_max * t
+        density = math.exp(logpdf(z)) * z_max
+        if density == 0.0:
+            return 0.0
+        state = update(prior, p, z, 1.0)
+        g, g2 = kappa_moment(state, 1), kappa_moment(state, 2)
+        return density * (z * g2 - p * g - 0.5 * z * g * g)
+
+    return p + 2.0 * integrate_unit(f, 0.5 * p, 1.0)
+
+
+GAUSS_RULE_POINTS = [
+    (half_cauchy(), p, beta_norm) for p in (3, 15, 50) for beta_norm in (0.0, 9.0, 36.0, 100.0)
+] + [(HIBParams(1.0, 0.5, 4.0, 0.0), 15, beta_norm) for beta_norm in (0.0, 36.0)]
+
+
+@pytest.mark.parametrize(
+    "prior, p, beta_norm",
+    GAUSS_RULE_POINTS,
+    ids=[f"tau2={pr.tau2:g}-p{p}-b{b:g}" for pr, p, b in GAUSS_RULE_POINTS],
+)
+def test_gauss_rule_matches_the_adaptive_route(prior, p, beta_norm):
+    # bound fixed before the run
+    got = risk_analytic(prior, p, beta_norm, method="quadrature")
+    assert got.mc_std_err == 0.0
+    assert rel_err(got.mse, _adaptive_risk(prior, p, beta_norm)) <= 1e-11
+    assert risk_analytic(prior, p, beta_norm, method="quadrature").mse == got.mse
+
+
+def test_gauss_rule_is_converged_at_128_nodes(monkeypatch):
+    # doubling the nodes moves no point by more than 1e-11, fixed before the run
+    fixed = [risk_analytic(*point, method="quadrature").mse for point in GAUSS_RULE_POINTS]
+    monkeypatch.setattr(risk, "_legendre_rule", lambda: np.polynomial.legendre.leggauss(256))
+    doubled = [risk_analytic(*point, method="quadrature").mse for point in GAUSS_RULE_POINTS]
+    for point, a, b in zip(GAUSS_RULE_POINTS, fixed, doubled):
+        assert rel_err(a, b) <= 1e-11, point
+
+
+@pytest.mark.parametrize(
+    "p, grid, n_mc",
+    [(7, (0.0, 6.0, 13), 200_000), (15, (0.0, 36.0, 13), 50_000)],
+    ids=["readme-curve", "bench-curve"],
+)
+def test_monte_carlo_bayes_points_lie_within_4se_of_the_gauss_rule(p, grid, n_mc):
+    # the 4-SE bound is fixed in advance; the Gauss rule is the reference
+    spec = RiskCurveSpec(p=p, beta_norms=tuple(np.linspace(*grid).tolist()), n_mc=n_mc,
+                         seed=1, prior=half_cauchy())
+    for point in risk_curve(spec):
+        exact = risk_analytic(half_cauchy(), p, point.beta_norm, method="quadrature").mse
+        assert abs(point.mse - exact) <= 4.0 * point.mc_std_err, (point, exact)
 
 
 def test_risk_tail_approaches_mle_risk():

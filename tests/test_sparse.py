@@ -378,6 +378,12 @@ def test_ig_induced_density_vanishes_at_origin():
     assert ig_induced_density(0.05) < 1e-3
 
 
+def test_ig_induced_density_is_zero_where_lambda_squared_underflows():
+    # lam^2 rounds to 0 there; the density's exponential underflowed long before
+    for lam in (1e-170, 1e-200, 5e-324):
+        assert ig_induced_density(lam) == 0.0
+
+
 def test_ig_induced_density_mode():
     # closed-form mode of sqrt(2/pi) l^-2 exp(-1/(2 l^2)) is 1/sqrt(2)
     mode = 1.0 / math.sqrt(2.0)
