@@ -11,7 +11,9 @@ with them:
   is the definition of the risk;
 - ``sure_integrand_by_parts`` evaluates the inner risk expression r(Z)
   through the integration-by-parts identity, with the posterior expectation
-  of the log-density bracket taken by quadrature.
+  of the log-density bracket taken by quadrature;
+- ``_noncentral_chi2_logpdf`` builds the noncentral chi-square log density
+  one z at a time, written out term by term.
 
 Only the ``phi1 --oracle`` command and the tests import this module.  The
 quadrature moment oracle ``oracle_hib_moment`` lives with the integrator in
@@ -22,12 +24,21 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 
 from .errors import ConvergenceError
 from .posterior import kappa_moment, kappa_moment12_batch, update
 from .prior import HIBParams
 from .quadrature import _posterior_kernel_integral
-from .risk import RiskPoint, _BAYES_TAG, _check_draws, _check_point, _draw_z, _point
+from .risk import (
+    RiskPoint,
+    _BAYES_TAG,
+    _check_draws,
+    _check_point,
+    _draw_z,
+    _point,
+    _poisson_log_weights,
+)
 from .specfun import (
     DEFAULT_REL_TOL,
     _LOG_RESCALE,
@@ -205,3 +216,31 @@ def sure_integrand_by_parts(prior: HIBParams, p: int, Z: float) -> float:
     bracket = _posterior_bracket_expectation(prior, state.a_post, state.s_post)
     lead = (p + Z + 4.0) * g - (p + 2.0) - bracket
     return lead - p * g - 0.5 * Z * g * g
+
+
+def _noncentral_chi2_logpdf(p: int, theta: float) -> Callable[[float], float]:
+    """log density of Z ~ noncentral chi-square_p(2 theta), as a function of z.
+
+    Z is a Poisson(theta) mixture of central chi-square_(p+2k) laws.  The
+    z-free parts of every mixture term, lgamma included, are built here
+    once; the returned function only adds the two terms in z, one z at a
+    time.  It is the scalar reference for the vectorized density of the
+    Gauss rule, ``risk._noncentral_chi2_log_density``.
+    """
+    lo, log_weights = _poisson_log_weights(theta)
+    parts = []
+    for k, log_w in enumerate(log_weights, lo):
+        half = 0.5 * p + k
+        parts.append((log_w, half - 1.0, half * math.log(2.0), math.lgamma(half)))
+
+    def logpdf(z: float) -> float:
+        if z <= 0.0:
+            return -math.inf
+        log_z = math.log(z)
+        half_z = 0.5 * z
+        logs = [w + power * log_z - half_z - log_two - log_gamma
+                for w, power, log_two, log_gamma in parts]
+        best = max(logs)
+        return best + math.log(sum(math.exp(v - best) for v in logs))
+
+    return logpdf

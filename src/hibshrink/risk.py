@@ -22,7 +22,6 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -152,9 +151,13 @@ def risk_analytic(
 
     method="mc" averages the inner expression over Monte Carlo draws of Z
     and reports the standard error of the resulting mse estimate, which is
-    twice that of the mean inner expression.  method="quadrature" integrates
-    it against the noncentral chi-square density instead, by a fixed
-    128-node Gauss-Legendre rule in sqrt(Z), and reports zero standard error.
+    twice that of the mean inner expression.  The draws are sorted first,
+    so that the batch series reads them in place; that changes no r(Z), and
+    the mean and standard error are summed over ascending Z, which differs
+    from summing in draw order by rounding alone.  method="quadrature"
+    integrates it against the noncentral chi-square density instead, by a
+    fixed 128-node Gauss-Legendre rule in sqrt(Z), and reports zero
+    standard error.
     """
     _check_point(p, beta_norm)
     _check_draws(n_mc, seed)
@@ -162,7 +165,9 @@ def risk_analytic(
         mse, se = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm), 0.0
     elif method == "mc":
         rng = stream(seed, "risk-analytic", str(p), f"{beta_norm:.17g}")
-        inner = sure_integrand(prior, p, _draw_z(beta_norm, p, rng, n_mc)[1])
+        z = _draw_z(beta_norm, p, rng, n_mc)[1]
+        z.sort()  # log_phi1_batch reads an ascending Z in place
+        inner = sure_integrand(prior, p, z)
         mse = p + 2.0 * float(np.mean(inner))
         se = 2.0 * float(np.std(inner, ddof=1) / math.sqrt(n_mc))
     else:
@@ -186,30 +191,32 @@ def _poisson_log_weights(theta: float) -> tuple[int, list[float]]:
     return lo, [k * log_theta - theta - math.lgamma(k + 1.0) for k in range(lo, hi + 1)]
 
 
-def _noncentral_chi2_logpdf(p: int, theta: float) -> Callable[[float], float]:
-    """log density of Z ~ noncentral chi-square_p(2 theta), as a function of z.
+def _noncentral_chi2_log_density(p: int, theta: float, z: np.ndarray) -> np.ndarray:
+    """log density of Z ~ noncentral chi-square_p(2 theta) at every z of a 1-D array.
 
     Z is a Poisson(theta) mixture of central chi-square_(p+2k) laws.  The
-    z-free parts of every mixture term, lgamma included, are built here
-    once; the returned function only adds the two terms in z.
+    z-free parts of the mixture terms are built once, each log term adds
+    the two terms in z in the order of ``oracles._noncentral_chi2_logpdf``,
+    and one log-sum-exp over the (z, k) grid gives every log density; z <= 0
+    gives -inf.
     """
     lo, log_weights = _poisson_log_weights(theta)
-    parts = []
-    for k, log_w in enumerate(log_weights, lo):
-        half = 0.5 * p + k
-        parts.append((log_w, half - 1.0, half * math.log(2.0), math.lgamma(half)))
-
-    def logpdf(z: float) -> float:
-        if z <= 0.0:
-            return -math.inf
-        log_z = math.log(z)
-        half_z = 0.5 * z
-        logs = [w + power * log_z - half_z - log_two - log_gamma
-                for w, power, log_two, log_gamma in parts]
-        best = max(logs)
-        return best + math.log(sum(math.exp(v - best) for v in logs))
-
-    return logpdf
+    half = 0.5 * p + np.arange(lo, lo + len(log_weights))
+    log_gamma = np.array([math.lgamma(h) for h in half.tolist()])
+    out = np.full(z.shape, -math.inf)
+    inside = z > 0.0
+    zs = z[inside]
+    # math.log, not np.log: an ulp of log z here is multiplied by p/2 + k
+    log_z = np.array([math.log(v) for v in zs.tolist()])[:, None]
+    logs = (
+        np.array(log_weights) + (half - 1.0) * log_z - (0.5 * zs)[:, None]
+        - half * math.log(2.0) - log_gamma
+    )
+    best = logs.max(axis=1, keepdims=True)
+    logs -= best
+    np.exp(logs, out=logs)
+    out[inside] = best[:, 0] + np.log(logs.sum(axis=1))
+    return out
 
 
 @functools.cache
@@ -227,9 +234,9 @@ def _expect_integrand_quadrature(prior: HIBParams, p: int, beta_norm: float) -> 
     lo, hi = math.sqrt(max(0.0, mean - margin)), math.sqrt(mean + margin)
     nodes, weights = _legendre_rule()
     t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-    logpdf = _noncentral_chi2_logpdf(p, theta)
-    density = np.array([math.exp(logpdf(v * v)) for v in t.tolist()])
-    r = sure_integrand(prior, p, t * t)
+    z = t * t
+    density = np.exp(_noncentral_chi2_log_density(p, theta, z))
+    r = sure_integrand(prior, p, z)
     return (hi - lo) * float(np.sum(weights * t * density * r))
 
 

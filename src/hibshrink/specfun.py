@@ -21,8 +21,12 @@ element's own term count rather than the largest one's; the series
 coefficients are built once per call and shared by every block.  It also
 takes a 1-D ``gamma``, one output row per value, as the posterior moments
 need phi1 at gamma, gamma + 1 and gamma + 2 for the same tilts: the x are
-sorted once, by signed value, for both signs and all rows, and rows close
-in gamma share one recursion of the x-dependent part of the terms.
+ordered once, by signed value, for both signs and all rows, and rows close
+in gamma share one recursion of the x-dependent part of the terms.  An
+ascending x is already in that order and is read and written in place,
+block by block as slices; any other x is argsorted once, and each block is
+gathered through the sort order and its logs scattered back.  Both give the
+same bits.
 
 The power series needs about |x| + 12 sqrt(|x|) terms, and at y != 0 each
 costs an inner 2F1.  So ``_plan`` also returns, for every y and both signs
@@ -551,38 +555,74 @@ def _tail_log(v: float, gamma: float, plan: _Plan) -> tuple[float, int]:
     raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
 
 
+class _Run:
+    """The x of one sign in increasing |x|, and the slots of their logs.
+
+    Element i of the run is ``x[pos[i]]``, its logs go to ``out[:, pos[i]]``,
+    and ``pos`` comes from the one argsort of x; or, for an ascending x,
+    ``pos`` is None and ``x`` and ``out`` are views already in run order
+    (the negatives reversed), so each block is read and written as a slice.
+    """
+
+    def __init__(self, x: np.ndarray, pos: np.ndarray | None, negative: bool, out: np.ndarray):
+        self.x, self.pos, self.negative, self.out = x, pos, negative, out
+        self.size = (x if pos is None else pos).size
+
+    def split(self, v: float) -> int:
+        """Number of elements with |x| below ``v``."""
+        x, pos = self.x, self.pos
+        key = (lambda i: abs(x[i])) if pos is None else (lambda i: abs(x[pos[i]]))
+        return bisect.bisect_left(range(self.size), v, key=key)
+
+    def read(self, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+        """|x| of elements ``start:stop``: a view of x, or else in ``buf``."""
+        if self.pos is None:
+            if not self.negative:
+                return self.x[start:stop]
+            return np.negative(self.x[start:stop], out=buf)
+        np.take(self.x, self.pos[start:stop], out=buf)
+        if self.negative:
+            np.negative(buf, out=buf)
+        return buf
+
+    def write(self, row: int, start: int, logs: np.ndarray) -> None:
+        """Store ``logs`` as row ``row`` of the elements from ``start`` on."""
+        stop = start + logs.size
+        if self.pos is None:
+            self.out[row, start:stop] = logs
+        else:
+            self.out[row, self.pos[start:stop]] = logs
+
+
 def _tail_logs(
-    x: np.ndarray,
-    pos: np.ndarray,
-    negative: bool,
+    run: _Run,
     gammas: list[float],
     plans: list[_Plan],
     splits: list[int],
-    out: np.ndarray,
 ) -> None:
-    """:func:`_tail_log` for every row r at the sorted |x| ``pos[splits[r]:]``.
+    """:func:`_tail_log` for every row r at the run's |x| from ``splits[r]`` on.
 
     Those are the |x| at or above the crossover of ``plans[r]``.  Blocks of
     ``_BATCH_BLOCK`` start at the smallest split; in each, the rows share
     the powers of 1/|x| and one log|x|, and each row sums until the bound of
     the term of its own smallest |x|, the row's largest, is <= _TAIL_TOL.
-    It gets there within its plan's coefficients.  The logs go to
-    ``out[r, pos]``.
+    It gets there within its plan's coefficients.  The logs go to the run's
+    slots.
     """
     first = min(splits)
-    width = min(_BATCH_BLOCK, pos.size - first)
+    width = min(_BATCH_BLOCK, run.size - first)
     buffers, sums = np.empty((4, width)), np.empty((len(splits), width))
-    for start in range(first, pos.size, _BATCH_BLOCK):
-        idx = pos[start : start + _BATCH_BLOCK]
-        xb, inv, power, term = buffers[:, : idx.size]
-        _gather(x, idx, negative, xb)
+    for start in range(first, run.size, _BATCH_BLOCK):
+        size = min(_BATCH_BLOCK, run.size - start)
+        buf, inv, power, term = buffers[:, :size]
+        xb = run.read(start, start + size, buf)
         np.divide(1.0, xb, out=inv)
         power.fill(1.0)
         rows = []  # (row, offset of its first element in the block, its sum)
         for r, split in enumerate(splits):
             lo = max(split - start, 0)
-            if lo < idx.size:
-                total = sums[r, lo : idx.size]
+            if lo < size:
+                total = sums[r, lo:size]
                 total.fill(1.0)
                 rows.append((r, lo, total))
         summing = list(range(len(rows)))
@@ -610,15 +650,7 @@ def _tail_logs(
             total += plan.tail_log
             if not plan.tilt:
                 total += xb[lo:]
-            out[r, idx[lo:]] = total
-
-
-def _gather(x: np.ndarray, pos: np.ndarray, negative: bool, out: np.ndarray) -> None:
-    """|x| at the positions ``pos``, into ``out``; ``negative`` says their
-    sign."""
-    np.take(x, pos, out=out)
-    if negative:
-        np.negative(out, out=out)
+            run.write(r, start + lo, total)
 
 
 def _row_groups(gammas: list[float]) -> list[list[int]]:
@@ -633,22 +665,20 @@ def _row_groups(gammas: list[float]) -> list[list[int]]:
 
 
 def _series_rows(
-    x: np.ndarray,
-    pos: np.ndarray,
-    negative: bool,
+    run: _Run,
+    count: int,
     group: list[int],
     gammas: list[float],
     plans: list[_Plan],
     splits: list[int],
     max_terms: int,
-    out: np.ndarray,
 ) -> None:
-    """Power series of the rows ``group`` over the sorted |x| at ``pos``.
+    """Power series of the rows ``group`` over the run's first ``count`` |x|.
 
     Row r sums, at its first ``splits[r]`` elements (those below its
     crossover), log_pref - tilt |x| + log of sum_n q_r(n) |x|^n/n!, with
     q(n) = (a)_n/(gamma)_n inner(n) and the ``a``, ``inner``, ``log_pref``
-    and ``tilt`` of ``plans[r]``; the logs go to ``out[r, pos]``.  Only
+    and ``tilt`` of ``plans[r]``; the logs go to the run's slots.  Only
     |x|^n/n! depends on x, so the rows share one term recursion, that of
     the group's first row r0, the smallest gamma: row r's term is r0's times
     the scalar kappa_r(n) = q_r(n)/q_r0(n).  The term ratios of r0 and the
@@ -680,14 +710,14 @@ def _series_rows(
     ratios = [0.0]  # ratios[n] = q_r0(n) / (q_r0(n-1) n); index 0 is unused
     kappa_poch = [1.0] * len(others)  # (a_r)_n (gamma0)_n / ((gamma_r)_n (a0)_n)
     kappas: list[list[float]] = [[]]  # kappas[n][k - 1] = kappa of row group[k] at n
-    width = min(_BATCH_BLOCK, pos.size)
+    width = min(_BATCH_BLOCK, count)
     buffers, sums = np.empty((4, width)), np.empty((len(group), width))
-    for start in range(0, pos.size, _BATCH_BLOCK):
-        idx = pos[start : start + _BATCH_BLOCK]
-        xb, term, off, scratch = buffers[:, : idx.size]
-        _gather(x, idx, negative, xb)
-        cuts = [min(max(splits[r] - start, 0), idx.size) for r in group]
-        totals = sums[:, : idx.size]
+    for start in range(0, count, _BATCH_BLOCK):
+        size = min(_BATCH_BLOCK, count - start)
+        buf, term, off, scratch = buffers[:, :size]
+        xb = run.read(start, start + size, buf)
+        cuts = [min(max(splits[r] - start, 0), size) for r in group]
+        totals = sums[:, :size]
         totals[:] = np.array(q_first)[:, None]
         rows = list(totals)  # one view per row
         term.fill(q_first[0])
@@ -750,35 +780,31 @@ def _series_rows(
                     logs += plan.log_pref
                     if plan.tilt:
                         logs += np.multiply(xb[:cut], -plan.tilt, out=part)
-                    out[group[k], idx[:cut]] = logs
+                    run.write(group[k], start, logs)
 
 
 def _batch_sum(
-    x: np.ndarray,
-    pos: np.ndarray,
-    negative: bool,
+    run: _Run,
     gammas: list[float],
     plans: list[_Plan],
     max_terms: int,
-    out: np.ndarray,
 ) -> None:
-    """log phi1 at the x of one sign, for every row r, into ``out[r, pos]``.
+    """log phi1 at the x of one run, for every row r, into the run's slots.
 
-    ``pos`` orders the positions of those x by |x|; row r has gamma =
-    ``gammas[r]`` and ``plans[r]``, the :func:`_plan` of that gamma and
-    sign.  The |x| below a row's crossover x0 take its power series, summed
-    by :func:`_series_rows` for each group of rows close in gamma, and those
-    at or above it the plan's large-|x| expansion (:func:`_tail_logs`), as
-    on the scalar path.  x is gathered a block at a time, so no sorted copy
-    of it is kept.
+    Row r has gamma = ``gammas[r]`` and ``plans[r]``, the :func:`_plan` of
+    that gamma and the run's sign.  The |x| below a row's crossover x0 take
+    its power series, summed by :func:`_series_rows` for each group of rows
+    close in gamma, and those at or above it the plan's large-|x| expansion
+    (:func:`_tail_logs`), as on the scalar path.  x is read a block at a
+    time, so no sorted copy of it is kept.
     """
-    splits = [bisect.bisect_left(pos, plan.x0, key=lambda i: abs(x[i])) for plan in plans]
+    splits = [run.split(plan.x0) for plan in plans]
     for group in _row_groups(gammas):
-        size = max(splits[r] for r in group)
-        if size:
-            _series_rows(x, pos[:size], negative, group, gammas, plans, splits, max_terms, out)
-    if min(splits) < pos.size:
-        _tail_logs(x, pos, negative, gammas, plans, splits, out)
+        count = max(splits[r] for r in group)
+        if count:
+            _series_rows(run, count, group, gammas, plans, splits, max_terms)
+    if min(splits) < run.size:
+        _tail_logs(run, gammas, plans, splits)
 
 
 def log_phi1_batch(
@@ -790,9 +816,14 @@ def log_phi1_batch(
     that arises when a Monte Carlo risk loop evaluates posterior moments at
     many data draws.  ``gamma`` is a scalar or a 1-D sequence, and the
     result has shape ``np.shape(gamma) + x.shape``: row r holds log phi1 at
-    ``gamma[r]``.  Each call sorts x once, by signed value, for both signs
+    ``gamma[r]``.  Each call orders x once, by signed value, for both signs
     and all rows: the nonnegative x follow the negative ones, which read
-    backwards run in increasing |x|.
+    backwards run in increasing |x|.  An ascending x (one O(n) comparison
+    tells) is read in place, the negatives as a reversed view, and each
+    block of logs is written to a slice of the result; any other x is
+    argsorted once, then gathered and scattered a block at a time.  Every
+    value is the same in both cases, bit for bit, so a caller that can sort
+    its x for free, as the risk Monte Carlo can, should.
 
     Negative and nonnegative ``x`` entries are each summed with the series
     :func:`_plan` picks for their sign (the same ones ``phi1`` uses), with
@@ -823,17 +854,25 @@ def log_phi1_batch(
         raise DomainError("x and y must be finite")
     max_terms = _check_y(y, xabs)
     flat = x.ravel()
+    # tested before out exists, so its n-byte mask never adds to the peak
+    ascending = not (flat[1:] < flat[:-1]).any()
     out = np.empty((len(rows), flat.size))
     if not rows:
         return out.reshape(np.shape(gamma) + x.shape)
     # the negatives come first; read backwards they run in increasing |x|
-    order = np.argsort(flat)
-    k = bisect.bisect_left(order, 0.0, key=flat.__getitem__) if lowest < 0.0 else 0
-    for negative, pos in ((False, order[k:]), (True, order[:k][::-1])):
-        if not pos.size:
+    if ascending:
+        k = int(np.searchsorted(flat, 0.0))
+        runs = (_Run(flat[k:], None, False, out[:, k:]),
+                _Run(flat[:k][::-1], None, True, out[:, :k][:, ::-1]))
+    else:
+        order = np.argsort(flat)
+        k = bisect.bisect_left(order, 0.0, key=flat.__getitem__) if lowest < 0.0 else 0
+        runs = (_Run(flat, order[k:], False, out), _Run(flat, order[:k][::-1], True, out))
+    for run in runs:
+        if not run.size:
             continue
-        if negative and min(rows) <= alpha:
+        if run.negative and min(rows) <= alpha:
             raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
-        plans = [_plan(alpha, beta, g, y, negative, max_terms, xabs) for g in rows]
-        _batch_sum(flat, pos, negative, rows, plans, max_terms, out)
+        plans = [_plan(alpha, beta, g, y, run.negative, max_terms, xabs) for g in rows]
+        _batch_sum(run, rows, plans, max_terms)
     return out.reshape(np.shape(gamma) + x.shape)

@@ -1,8 +1,9 @@
 """Frequentist risk evaluation: the two analytic routes to the unbiased
 risk expression, Monte Carlo and quadrature risk estimates (the fixed Gauss
-rule against the adaptive integral it replaced, and the Monte Carlo points
-against the Gauss rule), the closed-form James-Stein risk, and the
-comparator estimators.
+rule against the adaptive integral it replaced, its vectorized density
+against the scalar reference, and the Monte Carlo points against the Gauss
+rule and against their own draws summed in draw order), the closed-form
+James-Stein risk, and the comparator estimators.
 
 Every stochastic check is pinned to a fixed stream and asserted within
 explicit standard-error bounds computed from the sample itself.
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from hibshrink import risk, specfun
+from hibshrink import oracles, risk, specfun
 from hibshrink.errors import DomainError, NumericalWarning
 from hibshrink.oracles import risk_direct, sure_integrand_by_parts
 from hibshrink.posterior import kappa_moment, update
@@ -152,7 +153,7 @@ def _adaptive_risk(prior: HIBParams, p: int, beta_norm: float) -> float:
     theta = 0.5 * beta_norm * beta_norm
     mean = p + 2.0 * theta
     z_max = mean + 12.0 * math.sqrt(2.0 * p + 8.0 * theta) + 30.0
-    logpdf = risk._noncentral_chi2_logpdf(p, theta)
+    logpdf = oracles._noncentral_chi2_logpdf(p, theta)
 
     def f(t: float) -> float:
         z = z_max * t
@@ -205,6 +206,55 @@ def test_monte_carlo_bayes_points_lie_within_4se_of_the_gauss_rule(p, grid, n_mc
     for point in risk_curve(spec):
         exact = risk_analytic(half_cauchy(), p, point.beta_norm, method="quadrature").mse
         assert abs(point.mse - exact) <= 4.0 * point.mc_std_err, (point, exact)
+
+
+# bench-shaped Monte Carlo points, plus a negative tilt whose batch x take
+# both signs
+MC_ORDER_POINTS = [(half_cauchy(), 15, beta_norm) for beta_norm in (0.0, 9.0, 36.0)] + [
+    (HIBParams(0.5, 0.5, 4.0, -1.0), 7, 1.0)
+]
+
+
+def _mc_point_with_draws(monkeypatch, prior, p, beta_norm, seed):
+    """A Monte Carlo point, the (Z, r(Z)) it summed, and its Z draws in draw
+    order, rebuilt from their named stream."""
+    seen = []
+
+    def recording(prior, p, Z):
+        inner = sure_integrand(prior, p, Z)
+        seen.append((np.array(Z), inner))
+        return inner
+
+    with monkeypatch.context() as m:
+        m.setattr(risk, "sure_integrand", recording)
+        point = risk_analytic(prior, p, beta_norm, n_mc=200_000, seed=seed)
+    rng = stream(seed, "risk-analytic", str(p), f"{beta_norm:.17g}")
+    (summed,) = seen
+    return point, summed, risk._draw_z(beta_norm, p, rng, 200_000)[1]
+
+
+@pytest.mark.parametrize("prior, p, beta_norm", MC_ORDER_POINTS)
+def test_monte_carlo_r_of_z_is_that_of_the_draws_permuted(monkeypatch, prior, p, beta_norm):
+    # the draws are sorted before the batch call, which changes no r(Z) bit
+    _, (z, inner), draws = _mc_point_with_draws(monkeypatch, prior, p, beta_norm, seed=1)
+    order = np.argsort(draws, kind="stable")
+    assert np.array_equal(z, draws[order])
+    assert np.array_equal(inner, sure_integrand(prior, p, draws)[order])
+
+
+@pytest.mark.parametrize("prior, p, beta_norm", MC_ORDER_POINTS)
+def test_monte_carlo_statistics_are_the_draw_order_ones_to_4_ulp(monkeypatch, prior, p, beta_norm):
+    # summing r(Z) over ascending Z instead of in draw order moves the mean
+    # of r(Z) and the standard error by rounding alone, <= 4 ulp of each.
+    # The ulp of mse = p + 2 mean is taken on the mean: at the origin mse
+    # cancels ~4 bits, so an ulp of the mean there is ~16 ulp of mse
+    point, (_, inner), draws = _mc_point_with_draws(monkeypatch, prior, p, beta_norm, seed=1)
+    in_draw_order = sure_integrand(prior, p, draws)
+    mean, draw_mean = float(np.mean(inner)), float(np.mean(in_draw_order))
+    assert point.mse == p + 2.0 * mean
+    assert abs(mean - draw_mean) <= 4.0 * np.spacing(abs(draw_mean)), (mean, draw_mean)
+    draw_se = 2.0 * float(np.std(in_draw_order, ddof=1) / math.sqrt(draws.size))
+    assert abs(point.mc_std_err - draw_se) <= 4.0 * np.spacing(draw_se), (point, draw_se)
 
 
 def test_risk_tail_approaches_mle_risk():
@@ -331,9 +381,41 @@ def test_poisson_window_matches_written_out_formulas_bitwise():
         for beta_norm in np.linspace(0.0, 36.0, 13):
             assert js_risk(p, beta_norm) == _js_risk_by_hand(p, beta_norm), (p, beta_norm)
             theta = 0.5 * beta_norm * beta_norm
-            logpdf = risk._noncentral_chi2_logpdf(p, theta)
+            logpdf = oracles._noncentral_chi2_logpdf(p, theta)
             for z in z_grid:
                 assert logpdf(z) == _noncentral_chi2_logpdf_by_hand(z, p, theta), (p, beta_norm, z)
+
+
+def test_vector_density_matches_the_scalar_reference():
+    # the Gauss rule's one log-sum-exp over every node against the scalar
+    # reference pinned above, on the same z grid; bound fixed before the run
+    z_grid = np.array([0.0, 1e-300, 1e-6, 0.5, 1.0, 2.0, 7.5, 15.0, 40.0, 120.0, 500.0,
+                       1300.0, 3000.0])
+    for p in (3, 7, 15, 50):
+        for beta_norm in np.linspace(0.0, 36.0, 13):
+            theta = 0.5 * beta_norm * beta_norm
+            logpdf = oracles._noncentral_chi2_logpdf(p, theta)
+            got = risk._noncentral_chi2_log_density(p, theta, z_grid)
+            for z, value in zip(z_grid.tolist(), got.tolist()):
+                ref = logpdf(z)
+                if ref == -math.inf:
+                    assert value == ref, (p, beta_norm, z)
+                else:
+                    assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (p, beta_norm, z)
+
+
+def test_gauss_rule_with_the_scalar_density_moves_no_point(monkeypatch):
+    # the vector density moves no Bayes point of the rule by more than
+    # 1e-13 relative, fixed before the run
+    fixed = [risk_analytic(*point, method="quadrature").mse for point in GAUSS_RULE_POINTS]
+
+    def scalar_density(p, theta, z):
+        logpdf = oracles._noncentral_chi2_logpdf(p, theta)
+        return np.array([logpdf(v) for v in z.tolist()])
+
+    monkeypatch.setattr(risk, "_noncentral_chi2_log_density", scalar_density)
+    for point, got in zip(GAUSS_RULE_POINTS, fixed):
+        assert rel_err(got, risk_analytic(*point, method="quadrature").mse) <= 1e-13, point
 
 
 # ---- comparator estimators ----------------------------------------------------------

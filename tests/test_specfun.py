@@ -682,6 +682,77 @@ def test_mixed_sign_batch_sorts_x_once():
     assert peak <= 8.6 * 2**20, peak / 2**20
 
 
+def _in_place_xs(np, mixed: bool):
+    """3 blocks and one element of x, with ties and signed zeros, across
+    every crossover of the three rows below (the highest, 186.4, is that of
+    gamma = 10.5 at y = 0.75 for x >= 0)."""
+    x = 40.0 * np.random.default_rng(24).standard_normal(3 * 32768 + 1)
+    x[:40] = np.repeat([0.0, -0.0, 2.5, 150.0, 400.0], 8)
+    return x if mixed else np.abs(x)
+
+
+@pytest.mark.parametrize("y", [0.0, 0.25, 0.75, -3.0])
+def test_ascending_x_is_summed_in_place_to_the_same_bits(y):
+    # an ascending x is read and written in place, with no argsort, gather
+    # or scatter; each value keeps the bits of the call on shuffled x
+    np = pytest.importorskip("numpy")
+    assert specfun._BATCH_BLOCK == 32768
+    for mixed in (False, True):
+        x = np.sort(_in_place_xs(np, mixed))
+        assert (x < 0.0).any() == mixed
+        perm = np.random.default_rng(25).permutation(x.size)
+        for gamma in (8.5, [8.5, 9.5, 10.5]):
+            ascending = log_phi1_batch(0.5, 1.0, gamma, x, y)
+            shuffled = log_phi1_batch(0.5, 1.0, gamma, x[perm], y)
+            back = np.empty_like(shuffled)
+            back[..., perm] = shuffled
+            assert np.array_equal(ascending, back), (y, mixed, gamma)
+
+
+def test_ascending_x_is_never_argsorted(monkeypatch):
+    np = pytest.importorskip("numpy")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ascending x was argsorted or gathered")
+
+    x = np.sort(_in_place_xs(np, True))
+    expected = log_phi1_batch(0.5, 1.0, [8.5, 9.5, 10.5], x, 0.25)
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "take", refuse)
+    assert np.array_equal(log_phi1_batch(0.5, 1.0, [8.5, 9.5, 10.5], x, 0.25), expected)
+
+
+def test_ascending_x_holding_a_nan_is_refused():
+    np = pytest.importorskip("numpy")
+    x = np.linspace(-50.0, 50.0, 101)
+    for where in (0, 50, 100):
+        bad = x.copy()
+        bad[where] = math.nan
+        with pytest.raises(DomainError):
+            log_phi1_batch(0.5, 1.0, [8.5, 9.5, 10.5], bad, 0.25)
+
+
+def test_ascending_moment_batch_holds_only_its_arrays():
+    # three rows of logs (4.58 MiB), s_post (1.53 MiB) and the block
+    # buffers (1.75 MiB), with no sort order of s_post beside them
+    np = pytest.importorskip("numpy")
+    from hibshrink.posterior import kappa_moment12_batch
+    from hibshrink.prior import half_cauchy
+
+    p, n = 15, 200_000
+    rng = np.random.default_rng(12)
+    u = 6.0 + rng.standard_normal(n)
+    z = np.sort(u * u + rng.chisquare(p - 1, n))
+    kappa_moment12_batch(half_cauchy(), p, z[:1000])
+    tracemalloc.start()
+    try:
+        kappa_moment12_batch(half_cauchy(), p, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.6 * 2**20, peak / 2**20
+
+
 def test_log_phi1_batch_gamma_shapes():
     np = pytest.importorskip("numpy")
     xs = np.array([[-3.0, 0.0], [2.0, 40.0]])
