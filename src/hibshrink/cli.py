@@ -9,7 +9,9 @@ carry 17 significant digits so doubles round-trip exactly.
 Exit codes: 0 success, 1 internal numeric failure, 2 usage or domain
 error (including an output file that cannot be written), 3 series
 convergence failure.  The HIBSHRINK_THREADS environment
-variable caps risk-curve parallelism.
+variable caps risk-curve parallelism and, at 2 or more, lets each
+marglik-profile chain sum its likelihood rows on one helper process; a
+value that is not an integer of at least 1 exits 2.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .errors import DomainError, NumericalWarning
 from .posterior import kappa_moment12_batch
 from .prior import HIBParams, Points
 from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
-from .streams import stream
+from .streams import stream, worker_count
 
 __all__ = [
     "RiskCurveSpec",
@@ -326,20 +325,6 @@ def mle_estimate(y: np.ndarray) -> np.ndarray:
     return _scaled("mle", y)
 
 
-def _thread_count(n_tasks: int) -> int:
-    env = os.environ.get("HIBSHRINK_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise DomainError(f"HIBSHRINK_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise DomainError("HIBSHRINK_THREADS must be >= 1")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
 def risk_curve(spec: RiskCurveSpec) -> list[RiskPoint]:
     """Risk of the posterior mean (and requested comparators) on a norm grid.
 
@@ -362,5 +347,5 @@ def risk_curve(spec: RiskCurveSpec) -> list[RiskPoint]:
             return RiskPoint(beta_norm, float(spec.p), 0.0, "mle")
         return simulate_estimator_risk(tag, spec.p, beta_norm, spec.n_mc, spec.seed)
 
-    with ThreadPoolExecutor(max_workers=_thread_count(len(tasks))) as pool:
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(tasks))) as pool:
         return list(pool.map(solve, tasks))

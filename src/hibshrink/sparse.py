@@ -15,19 +15,34 @@ streaming log-sum-exp form and renormalized to a maximum of one.  Overlay
 densities on the same grid show what a half-Cauchy prior and an
 inverse-gamma-induced prior on lambda would weight: the latter vanishes near
 zero, which is the distortion the profile makes visible.
+
+No later sweep reads the likelihood rows, so a chain granted two workers
+(``HIBSHRINK_THREADS``, else the CPU count) sums them on one forked helper
+process: the chain runs only the three updates and pipes each retained u^2
+to it in blocks of 64 sweeps.  With one worker, no ``fork`` start method, or
+another thread alive, the same block function runs inline; the profile has
+the same bits either way.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, HibshrinkError
 from .prior import density_lambda, half_cauchy
-from .streams import stream
+from .streams import stream, worker_count
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.context import BaseContext
 
 __all__ = [
     "SparseDataset",
@@ -46,6 +61,7 @@ __all__ = [
 _CANONICAL_SIGNALS = (5.0, 4.0, 3.0, 2.0, 1.0)
 _CANONICAL_NULLS = 45
 _GRID_MAX = 10.0
+_ROW_BLOCK = 64  # retained sweeps per message to the likelihood helper
 
 
 @dataclass(frozen=True)
@@ -132,15 +148,21 @@ class LogMeanExpAccumulator:
         self._max = np.full(size, -np.inf)
         self._sum = np.zeros(size)
         self._count = 0
+        # the next maximum and one scratch row, overwritten by every add
+        self._new_max = np.empty(size)
+        self._scratch = np.empty(size)
 
     def add(self, log_values: np.ndarray) -> None:
         l = np.asarray(log_values, dtype=float)
         if l.shape != self._max.shape:
             raise DomainError(f"expected shape {self._max.shape}, got {l.shape}")
-        new_max = np.maximum(self._max, l)
-        self._sum *= np.exp(self._max - new_max)
-        self._sum += np.exp(l - new_max)
-        self._max = new_max
+        new_max = np.maximum(self._max, l, out=self._new_max)
+        scratch = self._scratch
+        np.subtract(self._max, new_max, out=scratch)
+        self._sum *= np.exp(scratch, out=scratch)
+        np.subtract(l, new_max, out=scratch)
+        self._sum += np.exp(scratch, out=scratch)
+        self._max, self._new_max = new_max, self._max
         self._count += 1
 
     def log_mean(self) -> np.ndarray:
@@ -268,19 +290,170 @@ def gibbs_update_global_scale(
     with S = sum beta_i^2 / (sigma^2 u_i^2), evaluated on the grid atoms
     and sampled by inverse CDF.
     """
-    s_stat = float(np.sum(beta * beta / (sigma * sigma * u2)))
-    logw = -beta.size * np.log(lambda_grid) - 0.5 * s_stat / (lambda_grid * lambda_grid)
-    w = np.exp(logw - logw.max())
-    cdf = np.cumsum(w)
-    draw = rng.random() * cdf[-1]
-    return float(lambda_grid[int(np.searchsorted(cdf, draw))])
+    return _GlobalScaleDraw(lambda_grid, beta.size)(rng, beta, sigma, u2)
+
+
+class _GlobalScaleDraw:
+    """``gibbs_update_global_scale`` with its grid constants built once.
+
+    -p log(grid) and grid^2 are fixed for a chain, and one work row is
+    overwritten by every draw; each operation is the one the public update
+    would apply, so every lambda keeps its bits.
+    """
+
+    def __init__(self, lambda_grid: np.ndarray, p: int) -> None:
+        self._grid = lambda_grid
+        self._neg_p_log = -p * np.log(lambda_grid)
+        self._grid2 = lambda_grid * lambda_grid
+        self._logw = np.empty(lambda_grid.size)
+        self._cdf = np.empty(lambda_grid.size)
+
+    def __call__(
+        self, rng: np.random.Generator, beta: np.ndarray, sigma: float, u2: np.ndarray
+    ) -> float:
+        s_stat = float(np.sum(beta * beta / (sigma * sigma * u2)))
+        logw = np.divide(0.5 * s_stat, self._grid2, out=self._logw)
+        np.subtract(self._neg_p_log, logw, out=logw)
+        logw -= logw.max()
+        cdf = np.cumsum(np.exp(logw, out=logw), out=self._cdf)
+        draw = rng.random() * cdf[-1]
+        return float(self._grid[int(np.searchsorted(cdf, draw))])
+
+
+def _add_rows(
+    rows: _LikelihoodRows, acc: LogMeanExpAccumulator, block: np.ndarray
+) -> None:
+    """Add the likelihood row of each retained u^2 in ``block``, in sweep order."""
+    for u2 in block:
+        row = rows(u2)
+        if not np.all(np.isfinite(row)):
+            raise HibshrinkError("non-finite conditional likelihood in sampler")
+        acc.add(row)
+
+
+class _InlineRows:
+    """Sums each block of rows on the chain's own thread, as it arrives."""
+
+    def __init__(self, rows: _LikelihoodRows, size: int) -> None:
+        self._rows = rows
+        self._acc = LogMeanExpAccumulator(size)
+
+    def __enter__(self) -> _InlineRows:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def send(self, block: np.ndarray) -> None:
+        _add_rows(self._rows, self._acc, block)
+
+    def result(self) -> LogMeanExpAccumulator:
+        return self._acc
+
+
+def _serve_rows(
+    conn: Connection, parent_end: Connection, rows: _LikelihoodRows, size: int, p: int
+) -> None:
+    """Helper-process body: sum the blocks the chain sends, then reply once.
+
+    An empty message ends the chain; the reply is the accumulator, or the
+    first failure, after which later blocks are read and dropped so the
+    chain never blocks on a full pipe.  End of file means the chain's
+    process is gone, and the helper ends with it.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the chain's process ends this one
+    parent_end.close()
+    acc = LogMeanExpAccumulator(size)
+    flat = np.empty(_ROW_BLOCK * p)
+    failure = None
+    try:
+        while nbytes := conn.recv_bytes_into(flat):
+            if failure is None:
+                block = flat[: nbytes // flat.itemsize].reshape(-1, p)
+                try:
+                    _add_rows(rows, acc, block)
+                except HibshrinkError as exc:
+                    failure = exc
+    except EOFError:
+        return
+    conn.send(acc if failure is None else failure)
+
+
+class _HelperRows:
+    """Sums the blocks of rows on one forked helper process.
+
+    The chain's process only writes each block to a pipe; leaving the
+    ``with`` block kills the helper if the chain raised, closes the pipe and
+    always joins the helper.
+    """
+
+    def __init__(
+        self, fork: BaseContext, rows: _LikelihoodRows, size: int, p: int
+    ) -> None:
+        # the fork copies unflushed buffers, which the child would print again
+        sys.stdout.flush()
+        sys.stderr.flush()
+        self._conn, child_end = fork.Pipe()
+        self._proc = fork.Process(
+            target=_serve_rows, args=(child_end, self._conn, rows, size, p)
+        )
+        self._proc.start()
+        child_end.close()
+
+    def __enter__(self) -> _HelperRows:
+        return self
+
+    def __exit__(self, exc_type, *exc_info) -> None:
+        if exc_type is not None:
+            self._proc.kill()
+        self._conn.close()  # a helper still reading sees end of file
+        self._proc.join()
+
+    def send(self, block: np.ndarray) -> None:
+        try:
+            self._conn.send_bytes(block)
+        except OSError as exc:
+            raise HibshrinkError("likelihood helper process ended early") from exc
+
+    def result(self) -> LogMeanExpAccumulator:
+        try:
+            self._conn.send_bytes(b"")
+            reply = self._conn.recv()
+        except (OSError, EOFError) as exc:
+            raise HibshrinkError("likelihood helper process ended early") from exc
+        if isinstance(reply, HibshrinkError):
+            raise reply
+        return reply
+
+
+def _row_sink(rows: _LikelihoodRows, size: int, p: int) -> _InlineRows | _HelperRows:
+    """One helper process when two workers are granted and forking is safe.
+
+    A fork copies only the calling thread, so any other live thread could
+    leave a lock held in the child; with one thread alive there is none.
+    """
+    import multiprocessing  # here, so that commands which run no chain skip it
+
+    if (
+        worker_count() >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+    ):
+        return _HelperRows(multiprocessing.get_context("fork"), rows, size, p)
+    return _InlineRows(rows, size)
 
 
 def horseshoe_gibbs(data: SparseDataset, config: GibbsConfig) -> ProfileResult:
     """Run the sampler and average conditional likelihoods over the grid.
 
-    The likelihood-row evaluator and its (p, grid) buffers are built once
-    per chain and reused by every retained sweep.
+    The likelihood-row evaluator, its (p, grid) buffers and the global-scale
+    grid constants are built once per chain.  The chain runs the three
+    updates and hands every retained u^2, in blocks of 64 sweeps, to where
+    the rows are summed: a forked helper process when ``worker_count()`` is
+    at least 2, the ``fork`` start method exists and no other thread is
+    alive, otherwise the same block function inline.  Either way each row
+    and the accumulator see the same arithmetic in the same order, so the
+    profile keeps its bits, and no process outlives the call.
     """
     grid = np.asarray(config.lambda_grid, dtype=float)
     s1 = data.y.sum(axis=1)
@@ -289,19 +462,24 @@ def horseshoe_gibbs(data: SparseDataset, config: GibbsConfig) -> ProfileResult:
 
     u2 = np.ones(p)
     lam = 1.0
-    likelihood_rows = _LikelihoodRows(data, data.sigma, grid * grid)
-    acc = LogMeanExpAccumulator(grid.size)
-    for sweep in range(config.n_iter):
-        beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
-        u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
-        lam = gibbs_update_global_scale(rng, beta, data.sigma, u2, grid)
-        if sweep >= config.burn_in:
-            row = likelihood_rows(u2)
-            if not np.all(np.isfinite(row)):
-                raise HibshrinkError("non-finite conditional likelihood in sampler")
-            acc.add(row)
+    draw_global_scale = _GlobalScaleDraw(grid, p)
+    block = np.empty((_ROW_BLOCK, p))
+    filled = 0
+    with _row_sink(_LikelihoodRows(data, data.sigma, grid * grid), grid.size, p) as sink:
+        for sweep in range(config.n_iter):
+            beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
+            u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
+            lam = draw_global_scale(rng, beta, data.sigma, u2)
+            if sweep >= config.burn_in:
+                block[filled] = u2
+                filled += 1
+                if filled == _ROW_BLOCK:
+                    sink.send(block)
+                    filled = 0
+        if filled:
+            sink.send(block[:filled])
+        log_mean = sink.result().log_mean()
 
-    log_mean = acc.log_mean()
     profile = np.exp(log_mean - log_mean.max())
     hc = half_cauchy()
     overlay_hc = density_lambda(hc, grid)

@@ -1,8 +1,22 @@
 """Shared fixtures."""
 
+import multiprocessing
+
 import pytest
 
 from hibshrink import prior
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail any test that returns while a child process it started still runs."""
+    yield
+    live = multiprocessing.active_children()
+    names = [f"{child.name} (pid {child.pid})" for child in live]
+    for child in live:
+        child.kill()
+        child.join()
+    assert not names, f"child processes left running: {names}"
 
 
 @pytest.fixture

@@ -266,6 +266,35 @@ def test_risk_curve_thread_count_does_not_change_bytes(capsys, tmp_path, monkeyp
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_marglik_profile_thread_count_does_not_change_bytes(capsys, tmp_path, monkeypatch):
+    # one worker sums the likelihood rows inline, two on a helper process
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"profile-{threads}.csv"
+        monkeypatch.setenv("HIBSHRINK_THREADS", threads)
+        code, _ = run(capsys, ["marglik-profile", "--seed", "3", "--data-seed", "7",
+                               "--iters", "2000", "--burn-in", "500", "--out", str(out)])
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+@pytest.mark.parametrize("command", [
+    ["risk-curve", "--p", "7", "--grid", "0:3:4", "--mc", "400", "--seed", "11"],
+    ["marglik-profile", "--seed", "0", "--data-seed", "1", "--iters", "50",
+     "--burn-in", "10"],
+], ids=["risk-curve", "marglik-profile"])
+def test_bad_thread_count_is_a_domain_error(command, value, capsys, tmp_path, monkeypatch):
+    out = tmp_path / "out.csv"
+    monkeypatch.setenv("HIBSHRINK_THREADS", value)
+    code = main(command + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "HIBSHRINK_THREADS" in err
+    assert not out.exists()
+
+
 def test_risk_curve_rejects_low_dimension(capsys, tmp_path):
     code, _ = run(capsys, ["risk-curve", "--p", "2", "--grid", "0:2:3",
                            "--out", str(tmp_path / "rc.csv")])

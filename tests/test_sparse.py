@@ -3,14 +3,19 @@ for means / local scales / global scale, streaming log-mean-exp profile
 accumulation, and the overlay densities."""
 
 import math
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from hibshrink.errors import DomainError
+from hibshrink import sparse
+from hibshrink.errors import DomainError, HibshrinkError
 from hibshrink.quadrature import integrate_unit
 from hibshrink.sparse import (
     GibbsConfig,
+    _GlobalScaleDraw,
     _LikelihoodRows,
     LogMeanExpAccumulator,
     SparseDataset,
@@ -292,6 +297,41 @@ def test_gibbs_global_scale_concentrates_on_strong_signal():
     assert all(grid[0] <= d <= grid[-1] for d in draws)
 
 
+def _written_out_global_scale(rng, beta, sigma, u2, grid):
+    # the update with every constant recomputed per call
+    s_stat = float(np.sum(beta * beta / (sigma * sigma * u2)))
+    logw = -beta.size * np.log(grid) - 0.5 * s_stat / (grid * grid)
+    cdf = np.cumsum(np.exp(logw - logw.max()))
+    return float(grid[int(np.searchsorted(cdf, rng.random() * cdf[-1]))])
+
+
+def test_global_scale_draw_with_hoisted_constants_keeps_every_bit():
+    # the chain's private draw builds -p log(grid) and grid^2 once; the same
+    # draws through the public update and the written-out formula give the
+    # same lambda at every sweep
+    data = simulate_sparse(3)
+    grid = np.asarray(GibbsConfig().lambda_grid)
+    s1 = data.y.sum(axis=1)
+    draw = _GlobalScaleDraw(grid, s1.size)
+    sequences = []
+    for update in (
+        lambda rng, beta, u2: _written_out_global_scale(rng, beta, data.sigma, u2, grid),
+        lambda rng, beta, u2: gibbs_update_global_scale(rng, beta, data.sigma, u2, grid),
+        lambda rng, beta, u2: draw(rng, beta, data.sigma, u2),
+    ):
+        rng = stream(8, "test", "global-scale")
+        u2, lam, lams = np.ones(s1.size), 1.0, []
+        for _ in range(2_000):
+            beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
+            u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
+            lam = update(rng, beta, u2)
+            lams.append(lam)
+        sequences.append(np.array(lams))
+    assert np.unique(sequences[0]).size > 10  # the chain moves
+    np.testing.assert_array_equal(sequences[0], sequences[1])
+    np.testing.assert_array_equal(sequences[0], sequences[2])
+
+
 # ---- full sampler and profile --------------------------------------------------------
 
 
@@ -395,3 +435,126 @@ def test_ig_induced_density_total_mass():
     f = lambda t: ig_induced_density(t / (1.0 - t)) / (1.0 - t) ** 2
     mass = integrate_unit(f, 1.0, 1.0)
     assert abs(mass - 1.0) < 1e-8
+
+
+# ---- where the likelihood rows are summed ---------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+)
+
+
+@pytest.fixture
+def helpers_started(monkeypatch):
+    """List that gains one entry per likelihood helper process started."""
+    started = []
+
+    class Counted(sparse._HelperRows):
+        def __init__(self, *args):
+            started.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sparse, "_HelperRows", Counted)
+    return started
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [0, 1])
+def test_helper_process_and_inline_rows_agree_bitwise(seed, monkeypatch, helpers_started):
+    data = simulate_sparse(4)
+    cfg = GibbsConfig(n_iter=3_000, burn_in=1_000, seed=seed)
+    results = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HIBSHRINK_THREADS", threads)
+        results[threads] = horseshoe_gibbs(data, cfg)
+    assert len(helpers_started) == 1  # at 2 workers only
+    for name in ("profile", "overlay_half_cauchy", "overlay_ig_induced"):
+        np.testing.assert_array_equal(
+            getattr(results["1"], name), getattr(results["2"], name)
+        )
+
+
+@pytest.mark.parametrize("threads", ["1", pytest.param("2", marks=needs_fork)])
+def test_non_finite_row_raises_the_same_error_on_either_side(
+    threads, monkeypatch, helpers_started
+):
+    # the 100th retained row is NaN; under fork the helper inherits the patch
+    calls = []
+    real = _LikelihoodRows.__call__
+
+    def poisoned(self, u2):
+        row = real(self, u2)
+        calls.append(None)
+        if len(calls) == 100:
+            row[7] = np.nan
+        return row
+
+    monkeypatch.setattr(_LikelihoodRows, "__call__", poisoned)
+    monkeypatch.setenv("HIBSHRINK_THREADS", threads)
+    with pytest.raises(HibshrinkError) as excinfo:
+        horseshoe_gibbs(simulate_sparse(0), SMALL_CFG)
+    assert type(excinfo.value) is HibshrinkError
+    assert str(excinfo.value) == "non-finite conditional likelihood in sampler"
+    assert len(helpers_started) == (threads == "2")
+    assert multiprocessing.active_children() == []
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", ["1", pytest.param("2", marks=needs_fork)])
+def test_chain_exception_propagates_and_ends_the_helper(
+    threads, monkeypatch, helpers_started
+):
+    boom = _Boom("mid-chain")
+    calls = []
+    real = sparse.gibbs_update_local_scales
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 900:  # past burn-in, so blocks have gone out
+            raise boom
+        return real(*args)
+
+    monkeypatch.setattr(sparse, "gibbs_update_local_scales", failing)
+    monkeypatch.setenv("HIBSHRINK_THREADS", threads)
+    with pytest.raises(_Boom) as excinfo:
+        horseshoe_gibbs(simulate_sparse(0), SMALL_CFG)
+    assert excinfo.value is boom
+    assert len(helpers_started) == (threads == "2")
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_helper_that_dies_raises_a_package_error(monkeypatch, helpers_started):
+    chain_pid = os.getpid()
+    real = _LikelihoodRows.__call__
+
+    def dying(self, u2):
+        if os.getpid() != chain_pid:
+            os._exit(3)
+        return real(self, u2)
+
+    monkeypatch.setattr(_LikelihoodRows, "__call__", dying)
+    monkeypatch.setenv("HIBSHRINK_THREADS", "2")
+    with pytest.raises(HibshrinkError, match="helper process ended early"):
+        horseshoe_gibbs(simulate_sparse(0), SMALL_CFG)
+    assert len(helpers_started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_other_live_thread_keeps_the_rows_inline(monkeypatch, helpers_started):
+    # a fork copies only the calling thread, so with another thread alive
+    # the chain sums its rows itself
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, daemon=True)
+    other.start()
+    try:
+        monkeypatch.setenv("HIBSHRINK_THREADS", "2")
+        horseshoe_gibbs(simulate_sparse(0), SMALL_CFG)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert helpers_started == []
