@@ -153,7 +153,7 @@ def _cmd_prior_density(args: argparse.Namespace) -> int:
     elif args.var == "kappa":
         densities = density_kappa(prior, grid)
     else:
-        if args.prior != "half-cauchy":
+        if prior != half_cauchy():
             raise DomainError("var=psi is the half-Cauchy log-scale density only")
         densities = [hyperbolic_secant_density(v) for v in grid]
     lines = _manifest("prior-density", args, 0)

@@ -28,7 +28,7 @@ from .errors import DomainError, NumericalWarning
 from .posterior import kappa_moment12_batch
 from .prior import HIBParams, Points
 from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
-from .streams import stream, worker_count
+from .streams import check_seed, stream, worker_count
 
 __all__ = [
     "RiskCurveSpec",
@@ -90,8 +90,7 @@ def _check_draws(n_mc: int, seed: int) -> None:
     """Monte Carlo size and RNG seed accepted by every simulated risk."""
     if not (isinstance(n_mc, int) and n_mc >= 2):
         raise DomainError(f"n_mc must be an integer >= 2, got {n_mc!r}")
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
-        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    check_seed(seed)
 
 
 def _check_point(p: int, beta_norm: float) -> None:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, HibshrinkError
 from .prior import density_lambda, half_cauchy
-from .streams import stream, worker_count
+from .streams import check_seed, stream, worker_count
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -115,8 +115,7 @@ class GibbsConfig:
             raise DomainError(f"n_iter must be a positive integer, got {self.n_iter!r}")
         if not (isinstance(self.burn_in, int) and 0 <= self.burn_in < self.n_iter):
             raise DomainError("burn_in must satisfy 0 <= burn_in < n_iter")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise DomainError("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed)
         grid = np.asarray(self.lambda_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise DomainError("lambda_grid must hold at least two points")

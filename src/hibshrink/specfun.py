@@ -20,13 +20,13 @@ as soon as its own largest element has converged, so its work follows each
 element's own term count rather than the largest one's; the series
 coefficients are built once per call and shared by every block.  It also
 takes a 1-D ``gamma``, one output row per value, as the posterior moments
-need phi1 at gamma, gamma + 1 and gamma + 2 for the same tilts: the x are
-ordered once, by signed value, for both signs and all rows, and rows close
-in gamma share one recursion of the x-dependent part of the terms.  An
-ascending x is already in that order and is read and written in place,
-block by block as slices; any other x is argsorted once, and each block is
-gathered through the sort order and its logs scattered back.  Both give the
-same bits.
+need phi1 at gamma, gamma + 1 and gamma + 2 for the same tilts: each
+sign's x are one ascending array of |x| for all rows, every block a slice
+of it whose logs go to a slice of the result, and rows close in gamma share
+one recursion of the x-dependent part of the terms.  An ascending x is
+summed in place; any other x is summed as a sorted copy, and each row of
+logs is then put back in x's order by one scatter.  Both give the same
+bits.
 
 The power series needs about |x| + 12 sqrt(|x|) terms, and at y != 0 each
 costs an inner 2F1.  So ``_plan`` also returns, for every y and both signs
@@ -52,7 +52,6 @@ the vectorized ``log_phi1_batch`` rather than the linear-scale ``phi1``.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -99,7 +98,7 @@ _LOG_RESCALE = 512.0 * math.log(2.0)
 _EXP_OVERFLOW = 709.782712893384  # log of the largest double
 
 # Elements per block of the batch series, chosen by timing risk curves on two
-# threads: a block's working arrays, four plus one per row (1.75 MiB for the
+# threads: a block's working arrays, three plus one per row (1.5 MiB for the
 # three rows of the posterior moments), then stay in a 2 MiB L2 cache, while
 # half as many elements per block cost more in per-call overhead than they
 # save.
@@ -555,67 +554,29 @@ def _tail_log(v: float, gamma: float, plan: _Plan) -> tuple[float, int]:
     raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
 
 
-class _Run:
-    """The x of one sign in increasing |x|, and the slots of their logs.
-
-    Element i of the run is ``x[pos[i]]``, its logs go to ``out[:, pos[i]]``,
-    and ``pos`` comes from the one argsort of x; or, for an ascending x,
-    ``pos`` is None and ``x`` and ``out`` are views already in run order
-    (the negatives reversed), so each block is read and written as a slice.
-    """
-
-    def __init__(self, x: np.ndarray, pos: np.ndarray | None, negative: bool, out: np.ndarray):
-        self.x, self.pos, self.negative, self.out = x, pos, negative, out
-        self.size = (x if pos is None else pos).size
-
-    def split(self, v: float) -> int:
-        """Number of elements with |x| below ``v``."""
-        x, pos = self.x, self.pos
-        key = (lambda i: abs(x[i])) if pos is None else (lambda i: abs(x[pos[i]]))
-        return bisect.bisect_left(range(self.size), v, key=key)
-
-    def read(self, start: int, stop: int, buf: np.ndarray) -> np.ndarray:
-        """|x| of elements ``start:stop``: a view of x, or else in ``buf``."""
-        if self.pos is None:
-            if not self.negative:
-                return self.x[start:stop]
-            return np.negative(self.x[start:stop], out=buf)
-        np.take(self.x, self.pos[start:stop], out=buf)
-        if self.negative:
-            np.negative(buf, out=buf)
-        return buf
-
-    def write(self, row: int, start: int, logs: np.ndarray) -> None:
-        """Store ``logs`` as row ``row`` of the elements from ``start`` on."""
-        stop = start + logs.size
-        if self.pos is None:
-            self.out[row, start:stop] = logs
-        else:
-            self.out[row, self.pos[start:stop]] = logs
-
-
 def _tail_logs(
-    run: _Run,
+    absx: np.ndarray,
+    out: np.ndarray,
     gammas: list[float],
     plans: list[_Plan],
     splits: list[int],
 ) -> None:
-    """:func:`_tail_log` for every row r at the run's |x| from ``splits[r]`` on.
+    """:func:`_tail_log` for every row r at the ascending ``absx`` from ``splits[r]`` on.
 
     Those are the |x| at or above the crossover of ``plans[r]``.  Blocks of
     ``_BATCH_BLOCK`` start at the smallest split; in each, the rows share
     the powers of 1/|x| and one log|x|, and each row sums until the bound of
     the term of its own smallest |x|, the row's largest, is <= _TAIL_TOL.
-    It gets there within its plan's coefficients.  The logs go to the run's
-    slots.
+    It gets there within its plan's coefficients.  Row r's logs go to
+    ``out[r]``, at the positions of their |x|.
     """
     first = min(splits)
-    width = min(_BATCH_BLOCK, run.size - first)
-    buffers, sums = np.empty((4, width)), np.empty((len(splits), width))
-    for start in range(first, run.size, _BATCH_BLOCK):
-        size = min(_BATCH_BLOCK, run.size - start)
-        buf, inv, power, term = buffers[:, :size]
-        xb = run.read(start, start + size, buf)
+    width = min(_BATCH_BLOCK, absx.size - first)
+    buffers, sums = np.empty((3, width)), np.empty((len(splits), width))
+    for start in range(first, absx.size, _BATCH_BLOCK):
+        size = min(_BATCH_BLOCK, absx.size - start)
+        inv, power, term = buffers[:, :size]
+        xb = absx[start : start + size]
         np.divide(1.0, xb, out=inv)
         power.fill(1.0)
         rows = []  # (row, offset of its first element in the block, its sum)
@@ -650,7 +611,7 @@ def _tail_logs(
             total += plan.tail_log
             if not plan.tilt:
                 total += xb[lo:]
-            run.write(r, start + lo, total)
+            out[r, start + lo : start + size] = total
 
 
 def _row_groups(gammas: list[float]) -> list[list[int]]:
@@ -665,7 +626,8 @@ def _row_groups(gammas: list[float]) -> list[list[int]]:
 
 
 def _series_rows(
-    run: _Run,
+    absx: np.ndarray,
+    out: np.ndarray,
     count: int,
     group: list[int],
     gammas: list[float],
@@ -673,12 +635,12 @@ def _series_rows(
     splits: list[int],
     max_terms: int,
 ) -> None:
-    """Power series of the rows ``group`` over the run's first ``count`` |x|.
+    """Power series of the rows ``group`` at the first ``count`` ascending ``absx``.
 
     Row r sums, at its first ``splits[r]`` elements (those below its
     crossover), log_pref - tilt |x| + log of sum_n q_r(n) |x|^n/n!, with
     q(n) = (a)_n/(gamma)_n inner(n) and the ``a``, ``inner``, ``log_pref``
-    and ``tilt`` of ``plans[r]``; the logs go to the run's slots.  Only
+    and ``tilt`` of ``plans[r]``; the logs go to ``out[r]``.  Only
     |x|^n/n! depends on x, so the rows share one term recursion, that of
     the group's first row r0, the smallest gamma: row r's term is r0's times
     the scalar kappa_r(n) = q_r(n)/q_r0(n).  The term ratios of r0 and the
@@ -711,11 +673,11 @@ def _series_rows(
     kappa_poch = [1.0] * len(others)  # (a_r)_n (gamma0)_n / ((gamma_r)_n (a0)_n)
     kappas: list[list[float]] = [[]]  # kappas[n][k - 1] = kappa of row group[k] at n
     width = min(_BATCH_BLOCK, count)
-    buffers, sums = np.empty((4, width)), np.empty((len(group), width))
+    buffers, sums = np.empty((3, width)), np.empty((len(group), width))
     for start in range(0, count, _BATCH_BLOCK):
         size = min(_BATCH_BLOCK, count - start)
-        buf, term, off, scratch = buffers[:, :size]
-        xb = run.read(start, start + size, buf)
+        term, off, scratch = buffers[:, :size]
+        xb = absx[start : start + size]
         cuts = [min(max(splits[r] - start, 0), size) for r in group]
         totals = sums[:, :size]
         totals[:] = np.array(q_first)[:, None]
@@ -780,31 +742,46 @@ def _series_rows(
                     logs += plan.log_pref
                     if plan.tilt:
                         logs += np.multiply(xb[:cut], -plan.tilt, out=part)
-                    run.write(group[k], start, logs)
+                    out[group[k], start : start + cut] = logs
 
 
 def _batch_sum(
-    run: _Run,
+    alpha: float,
+    beta: float,
     gammas: list[float],
-    plans: list[_Plan],
+    y: float,
+    x: np.ndarray,
+    out: np.ndarray,
     max_terms: int,
+    largest: float,
 ) -> None:
-    """log phi1 at the x of one run, for every row r, into the run's slots.
+    """log phi1 at the ascending 1-D ``x`` for every row r, into ``out[r]``.
 
-    Row r has gamma = ``gammas[r]`` and ``plans[r]``, the :func:`_plan` of
-    that gamma and the run's sign.  The |x| below a row's crossover x0 take
-    its power series, summed by :func:`_series_rows` for each group of rows
-    close in gamma, and those at or above it the plan's large-|x| expansion
-    (:func:`_tail_logs`), as on the scalar path.  x is read a block at a
-    time, so no sorted copy of it is kept.
+    Each sign's x are summed as one ascending array of |x|: the nonnegative
+    x as they are, and the negatives, which come first, negated once and
+    read backwards, with the matching reversed view of ``out``.  Row r has
+    gamma = ``gammas[r]`` and the :func:`_plan` of that gamma and the sign
+    (``largest`` is the largest |x| of the call).  The |x| below a row's
+    crossover x0 take its power series, summed by :func:`_series_rows` for
+    each group of rows close in gamma, and those at or above it the plan's
+    large-|x| expansion (:func:`_tail_logs`), as on the scalar path.  Every
+    block is a slice of the |x|, and its logs go to a slice of ``out``.
     """
-    splits = [run.split(plan.x0) for plan in plans]
-    for group in _row_groups(gammas):
-        count = max(splits[r] for r in group)
-        if count:
-            _series_rows(run, count, group, gammas, plans, splits, max_terms)
-    if min(splits) < run.size:
-        _tail_logs(run, gammas, plans, splits)
+    k = int(np.searchsorted(x, 0.0))
+    signs = ((False, x[k:], out[:, k:]), (True, np.negative(x[:k][::-1]), out[:, :k][:, ::-1]))
+    for negative, absx, slots in signs:
+        if not absx.size:
+            continue
+        if negative and min(gammas) <= alpha:
+            raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
+        plans = [_plan(alpha, beta, g, y, negative, max_terms, largest) for g in gammas]
+        splits = np.searchsorted(absx, [plan.x0 for plan in plans]).tolist()
+        for group in _row_groups(gammas):
+            count = max(splits[r] for r in group)
+            if count:
+                _series_rows(absx, slots, count, group, gammas, plans, splits, max_terms)
+        if min(splits) < absx.size:
+            _tail_logs(absx, slots, gammas, plans, splits)
 
 
 def log_phi1_batch(
@@ -816,14 +793,14 @@ def log_phi1_batch(
     that arises when a Monte Carlo risk loop evaluates posterior moments at
     many data draws.  ``gamma`` is a scalar or a 1-D sequence, and the
     result has shape ``np.shape(gamma) + x.shape``: row r holds log phi1 at
-    ``gamma[r]``.  Each call orders x once, by signed value, for both signs
-    and all rows: the nonnegative x follow the negative ones, which read
-    backwards run in increasing |x|.  An ascending x (one O(n) comparison
-    tells) is read in place, the negatives as a reversed view, and each
-    block of logs is written to a slice of the result; any other x is
-    argsorted once, then gathered and scattered a block at a time.  Every
-    value is the same in both cases, bit for bit, so a caller that can sort
-    its x for free, as the risk Monte Carlo can, should.
+    ``gamma[r]``.  Each sign's x are summed, for all rows, as one ascending
+    array of |x|, each block a slice of it whose logs go to a slice of the
+    result.  An ascending x (one O(n) comparison tells) is that array
+    already, or its negatives reversed; any other x is summed as a sorted
+    copy, which is freed before one argsort of x puts each row of logs back
+    in x's order.  Every value is the same in both cases, bit for bit, so a
+    caller that can sort its x for free, as the risk Monte Carlo can,
+    should.
 
     Negative and nonnegative ``x`` entries are each summed with the series
     :func:`_plan` picks for their sign (the same ones ``phi1`` uses), with
@@ -848,8 +825,7 @@ def log_phi1_batch(
     ):
         raise DomainError("log_phi1_batch requires positive finite alpha, beta, gamma")
     x = np.asarray(x, dtype=float)
-    lowest = float(x.min(initial=0.0))
-    xabs = max(float(x.max(initial=0.0)), -lowest)  # no |x| array
+    xabs = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))  # no |x| array
     if not (math.isfinite(xabs) and math.isfinite(y)):
         raise DomainError("x and y must be finite")
     max_terms = _check_y(y, xabs)
@@ -859,20 +835,12 @@ def log_phi1_batch(
     out = np.empty((len(rows), flat.size))
     if not rows:
         return out.reshape(np.shape(gamma) + x.shape)
-    # the negatives come first; read backwards they run in increasing |x|
     if ascending:
-        k = int(np.searchsorted(flat, 0.0))
-        runs = (_Run(flat[k:], None, False, out[:, k:]),
-                _Run(flat[:k][::-1], None, True, out[:, :k][:, ::-1]))
+        _batch_sum(alpha, beta, rows, y, flat, out, max_terms, xabs)
     else:
+        # the sorted copy is freed when the call returns, before the argsort
+        _batch_sum(alpha, beta, rows, y, np.sort(flat), out, max_terms, xabs)
         order = np.argsort(flat)
-        k = bisect.bisect_left(order, 0.0, key=flat.__getitem__) if lowest < 0.0 else 0
-        runs = (_Run(flat, order[k:], False, out), _Run(flat, order[:k][::-1], True, out))
-    for run in runs:
-        if not run.size:
-            continue
-        if run.negative and min(rows) <= alpha:
-            raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
-        plans = [_plan(alpha, beta, g, y, run.negative, max_terms, xabs) for g in rows]
-        _batch_sum(run, rows, plans, max_terms)
+        for row in out:
+            row[order] = row.copy()
     return out.reshape(np.shape(gamma) + x.shape)

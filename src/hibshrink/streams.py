@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["stream", "label_hash", "worker_count"]
+__all__ = ["stream", "check_seed", "label_hash", "worker_count"]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -37,13 +37,21 @@ def label_hash(*labels: object) -> int:
     return h
 
 
+def check_seed(seed: int) -> int:
+    """Return ``seed``, an int in [0, 2^64); any other value raises ``DomainError``."""
+    if not (isinstance(seed, int) and 0 <= seed <= _MASK64):
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return seed
+
+
 def stream(seed: int, *labels: object) -> np.random.Generator:
     """Philox generator for the stream named by ``labels`` under ``seed``.
 
     The same ``(seed, labels)`` pair always yields the same bit stream, and
-    any two distinct label tuples yield independent streams.
+    any two distinct label tuples yield independent streams.  ``seed`` must
+    pass :func:`check_seed`, so no two seeds share a stream.
     """
-    key = np.array([seed & _MASK64, label_hash(*labels)], dtype=np.uint64)
+    key = np.array([check_seed(seed), label_hash(*labels)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -146,6 +146,15 @@ def test_prior_density_psi_requires_half_cauchy(capsys, tmp_path):
     assert abs(d[2.0] - d[-2.0]) < 1e-15
 
 
+def test_prior_density_psi_takes_the_half_cauchy_by_value(capsys, tmp_path):
+    a, b = tmp_path / "by_name.csv", tmp_path / "by_value.csv"
+    for out, prior in ((a, "half-cauchy"), (b, "0.5,0.5,1,0")):
+        code, _ = run(capsys, ["prior-density", "--var", "psi", "--prior", prior,
+                               "--grid=-1:1:3", "--out", str(out)])
+        assert code == 0
+    assert data_rows(a) == data_rows(b)
+
+
 def test_prior_density_computes_normalizer_once(capsys, tmp_path, normalizer_calls):
     out = tmp_path / "dens.csv"
     code, _ = run(capsys, ["prior-density", "--var", "lambda2", "--prior", "0.5,1,4,3",
@@ -331,7 +340,25 @@ def test_simulate_sparse_unwritable_output_exit_code(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_simulate_sparse_refuses_a_negative_seed(capsys, tmp_path):
+    # -1 was masked to 2**64 - 1, so both seeds wrote the same data
+    out = tmp_path / "data.csv"
+    code = main(["simulate-sparse", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: seed must be")
+    assert not out.exists()
+
+
 # ---- marglik-profile -----------------------------------------------------------------
+
+
+def test_marglik_profile_refuses_a_negative_data_seed(capsys, tmp_path):
+    out = tmp_path / "profile.csv"
+    code = main(["marglik-profile", "--data-seed", "-1", "--iters", "50", "--burn-in", "10",
+                 "--grid-size", "20", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: seed must be")
+    assert not out.exists()
 
 
 def test_marglik_profile_small_run(capsys, tmp_path):

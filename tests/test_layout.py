@@ -17,6 +17,8 @@ module uses the adaptive integrator at all: outside ``quadrature`` and
 that still imports it (``risk`` and ``prior``, whose names
 ``bench/tracer.py`` hooks) says so on the import line.  The deterministic
 risk route's Gauss-Legendre nodes are built on first use, not at import.
+And the batch phi1 keeps one layout: ``specfun`` defines no ``_Run``,
+imports no ``bisect`` and calls ``np.take`` nowhere.
 """
 
 import ast
@@ -115,6 +117,22 @@ def test_no_caller_sets_the_series_tolerance():
     assert "DEFAULT_REL_TOL" not in specfun.__all__
     assert not hasattr(specfun, "gauss_2f1")
     assert "gauss_2f1" not in specfun.__all__
+
+
+def test_batch_phi1_has_one_layout():
+    # every block of the batch is a slice of one ascending |x| array; no
+    # per-block gather through a sort order (np.take) or run class returns
+    tree = ast.parse(MODULES["specfun"].read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            assert node.name != "_Run", node.lineno
+        elif isinstance(node, ast.Import):
+            assert "bisect" not in {alias.name for alias in node.names}, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "bisect", node.lineno
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "take", node.lineno
+    assert not hasattr(specfun, "_Run") and not hasattr(specfun, "bisect")
 
 
 # parameter names through which a caller would set a tolerance or a budget

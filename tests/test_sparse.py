@@ -59,6 +59,17 @@ def test_simulate_sparse_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.y, c.y)
 
 
+def test_simulate_sparse_refuses_a_seed_outside_64_bits():
+    # a negative seed was masked to 2**64 - 1 and drew that seed's data
+    with pytest.raises(DomainError):
+        simulate_sparse(-1)
+    with pytest.raises(DomainError):
+        simulate_sparse(2**64)
+    simulate_sparse(2**64 - 1)
+    with pytest.raises(DomainError):
+        stream(-1, "test")
+
+
 def test_simulate_sparse_pure_noise():
     data = simulate_sparse(3, pure_noise=True)
     np.testing.assert_array_equal(data.beta_true, np.zeros(50))

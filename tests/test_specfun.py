@@ -666,9 +666,10 @@ def test_log_phi1_batch_rows_are_equivariant_under_permutation(monkeypatch):
 
 
 def test_mixed_sign_batch_sorts_x_once():
-    # one argsort of x by signed value serves both signs and all rows; the
-    # implementation that gathered and sorted each sign apart peaked at
-    # 8.88 MiB here, with the three rows of logs (4.58 MiB) among it
+    # one sorted copy of x serves both signs and all rows, and is freed
+    # before the argsort that puts the three rows of logs (4.58 MiB) back in
+    # x's order; an implementation that gathered and sorted each sign apart
+    # peaked at 8.88 MiB here
     np = pytest.importorskip("numpy")
     x = 40.0 * np.random.default_rng(7).standard_normal(200_000)
     gammas = [8.5, 9.5, 10.5]
@@ -713,13 +714,62 @@ def test_ascending_x_is_never_argsorted(monkeypatch):
     np = pytest.importorskip("numpy")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an ascending x was argsorted or gathered")
+        raise AssertionError("an ascending x was sorted, argsorted or gathered")
 
     x = np.sort(_in_place_xs(np, True))
     expected = log_phi1_batch(0.5, 1.0, [8.5, 9.5, 10.5], x, 0.25)
+    monkeypatch.setattr(np, "sort", refuse)
     monkeypatch.setattr(np, "argsort", refuse)
     monkeypatch.setattr(np, "take", refuse)
     assert np.array_equal(log_phi1_batch(0.5, 1.0, [8.5, 9.5, 10.5], x, 0.25), expected)
+
+
+def test_unsorted_x_is_summed_sorted_and_put_back(monkeypatch):
+    # x out of order is summed as one sorted copy, with no gather, and each
+    # row of logs is put back through one argsort of x
+    np = pytest.importorskip("numpy")
+    x = _in_place_xs(np, True)
+    assert (x < 0.0).any() and (np.diff(x) < 0.0).any()
+    gammas = [8.5, 9.5, 10.5]
+    order = np.argsort(x)
+    expected = np.empty((3, x.size))
+    expected[:, order] = log_phi1_batch(0.5, 1.0, gammas, x[order], 0.25)
+    calls = []
+
+    def counted(name):
+        real = getattr(np, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("x was gathered")
+
+    monkeypatch.setattr(np, "sort", counted("sort"))
+    monkeypatch.setattr(np, "argsort", counted("argsort"))
+    monkeypatch.setattr(np, "take", refuse)
+    assert np.array_equal(log_phi1_batch(0.5, 1.0, gammas, x, 0.25), expected)
+    assert sorted(calls) == ["argsort", "sort"]
+
+
+def test_mixed_sign_ascending_batch_holds_only_its_arrays():
+    # three rows of logs (4.58 MiB), the negated negatives (about half of
+    # the 1.53 MiB of x) and the block buffers (1.5 MiB), with no sorted
+    # copy or sort order of x
+    np = pytest.importorskip("numpy")
+    x = np.sort(40.0 * np.random.default_rng(7).standard_normal(200_000))
+    gammas = [8.5, 9.5, 10.5]
+    log_phi1_batch(0.5, 1.0, gammas, x[:1000], 0.0)
+    tracemalloc.start()
+    try:
+        log_phi1_batch(0.5, 1.0, gammas, x, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.6 * 2**20, peak / 2**20
 
 
 def test_ascending_x_holding_a_nan_is_refused():
