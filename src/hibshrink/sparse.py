@@ -17,11 +17,13 @@ inverse-gamma-induced prior on lambda would weight: the latter vanishes near
 zero, which is the distortion the profile makes visible.
 
 No later sweep reads the likelihood rows, so a chain granted two workers
-(``HIBSHRINK_THREADS``, else the CPU count) sums them on one forked helper
-process: the chain runs only the three updates and pipes each retained u^2
-to it in blocks of 64 sweeps.  With one worker, no ``fork`` start method, or
-another thread alive, the same block function runs inline; the profile has
-the same bits either way.
+(``HIBSHRINK_THREADS``, else the CPUs the process may run on) sums them on
+one forked helper process: the chain runs the three updates and pipes each
+retained u^2 to it in blocks of 64 sweeps.  Whenever the helper falls two
+u^2 blocks behind, the chain evaluates the next block's rows itself and
+pipes the rows instead, which the helper only adds.  With one worker, no
+``fork`` start method, or another thread alive, the same block function
+runs inline; the profile has the same bits either way.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .prior import density_lambda, half_cauchy
 from .streams import check_seed, stream, worker_count
 
 if TYPE_CHECKING:
+    import ctypes
+    from collections.abc import Iterator
     from multiprocessing.connection import Connection
     from multiprocessing.context import BaseContext
 
@@ -62,6 +66,8 @@ _CANONICAL_SIGNALS = (5.0, 4.0, 3.0, 2.0, 1.0)
 _CANONICAL_NULLS = 45
 _GRID_MAX = 10.0
 _ROW_BLOCK = 64  # retained sweeps per message to the likelihood helper
+_SHARE_BACKLOG = 2  # u^2 blocks sent, not yet summed, when the chain does a block's rows
+_U2, _ROWS = 0.0, 1.0  # leading tag of a message: u^2 or likelihood rows follow
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,8 @@ class LogMeanExpAccumulator:
 
     Keeps a per-component running maximum m and the sum of exp(l - m), so
     the final log-mean is exact up to rounding no matter how large or small
-    the log values are.
+    the log values are.  A component given NaN, +inf, or -inf before any
+    finite value has no log-mean, and ``log_mean`` raises ``DomainError``.
     """
 
     def __init__(self, size: int) -> None:
@@ -167,7 +174,13 @@ class LogMeanExpAccumulator:
     def log_mean(self) -> np.ndarray:
         if self._count == 0:
             raise DomainError("no rows accumulated")
-        return self._max + np.log(self._sum) - math.log(self._count)
+        log_mean = self._max + np.log(self._sum) - math.log(self._count)
+        if not np.all(np.isfinite(log_mean)):
+            raise DomainError(
+                "log-mean undefined: a component was given NaN, +inf,"
+                " or -inf before any finite value"
+            )
+        return log_mean
 
 
 def simulate_sparse(seed: int, pure_noise: bool = False) -> SparseDataset:
@@ -310,23 +323,33 @@ class _GlobalScaleDraw:
     def __call__(
         self, rng: np.random.Generator, beta: np.ndarray, sigma: float, u2: np.ndarray
     ) -> float:
-        s_stat = float(np.sum(beta * beta / (sigma * sigma * u2)))
+        # the ufunc methods behind np.sum, ndarray.max and np.cumsum: same bits, fewer calls
+        s_stat = float(np.add.reduce(beta * beta / (sigma * sigma * u2)))
         logw = np.divide(0.5 * s_stat, self._grid2, out=self._logw)
         np.subtract(self._neg_p_log, logw, out=logw)
-        logw -= logw.max()
-        cdf = np.cumsum(np.exp(logw, out=logw), out=self._cdf)
+        logw -= np.maximum.reduce(logw)
+        cdf = np.add.accumulate(np.exp(logw, out=logw), out=self._cdf)
         draw = rng.random() * cdf[-1]
-        return float(self._grid[int(np.searchsorted(cdf, draw))])
+        return float(self._grid[int(cdf.searchsorted(draw))])
+
+
+def _checked_rows(rows: _LikelihoodRows, block: np.ndarray) -> Iterator[np.ndarray]:
+    """The likelihood row of each retained u^2 in ``block``, in sweep order.
+
+    Each row is the evaluator's own buffer, overwritten by the next one.
+    """
+    for u2 in block:
+        row = rows(u2)
+        if not np.all(np.isfinite(row)):
+            raise HibshrinkError("non-finite conditional likelihood in sampler")
+        yield row
 
 
 def _add_rows(
     rows: _LikelihoodRows, acc: LogMeanExpAccumulator, block: np.ndarray
 ) -> None:
     """Add the likelihood row of each retained u^2 in ``block``, in sweep order."""
-    for u2 in block:
-        row = rows(u2)
-        if not np.all(np.isfinite(row)):
-            raise HibshrinkError("non-finite conditional likelihood in sampler")
+    for row in _checked_rows(rows, block):
         acc.add(row)
 
 
@@ -351,50 +374,76 @@ class _InlineRows:
 
 
 def _serve_rows(
-    conn: Connection, parent_end: Connection, rows: _LikelihoodRows, size: int, p: int
+    conn: Connection,
+    parent_end: Connection,
+    rows: _LikelihoodRows,
+    taken: ctypes.c_longlong,
+    size: int,
+    p: int,
 ) -> None:
     """Helper-process body: sum the blocks the chain sends, then reply once.
 
-    An empty message ends the chain; the reply is the accumulator, or the
-    first failure, after which later blocks are read and dropped so the
-    chain never blocks on a full pipe.  End of file means the chain's
-    process is gone, and the helper ends with it.
+    Each message is a tag and a block.  A block of u^2 has its rows
+    evaluated and added, and then counts in ``taken``; a block of rows the
+    chain evaluated is only added.  An empty message ends the chain; the
+    reply is the accumulator, or the first failure, after which later
+    blocks are read, counted and dropped so the chain never blocks on a full
+    pipe.  End of file means the chain's process is gone, and the helper
+    ends with it.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the chain's process ends this one
     parent_end.close()
     acc = LogMeanExpAccumulator(size)
-    flat = np.empty(_ROW_BLOCK * p)
+    message = np.empty(1 + _ROW_BLOCK * max(p, size))
     failure = None
     try:
-        while nbytes := conn.recv_bytes_into(flat):
+        while nbytes := conn.recv_bytes_into(message):
+            body = message[1 : nbytes // message.itemsize]
+            is_u2 = message[0] == _U2
             if failure is None:
-                block = flat[: nbytes // flat.itemsize].reshape(-1, p)
                 try:
-                    _add_rows(rows, acc, block)
+                    if is_u2:
+                        _add_rows(rows, acc, body.reshape(-1, p))
+                    else:
+                        for row in body.reshape(-1, size):
+                            acc.add(row)
                 except HibshrinkError as exc:
                     failure = exc
+            if is_u2:
+                taken.value += 1
     except EOFError:
         return
     conn.send(acc if failure is None else failure)
 
 
 class _HelperRows:
-    """Sums the blocks of rows on one forked helper process.
+    """Sums the blocks of rows on one forked helper process, with the chain's help.
 
-    The chain's process only writes each block to a pipe; leaving the
-    ``with`` block kills the helper if the chain raised, closes the pipe and
-    always joins the helper.
+    The chain's process writes each block of u^2 to a pipe.  When
+    ``_SHARE_BACKLOG`` or more u^2 blocks are sent but not yet summed, the
+    chain evaluates the block's rows itself, with the evaluator it built
+    before the fork and the same finiteness check, and writes the rows in
+    its place; blocks of rows do not count toward that backlog.  The helper
+    adds every row in sweep order, whoever evaluated it, so the sum keeps
+    its bits.  Leaving the ``with`` block kills the helper if the chain
+    raised, closes the pipe and always joins the helper.
     """
 
     def __init__(
         self, fork: BaseContext, rows: _LikelihoodRows, size: int, p: int
     ) -> None:
+        self._rows = rows
+        self._size = size
+        self._sent = 0  # u^2 blocks written to the pipe
+        self._taken = fork.RawValue("q", 0)  # u^2 blocks the helper is done with
+        self._message = np.empty(1 + _ROW_BLOCK * max(p, size))
         # the fork copies unflushed buffers, which the child would print again
         sys.stdout.flush()
         sys.stderr.flush()
         self._conn, child_end = fork.Pipe()
         self._proc = fork.Process(
-            target=_serve_rows, args=(child_end, self._conn, rows, size, p)
+            target=_serve_rows,
+            args=(child_end, self._conn, rows, self._taken, size, p),
         )
         self._proc.start()
         child_end.close()
@@ -409,8 +458,19 @@ class _HelperRows:
         self._proc.join()
 
     def send(self, block: np.ndarray) -> None:
+        message = self._message
+        if self._sent - self._taken.value >= _SHARE_BACKLOG:
+            message[0] = _ROWS
+            body = message[1 : 1 + len(block) * self._size].reshape(-1, self._size)
+            for out, row in zip(body, _checked_rows(self._rows, block)):
+                out[:] = row
+        else:
+            message[0] = _U2
+            body = message[1 : 1 + block.size].reshape(block.shape)
+            body[:] = block
+            self._sent += 1
         try:
-            self._conn.send_bytes(block)
+            self._conn.send_bytes(message[: 1 + body.size])
         except OSError as exc:
             raise HibshrinkError("likelihood helper process ended early") from exc
 
@@ -450,9 +510,11 @@ def horseshoe_gibbs(data: SparseDataset, config: GibbsConfig) -> ProfileResult:
     updates and hands every retained u^2, in blocks of 64 sweeps, to where
     the rows are summed: a forked helper process when ``worker_count()`` is
     at least 2, the ``fork`` start method exists and no other thread is
-    alive, otherwise the same block function inline.  Either way each row
-    and the accumulator see the same arithmetic in the same order, so the
-    profile keeps its bits, and no process outlives the call.
+    alive, otherwise the same block function inline.  While the helper is
+    two u^2 blocks behind, the chain evaluates each block's rows itself and
+    hands over the rows.  Either way each row and the accumulator see the
+    same arithmetic in the same order, so the profile keeps its bits, and no
+    process outlives the call.
     """
     grid = np.asarray(config.lambda_grid, dtype=float)
     s1 = data.y.sum(axis=1)

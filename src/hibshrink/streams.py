@@ -9,7 +9,8 @@ execution order or thread count.
 
 The same independence lets any parallel path run on as many workers as the
 host grants; ``worker_count`` reads that number, in one place for the whole
-package, from the ``HIBSHRINK_THREADS`` environment variable.
+package, from the ``HIBSHRINK_THREADS`` environment variable, else from the
+CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -56,12 +57,16 @@ def stream(seed: int, *labels: object) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    """Workers a parallel path may use: ``HIBSHRINK_THREADS``, else the CPU count.
+    """Workers a parallel path may use: ``HIBSHRINK_THREADS``, else the CPUs
+    this process may run on (its affinity set where the OS reports one, else
+    the CPU count).
 
     A value that is not an integer of at least 1 raises ``DomainError``.
     """
     env = os.environ.get("HIBSHRINK_THREADS", "").strip()
     if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         count = int(env)

@@ -16,7 +16,8 @@ module uses the adaptive integrator at all: outside ``quadrature`` and
 ``oracles`` nothing calls or passes on ``integrate_unit``, and each module
 that still imports it (``risk`` and ``prior``, whose names
 ``bench/tracer.py`` hooks) says so on the import line.  The deterministic
-risk route's Gauss-Legendre nodes are built on first use, not at import.
+risk route's Gauss-Legendre nodes are built on first use, not at import,
+and ``multiprocessing`` is not loaded until a Gibbs chain needs its helper.
 And the batch phi1 keeps one layout: ``specfun`` defines no ``_Run``,
 imports no ``bisect`` and calls ``np.take`` nowhere.
 """
@@ -187,10 +188,12 @@ def test_no_production_function_calls_the_integrator():
 
 
 def test_gauss_nodes_are_not_built_at_import():
-    code = "import sys, hibshrink; print('numpy.polynomial' in sys.modules)"
+    # nor is multiprocessing loaded: only a Gibbs chain's helper needs it
+    code = ("import sys, hibshrink; "
+            "print('numpy.polynomial' in sys.modules, 'multiprocessing' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_no_caller_sets_the_term_budget():

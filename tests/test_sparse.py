@@ -27,7 +27,7 @@ from hibshrink.sparse import (
     ig_induced_density,
     simulate_sparse,
 )
-from hibshrink.streams import stream
+from hibshrink.streams import stream, worker_count
 
 
 # ---- dataset ----------------------------------------------------------------
@@ -235,6 +235,22 @@ def test_log_mean_exp_matches_branching_update_bitwise(shift):
     )
 
 
+@pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
+def test_log_mean_refuses_a_component_it_cannot_define(bad):
+    # -inf first, +inf or NaN anywhere leaves a NaN in the running sum
+    acc = LogMeanExpAccumulator(2)
+    with np.errstate(invalid="ignore"):
+        acc.add(np.array([bad, 0.0]))
+        acc.add(np.array([1.0, 2.0]))
+    with pytest.raises(DomainError, match="log-mean undefined"):
+        acc.log_mean()
+
+
+def test_log_mean_takes_minus_inf_after_a_finite_value():
+    acc = LogMeanExpAccumulator(2)
+    acc.add(np.array([0.0, 1.0]))
+    acc.add(np.array([-math.inf, 1.0]))
+    np.testing.assert_allclose(acc.log_mean(), [-math.log(2.0), 1.0], rtol=1e-15)
 
 
 def test_log_mean_exp_matches_naive_on_small_values():
@@ -485,7 +501,26 @@ def test_helper_process_and_inline_rows_agree_bitwise(seed, monkeypatch, helpers
         )
 
 
-@pytest.mark.parametrize("threads", ["1", pytest.param("2", marks=needs_fork)])
+@pytest.fixture
+def threads(request, monkeypatch):
+    """``HIBSHRINK_THREADS`` for the chain; a (threads, backlog) pair also sets
+    the helper backlog at which the chain evaluates a block's rows itself."""
+    if isinstance(request.param, tuple):
+        count, backlog = request.param
+        monkeypatch.setattr(sparse, "_SHARE_BACKLOG", backlog)
+        return count
+    return request.param
+
+
+@pytest.mark.parametrize(
+    "threads",
+    [
+        "1",
+        pytest.param("2", marks=needs_fork),
+        pytest.param(("2", 0), marks=needs_fork, id="2-chain-rows"),
+    ],
+    indirect=True,
+)
 def test_non_finite_row_raises_the_same_error_on_either_side(
     threads, monkeypatch, helpers_started
 ):
@@ -553,6 +588,44 @@ def test_helper_that_dies_raises_a_package_error(monkeypatch, helpers_started):
         horseshoe_gibbs(simulate_sparse(0), SMALL_CFG)
     assert len(helpers_started) == 1
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("backlog, chain_rows", [(0, 2_000), (10**9, 0)],
+                         ids=["chain-evaluates-all", "helper-evaluates-all"])
+def test_rows_keep_their_bits_whoever_evaluates_them(
+    seed, backlog, chain_rows, monkeypatch, helpers_started
+):
+    # calls made in the helper append to the helper's copy of the list
+    data = simulate_sparse(4)
+    cfg = GibbsConfig(n_iter=3_000, burn_in=1_000, seed=seed)
+    monkeypatch.setenv("HIBSHRINK_THREADS", "1")
+    inline = horseshoe_gibbs(data, cfg)
+    calls = []
+    real = _LikelihoodRows.__call__
+
+    def counted(self, u2):
+        calls.append(None)
+        return real(self, u2)
+
+    monkeypatch.setattr(_LikelihoodRows, "__call__", counted)
+    monkeypatch.setattr(sparse, "_SHARE_BACKLOG", backlog)
+    monkeypatch.setenv("HIBSHRINK_THREADS", "2")
+    shared = horseshoe_gibbs(data, cfg)
+    assert len(helpers_started) == 1
+    assert len(calls) == chain_rows
+    np.testing.assert_array_equal(shared.profile, inline.profile)
+
+
+def test_one_cpu_in_the_affinity_set_starts_no_helper(monkeypatch, helpers_started):
+    # the default worker count is the CPUs this process may run on
+    monkeypatch.delenv("HIBSHRINK_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert worker_count() == 1
+    horseshoe_gibbs(simulate_sparse(0), SMALL_CFG)
+    assert helpers_started == []
 
 
 def test_other_live_thread_keeps_the_rows_inline(monkeypatch, helpers_started):
