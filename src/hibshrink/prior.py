@@ -16,14 +16,17 @@ member (a=1/2, b=1/2, tau2=1, s=0).
 Also provided: the heavier-tailed scale mixture obtained by giving the
 half-Cauchy's own scale another half-Cauchy prior (its closed-form density is
 ln(lambda) / (lambda^2 - 1) up to normalization), and the hyperbolic secant
-density that the half-Cauchy induces on psi = ln lambda^2.  Densities are
-computed in log form internally; linear densities are thin wrappers.
+density that the half-Cauchy induces on psi = ln lambda^2.
 
 The family densities (kappa, lambda^2, lambda, and the log forms of the
-first two) take a float or a 1-D array of points and compute the
-normalizer C once per call, so a grid costs one series evaluation, not one
-per point.  Each point is still checked against the density's domain, and
-a float returns a float.
+first two) are numpy expressions over a 1-D grid of points; a float is a
+one-point grid, so floats and arrays share every operation, and a float
+returns a float.  Each call checks every point against the density's
+domain, then computes the normalizer C once, so a grid costs one series
+evaluation, not one per point.  The linear forms are the exponentials of
+the log forms; the lambda density takes its limit at lambda = 0 through a
+mask, without a log of 0.  Nothing on a family density's path loops over
+points.
 """
 
 from __future__ import annotations
@@ -101,103 +104,66 @@ def _check_kappa(kappa: float) -> None:
         raise DomainError(f"kappa must lie strictly inside (0, 1), got {kappa}")
 
 
-def _check_lambda2(lambda2: float) -> None:
-    if not (math.isfinite(lambda2) and lambda2 > 0.0):
-        raise DomainError(f"lambda2 must be positive and finite, got {lambda2}")
-
-
-def _check_lambda(lam: float) -> None:
-    if lam < 0.0 or not math.isfinite(lam):
-        raise DomainError(f"lam must be nonnegative and finite, got {lam}")
-    if lam > 0.0:
-        # lam^2 must neither underflow to 0 nor overflow
-        _check_lambda2(lam * lam)
-
-
 # a density's argument and result: one float, or a 1-D array of them
 Points = float | np.ndarray
 
 
-def _on_points(prior: HIBParams, values: Points, check, point) -> Points:
-    """Evaluate ``point(prior, v, log_c)`` at a float or along a 1-D array.
+def _grid(values: Points, inside, domain: str) -> np.ndarray:
+    """``values`` as a 1-D float array, a float as a one-point grid.
 
-    Every point is checked before the prior's normalizer is computed, once
-    for the whole call; a float returns a float and an array an ndarray.
+    ``inside`` maps the grid to the mask of its points in the density's
+    domain; the first point outside it raises DomainError.  Each density
+    checks its grid so before it computes the normalizer.
     """
-    scalar = np.ndim(values) == 0
-    if scalar:
-        points = [float(values)]
-    else:
-        array = np.asarray(values, dtype=float)
-        if array.ndim != 1:
-            raise DomainError(f"density grid must be 1-D, got shape {array.shape}")
-        points = array.tolist()
-    for v in points:
-        check(v)
-    log_c = log_normalizer(prior)
-    if scalar:
-        return point(prior, points[0], log_c)
-    return np.array([point(prior, v, log_c) for v in points], dtype=float)
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    if grid.ndim != 1:
+        raise DomainError(f"density grid must be 1-D, got shape {grid.shape}")
+    ok = inside(grid)
+    if not ok.all():
+        raise DomainError(f"{domain}, got {grid[np.argmin(ok)]}")
+    return grid
 
 
-def _log_kappa_at(prior: HIBParams, kappa: float, log_c: float) -> float:
+def _shaped(values: Points, out: np.ndarray) -> Points:
+    """A float for a float argument, the array for an array."""
+    return out.item() if np.ndim(values) == 0 else out
+
+
+def _log_lambda2(prior: HIBParams, lambda2: np.ndarray, log_c: float) -> np.ndarray:
     inv_tau2 = 1.0 / prior.tau2
-    return (
-        (prior.a - 1.0) * math.log(kappa)
-        + (prior.b - 1.0) * math.log1p(-kappa)
-        - math.log(inv_tau2 + (1.0 - inv_tau2) * kappa)
-        - prior.s * kappa
-        - log_c
-    )
-
-
-def _kappa_at(prior: HIBParams, kappa: float, log_c: float) -> float:
-    return math.exp(_log_kappa_at(prior, kappa, log_c))
-
-
-def _log_lambda2_at(prior: HIBParams, lambda2: float, log_c: float) -> float:
-    inv_tau2 = 1.0 / prior.tau2
-    log1p_l2 = math.log1p(lambda2)
     kappa = 1.0 / (1.0 + lambda2)
     return (
-        (prior.b - 1.0) * math.log(lambda2)
-        - (prior.a + prior.b) * log1p_l2
-        - math.log(inv_tau2 + (1.0 - inv_tau2) * kappa)
+        (prior.b - 1.0) * np.log(lambda2)
+        - (prior.a + prior.b) * np.log1p(lambda2)
+        - np.log(inv_tau2 + (1.0 - inv_tau2) * kappa)
         - prior.s * kappa
         - log_c
     )
-
-
-def _lambda2_at(prior: HIBParams, lambda2: float, log_c: float) -> float:
-    return math.exp(_log_lambda2_at(prior, lambda2, log_c))
-
-
-def _lambda_at(prior: HIBParams, lam: float, log_c: float) -> float:
-    if lam == 0.0:
-        # density ~ (2/C) lam^(2b-1) e^(-s) near 0
-        if prior.b > 0.5:
-            return 0.0
-        if prior.b < 0.5:
-            return math.inf
-        return 2.0 * math.exp(-prior.s - log_c)
-    return math.exp(_log_lambda2_at(prior, lam * lam, log_c) + math.log(2.0 * lam))
 
 
 def log_density_kappa(prior: HIBParams, kappa: Points) -> Points:
     """Log of the normalized shrinkage-weight density.
 
-    ``kappa`` is a float or a 1-D array; the normalizer is computed once
-    per call, and one point outside (0, 1) raises DomainError.
+    ``kappa`` is a float or a 1-D array.  One numpy expression evaluates
+    the whole grid, with the normalizer computed once per call, and one
+    point outside (0, 1) raises DomainError.
     """
-    return _on_points(prior, kappa, _check_kappa, _log_kappa_at)
+    grid = _grid(kappa, lambda k: (0.0 < k) & (k < 1.0), "kappa must lie strictly inside (0, 1)")
+    inv_tau2 = 1.0 / prior.tau2
+    logs = (
+        (prior.a - 1.0) * np.log(grid)
+        + (prior.b - 1.0) * np.log1p(-grid)
+        - np.log(inv_tau2 + (1.0 - inv_tau2) * grid)
+        - prior.s * grid
+        - log_normalizer(prior)
+    )
+    return _shaped(kappa, logs)
 
 
 def density_kappa(prior: HIBParams, kappa: Points) -> Points:
-    """Normalized density of the shrinkage weight kappa on (0, 1).
-
-    Takes a float or a 1-D array, like ``log_density_kappa``.
-    """
-    return _on_points(prior, kappa, _check_kappa, _kappa_at)
+    """Normalized density of the shrinkage weight kappa on (0, 1): the
+    exponential of ``log_density_kappa`` over the same float or 1-D array."""
+    return _shaped(kappa, np.exp(log_density_kappa(prior, kappa)))
 
 
 def log_density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
@@ -206,15 +172,26 @@ def log_density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
     Written directly in the lambda^2 variable (not by delegating to the
     kappa form) so that small and large lambda^2 keep full precision; the
     two forms agree through the Jacobian (1+lambda^2)^(-2) exactly.
-    ``lambda2`` is a float or a 1-D array; the normalizer is computed once
-    per call.
+    ``lambda2`` is a float or a 1-D array, evaluated like the kappa grid
+    of ``log_density_kappa``.
     """
-    return _on_points(prior, lambda2, _check_lambda2, _log_lambda2_at)
+    grid = _grid(
+        lambda2, lambda v: (0.0 < v) & (v < math.inf), "lambda2 must be positive and finite"
+    )
+    return _shaped(lambda2, _log_lambda2(prior, grid, log_normalizer(prior)))
 
 
 def density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
-    """Normalized density of lambda^2 on (0, infinity), at a float or a 1-D array."""
-    return _on_points(prior, lambda2, _check_lambda2, _lambda2_at)
+    """Normalized density of lambda^2 on (0, infinity): the exponential of
+    ``log_density_lambda2`` over the same float or 1-D array."""
+    return _shaped(lambda2, np.exp(log_density_lambda2(prior, lambda2)))
+
+
+def _scale_inside(lam: np.ndarray) -> np.ndarray:
+    """lam = 0, or lam > 0 whose square neither underflows to 0 nor overflows."""
+    with np.errstate(over="ignore", under="ignore"):
+        square = lam * lam
+    return (lam == 0.0) | ((lam > 0.0) & (square > 0.0) & (square < math.inf))
 
 
 def density_lambda(prior: HIBParams, lam: Points) -> Points:
@@ -222,9 +199,23 @@ def density_lambda(prior: HIBParams, lam: Points) -> Points:
 
     Defined by continuity at lam = 0, where the limit is finite only for
     b = 1/2 (the half-Cauchy case gives 2/pi there).  ``lam`` is a float
-    or a 1-D array; the normalizer is computed once per call.
+    or a 1-D array, evaluated like the grid of ``log_density_kappa``; its
+    zeros take the limit, and no log of 0 is taken.
     """
-    return _on_points(prior, lam, _check_lambda, _lambda_at)
+    grid = _grid(lam, _scale_inside, "lam must be nonnegative and finite, with lam^2 > 0 finite")
+    log_c = log_normalizer(prior)
+    origin = grid == 0.0
+    scale = np.where(origin, 1.0, grid)  # 1 stands in for 0 until the limit replaces it
+    out = np.exp(_log_lambda2(prior, scale * scale, log_c) + np.log(2.0 * scale))
+    if origin.any():
+        # density ~ (2/C) lam^(2b-1) e^(-s) near 0
+        if prior.b > 0.5:
+            out[origin] = 0.0
+        elif prior.b < 0.5:
+            out[origin] = math.inf
+        else:
+            out[origin] = 2.0 * math.exp(-prior.s - log_c)
+    return _shaped(lam, out)
 
 
 def _dhc_lambda_kernel(lam: float) -> float:

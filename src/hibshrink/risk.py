@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalWarning
+from .errors import ConvergenceError, DomainError, NumericalWarning
 from .posterior import kappa_moment12_batch
 from .prior import HIBParams, Points
 from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
+from .specfun import _MAX_TERMS_CEILING
 from .streams import check_seed, stream, worker_count
 
 __all__ = [
@@ -178,11 +179,22 @@ def _poisson_log_weights(theta: float) -> tuple[int, list[float]]:
 
     Returns ``(lo, logs)`` with ``logs[j]`` the log mass at k = lo + j; the
     window reaches far past any 1e-12 tail mass.  theta = 0 is the point
-    mass at k = 0.
+    mass at k = 0.  A window of more than 2^22 terms, the ceiling of the
+    phi1 series (about theta > 3e10), raises ConvergenceError before it
+    is built.
     """
     if theta == 0.0:
         return 0, [0.0]
     sd = math.sqrt(theta)
+    # about 24 sd + 51 terms before the clip at 0, counted so rather than as
+    # hi - lo, which rounds to 0 once theta's ulp dwarfs sd; compared as a
+    # float, so an inf or NaN theta fails here too
+    if not 24.0 * sd + 51.0 <= _MAX_TERMS_CEILING:
+        raise ConvergenceError(
+            f"the Poisson window at theta = {theta:g} needs more than "
+            f"{_MAX_TERMS_CEILING} terms",
+            terms_used=0,
+        )
     lo = max(0, int(theta - 12.0 * sd - 20.0))
     hi = int(theta + 12.0 * sd + 30.0)
     log_theta = math.log(theta)
@@ -233,8 +245,9 @@ def _expect_integrand_quadrature(prior: HIBParams, p: int, beta_norm: float) -> 
     nodes, weights = _legendre_rule()
     t = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
     z = t * t
-    density = np.exp(_noncentral_chi2_log_density(p, theta, z))
+    # r first: a Z the series cannot sum fails before the (z, k) density grid exists
     r = sure_integrand(prior, p, z)
+    density = np.exp(_noncentral_chi2_log_density(p, theta, z))
     return (hi - lo) * float(np.sum(weights * t * density * r))
 
 

@@ -148,6 +148,10 @@ class Phi1Args:
     y: float
 
     def __post_init__(self) -> None:
+        # numpy scalars become floats here, once: _crossover lets a bound
+        # overflow to inf by design, which a numpy scalar reports as a warning
+        for name in ("alpha", "beta", "gamma", "x", "y"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -694,6 +698,11 @@ def _series_rows(
             n += 1
             if n == len(ratios):
                 poch_ratio *= (a0 + n - 1.0) / (gamma0 + n - 1.0)
+                if poch_ratio < _SCALE_LO:
+                    # (a0)_n/(gamma0)_n underflows at large gamma (the risk moments
+                    # from p ~ 1950 on); one power of two in both moves no ratio
+                    poch_ratio *= _RESCALE
+                    q_prev *= _RESCALE
                 inner = base.inner(n)
                 q = poch_ratio * inner
                 ratios.append(q / (q_prev * n))
@@ -814,6 +823,7 @@ def log_phi1_batch(
     negative ``x`` are present (always true for the posterior patterns,
     where gamma - alpha is the posterior shape a').
     """
+    alpha, beta, y = float(alpha), float(beta), float(y)  # as in Phi1Args
     gammas = np.asarray(gamma, dtype=float)
     if gammas.ndim > 1:
         raise DomainError("log_phi1_batch takes a scalar or 1-D gamma")

@@ -19,7 +19,10 @@ that still imports it (``risk`` and ``prior``, whose names
 risk route's Gauss-Legendre nodes are built on first use, not at import,
 and ``multiprocessing`` is not loaded until a Gibbs chain needs its helper.
 And the batch phi1 keeps one layout: ``specfun`` defines no ``_Run``,
-imports no ``bisect`` and calls ``np.take`` nowhere.
+imports no ``bisect`` and calls ``np.take`` nowhere.  The family densities
+of ``prior`` are one numpy pass over their grid: ``prior`` defines none of
+the old per-point helpers, and neither a density nor any ``prior``
+function it reaches loops or comprehends over points.
 """
 
 import ast
@@ -261,3 +264,43 @@ def test_the_large_x_crossover_is_private():
     assert "--x" in flags
     for flag in flags:
         assert not CROSSOVER_WORDS.search(flag), flag
+
+
+# the per-point helpers the family densities once called, one Python call a point
+PER_POINT_HELPERS = (
+    "_on_points",
+    "_log_kappa_at",
+    "_kappa_at",
+    "_log_lambda2_at",
+    "_lambda2_at",
+    "_lambda_at",
+    "_check_lambda2",
+    "_check_lambda",
+)
+FAMILY_DENSITIES = (
+    "log_density_kappa",
+    "density_kappa",
+    "log_density_lambda2",
+    "density_lambda2",
+    "density_lambda",
+)
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_family_densities_are_one_numpy_pass():
+    tree = ast.parse(MODULES["prior"].read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in PER_POINT_HELPERS:
+        assert name not in functions and not hasattr(prior, name), name
+    reached, todo = set(), list(FAMILY_DENSITIES)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        body = functions[name]
+        for node in ast.walk(body):
+            assert not isinstance(node, LOOPS), (name, node.lineno)
+            if isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+    assert {"log_normalizer", "_grid"} <= reached

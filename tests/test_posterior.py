@@ -146,6 +146,18 @@ def test_kappa_moment_batch_matches_scalar():
             assert rel_err(m2, kappa_moment(st, 2)) < 1e-11
 
 
+def test_kappa_moment_batch_matches_scalar_past_the_pochhammer_underflow():
+    # with Z near p the batch's running (a)_n/(gamma)_n fell below the
+    # smallest double from about p = 1950 on (half-Cauchy) and a division
+    # by it raised ZeroDivisionError; the bound was fixed before the run
+    for prior in (half_cauchy(), HIBParams(0.5, 0.5, 0.25, 0.0), HIBParams(0.5, 0.5, 4.0, 0.0)):
+        for p in (2000, 5000):
+            z = np.array([0.5 * p, float(p), 2.0 * p])
+            g1, _ = kappa_moment12_batch(prior, p, z)
+            for zi, m1 in zip(z.tolist(), g1.tolist()):
+                assert rel_err(m1, kappa_moment(update(prior, p, zi, 1.0), 1)) <= 1e-11, (prior, p, zi)
+
+
 def test_kappa_moment_batch_across_the_large_x_crossover_matches_scalar(monkeypatch):
     # at tau2 = 1 the batch sums the tilts past a crossover by the asymptotic
     # series and the rest by the power series; blocks of 5 make some blocks

@@ -255,6 +255,8 @@ def test_array_density_rejects_one_bad_point():
     with pytest.raises(DomainError):
         density_lambda(hc, np.array([1.0, -1.0]))
     with pytest.raises(DomainError):
+        density_lambda(hc, np.array([1.0, math.nan]))
+    with pytest.raises(DomainError):
         density_kappa(hc, np.full((2, 2), 0.5))
 
 

@@ -10,12 +10,13 @@ explicit standard-error bounds computed from the sample itself.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hibshrink import oracles, risk, specfun
-from hibshrink.errors import DomainError, NumericalWarning
+from hibshrink.errors import ConvergenceError, DomainError, NumericalWarning
 from hibshrink.oracles import risk_direct, sure_integrand_by_parts
 from hibshrink.posterior import kappa_moment, update
 from hibshrink.prior import HIBParams, half_cauchy
@@ -326,6 +327,32 @@ def test_js_risk_monotone_and_bounded():
 def test_js_risk_matches_simulation():
     sim = simulate_estimator_risk("js", 7, 2.0, n_mc=100_000, seed=17)
     assert abs(sim.mse - js_risk(7, 2.0)) <= 3.0 * sim.mc_std_err
+
+
+def test_js_risk_refuses_an_oversized_poisson_window_before_building_it():
+    # |beta| = 1e8 once meant a window of 1.7e9 Python floats, and 1e200
+    # (theta = inf) a bare ValueError; the 1 MiB bound is fixed before the run
+    tracemalloc.start()
+    try:
+        for beta_norm in (1e8, 1e200):
+            with pytest.raises(ConvergenceError) as exc:
+                js_risk(3, beta_norm)
+            assert exc.value.terms_used == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20, peak
+
+
+def test_gauss_route_fails_on_the_series_before_the_density_grid(monkeypatch):
+    # at |beta| = 1e5 the (node, Poisson term) density grid is 128 x 1.7e6
+    # doubles, about 1.7 GB, and r(Z) cannot be summed there at all
+    def no_density(p, theta, z):
+        raise AssertionError("density grid built before r(Z)")
+
+    monkeypatch.setattr(risk, "_noncentral_chi2_log_density", no_density)
+    with pytest.raises(ConvergenceError):
+        risk_analytic(half_cauchy(), 15, 1e5, method="quadrature")
 
 
 def _js_risk_by_hand(p: int, beta_norm: float) -> float:

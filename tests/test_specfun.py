@@ -10,6 +10,7 @@ representations against each other; a property-based suite compares
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -368,6 +369,29 @@ def test_log_phi1_batch_matches_scalar():
         batch = log_phi1_batch(0.5, 1.0, 1.5, xs, y)
         for x, got in zip(xs, batch):
             assert rel_err(got, log_phi1(0.5, 1.0, 1.5, float(x), y)) < 1e-11
+
+
+def test_numpy_scalar_arguments_warn_nothing_and_give_the_float_bits():
+    # a numpy-scalar y once let a large-x coefficient bound overflow with a
+    # RuntimeWarning, which "error" turns into an untyped failure; the prior
+    # (a, b, tau2, s) = (1, 1/2, 3 * 3.75^2, 20) makes log_normalizer take
+    # the same phi1(1/2, 1; 3/2; 20, y)
+    np = pytest.importorskip("numpy")
+    from hibshrink.prior import HIBParams, log_normalizer
+
+    tau2 = 3.0 * 3.75**2
+    args = (0.5, 1.0, 1.5, 20.0, 1.0 - 1.0 / tau2)
+    xs = np.array([-20.0, 20.0])
+    specfun._crossover.cache_clear()  # each numpy-scalar call derives its own bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = log_phi1(*map(np.float64, args))
+        batch = log_phi1_batch(*map(np.float64, args[:3]), xs, np.float64(args[4]))
+        specfun._crossover.cache_clear()
+        normalizer = log_normalizer(HIBParams(*map(np.float64, (1.0, 0.5, tau2, 20.0))))
+    assert type(scalar) is float and scalar == log_phi1(*args)
+    assert batch.tolist() == log_phi1_batch(*args[:3], xs, args[4]).tolist()
+    assert normalizer == log_normalizer(HIBParams(1.0, 0.5, tau2, 20.0))
 
 
 def test_log_phi1_batch_negative_x_requires_gamma_above_alpha():
