@@ -229,7 +229,7 @@ def _noncentral_chi2_logpdf(p: int, theta: float) -> Callable[[float], float]:
     """
     lo, log_weights = _poisson_log_weights(theta)
     parts = []
-    for k, log_w in enumerate(log_weights, lo):
+    for k, log_w in enumerate(log_weights.tolist(), lo):
         half = 0.5 * p + k
         parts.append((log_w, half - 1.0, half * math.log(2.0), math.lgamma(half)))
 

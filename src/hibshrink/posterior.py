@@ -7,7 +7,8 @@ tilt move, via a_post = a + p/2 and s_post = s + Z/(2 sigma2) with Z = sum
 y_i^2.  Every posterior functional below reduces to ratios of the family's
 normalizing constant, hence to ratios of the two-variable confluent series,
 which are always evaluated as differences of logs so that correlated
-truncation error cancels.
+truncation error cancels.  The marginal likelihood is (2 pi sigma2)^(-p/2)
+times the kernel moment m_p(Z/sigma2), the normalizer ratio C(a', s')/C(a, s).
 
 sigma2 is treated as fixed throughout; callers may plug in an estimate.
 """
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .prior import HIBParams, log_normalizer
-from .specfun import log_beta, log_phi1, log_phi1_batch, pochhammer
+from .prior import HIBParams, _log_normalizer_from_series
+from .specfun import log_phi1, log_phi1_batch, pochhammer
 
 __all__ = [
     "PosteriorState",
@@ -162,36 +163,20 @@ def kappa_moment12_batch(
 def marginal_log_likelihood(y: np.ndarray, sigma2: float, prior: HIBParams) -> float:
     """Log of p(y) with the mean vector and shrinkage weight integrated out.
 
-    Equals the Gaussian base measure times the ratio of posterior to prior
-    normalizing constants of the weight distribution.
+    Equals the Gaussian base measure (2 pi sigma2)^(-p/2) times the kernel
+    moment m_p(Z/sigma2), since y | kappa ~ N(0, (sigma2/kappa) I).
     """
     y = _as_data_vector(y)
-    state = update(prior, y.size, float(y @ y), sigma2)
-    pr = prior
-    log_post = log_phi1(pr.b, 1.0, state.a_post + pr.b, state.s_post, pr.y)
-    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y)
-    return _marginal_from_logs(state, log_post, log_prior)
-
-
-def _marginal_from_logs(state: PosteriorState, log_post: float, log_prior: float) -> float:
-    """log p(y) from the log series of the posterior (c = a'+b, tilt s') and
-    of the prior (c = a+b, tilt s)."""
-    pr = state.prior
-    return (
-        -0.5 * state.p * math.log(2.0 * math.pi * state.sigma2)
-        - 0.5 * state.Z / state.sigma2
-        + log_beta(state.a_post, pr.b)
-        - log_beta(pr.a, pr.b)
-        + log_post
-        - log_prior
-    )
+    p, Z = y.size, float(y @ y)
+    _check_data(p, Z, sigma2)
+    return -0.5 * p * math.log(2.0 * math.pi * sigma2) + log_m_kernel(prior, p, Z / sigma2)
 
 
 def shrink(y: np.ndarray, sigma2: float, prior: HIBParams) -> ShrinkageFit:
     """Posterior-mean estimate of the mean vector with its shrinkage weight.
 
     Three series evaluations: the posterior denominator at a'+b is shared by
-    E(kappa | y) and the marginal likelihood.
+    E(kappa | y) and the kernel moment of the marginal likelihood.
     """
     y = _as_data_vector(y)
     state = update(prior, y.size, float(y @ y), sigma2)
@@ -205,7 +190,8 @@ def shrink(y: np.ndarray, sigma2: float, prior: HIBParams) -> ShrinkageFit:
         post_mean=(1.0 - kappa_bar) * y,
         post_var_scalar=(1.0 - kappa_bar) * sigma2,
         kappa_bar=kappa_bar,
-        log_marginal=_marginal_from_logs(state, log_den, log_prior),
+        log_marginal=-0.5 * state.p * math.log(2.0 * math.pi * sigma2)
+        + _log_m_from_series(pr, state.a_post, state.s_post, log_den, log_prior),
     )
 
 
@@ -235,10 +221,19 @@ def log_m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:
         raise DomainError(f"p_eff must be a nonnegative integer, got {p_eff!r}")
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
-    tilted = HIBParams(prior.a + 0.5 * p_eff, prior.b, prior.tau2, prior.s + 0.5 * Z)
-    log_c_num = log_normalizer(tilted)
-    log_c_den = log_normalizer(prior)
-    return log_c_num - log_c_den
+    a_tilted = prior.a + 0.5 * p_eff
+    s_tilted = prior.s + 0.5 * Z
+    log_tilted = log_phi1(prior.b, 1.0, a_tilted + prior.b, s_tilted, prior.y)
+    log_prior = log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y)
+    return _log_m_from_series(prior, a_tilted, s_tilted, log_tilted, log_prior)
+
+
+def _log_m_from_series(
+    prior: HIBParams, a_tilted: float, s_tilted: float, log_tilted: float, log_prior: float
+) -> float:
+    """log C(a_tilted, b, tau2, s_tilted) - log C(prior) from the two series logs."""
+    log_c_tilted = _log_normalizer_from_series(a_tilted, prior.b, s_tilted, log_tilted)
+    return log_c_tilted - _log_normalizer_from_series(prior.a, prior.b, prior.s, log_prior)
 
 
 def m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:

@@ -24,8 +24,9 @@ one-point grid, so floats and arrays share every operation, and a float
 returns a float.  Each call checks every point against the density's
 domain, then computes the normalizer C once, so a grid costs one series
 evaluation, not one per point.  The linear forms are the exponentials of
-the log forms; the lambda density takes its limit at lambda = 0 through a
-mask, without a log of 0.  Nothing on a family density's path loops over
+the log forms, and a point whose log density passes the float range raises
+DomainError there; the lambda density takes its limit at lambda = 0 through
+a mask, without a log of 0.  Nothing on a family density's path loops over
 points.
 """
 
@@ -90,13 +91,15 @@ def half_cauchy() -> HIBParams:
     return HIBParams(a=0.5, b=0.5, tau2=1.0, s=0.0)
 
 
+def _log_normalizer_from_series(a: float, b: float, s: float, log_series: float) -> float:
+    """log C of the member (a, b, tau2, s) from its series log phi1(b, 1; a+b; s, y)."""
+    return -s + log_beta(a, b) + log_series
+
+
 def log_normalizer(prior: HIBParams) -> float:
     """Natural log of the normalizing constant C of the kappa density."""
-    return (
-        -prior.s
-        + log_beta(prior.a, prior.b)
-        + log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y)
-    )
+    log_series = log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y)
+    return _log_normalizer_from_series(prior.a, prior.b, prior.s, log_series)
 
 
 def _check_kappa(kappa: float) -> None:
@@ -160,10 +163,25 @@ def log_density_kappa(prior: HIBParams, kappa: Points) -> Points:
     return _shaped(kappa, logs)
 
 
+def _exp_in_range(values: Points, logs: Points, name: str, log_form: str) -> np.ndarray:
+    """exp(logs) over the grid ``values``; the first point whose log density
+    passes the float range raises DomainError, pointing to ``log_form``."""
+    with np.errstate(over="ignore"):
+        out = np.exp(logs)
+    over = np.isinf(out)
+    if over.any():
+        at = np.atleast_1d(np.asarray(values, dtype=float))[np.argmax(over)]
+        raise DomainError(
+            f"the density at {name} = {at} passes the float range; use {log_form} instead"
+        )
+    return out
+
+
 def density_kappa(prior: HIBParams, kappa: Points) -> Points:
     """Normalized density of the shrinkage weight kappa on (0, 1): the
     exponential of ``log_density_kappa`` over the same float or 1-D array."""
-    return _shaped(kappa, np.exp(log_density_kappa(prior, kappa)))
+    logs = log_density_kappa(prior, kappa)
+    return _shaped(kappa, _exp_in_range(kappa, logs, "kappa", "log_density_kappa"))
 
 
 def log_density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
@@ -184,7 +202,8 @@ def log_density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
 def density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
     """Normalized density of lambda^2 on (0, infinity): the exponential of
     ``log_density_lambda2`` over the same float or 1-D array."""
-    return _shaped(lambda2, np.exp(log_density_lambda2(prior, lambda2)))
+    logs = log_density_lambda2(prior, lambda2)
+    return _shaped(lambda2, _exp_in_range(lambda2, logs, "lambda2", "log_density_lambda2"))
 
 
 def _scale_inside(lam: np.ndarray) -> np.ndarray:
@@ -206,7 +225,9 @@ def density_lambda(prior: HIBParams, lam: Points) -> Points:
     log_c = log_normalizer(prior)
     origin = grid == 0.0
     scale = np.where(origin, 1.0, grid)  # 1 stands in for 0 until the limit replaces it
-    out = np.exp(_log_lambda2(prior, scale * scale, log_c) + np.log(2.0 * scale))
+    logs = _log_lambda2(prior, scale * scale, log_c) + np.log(2.0 * scale)
+    logs[origin] = 0.0  # the limit replaces it below
+    out = _exp_in_range(grid, logs, "lam", "log_density_lambda2(lam^2) + log(2 lam)")
     if origin.any():
         # density ~ (2/C) lam^(2b-1) e^(-s) near 0
         if prior.b > 0.5:

@@ -174,17 +174,17 @@ def risk_analytic(
     return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=se, estimator_tag=_BAYES_TAG)
 
 
-def _poisson_log_weights(theta: float) -> tuple[int, list[float]]:
+def _poisson_log_weights(theta: float) -> tuple[int, np.ndarray]:
     """Log Poisson(theta) masses over a 12-sigma window around the mean.
 
-    Returns ``(lo, logs)`` with ``logs[j]`` the log mass at k = lo + j; the
-    window reaches far past any 1e-12 tail mass.  theta = 0 is the point
-    mass at k = 0.  A window of more than 2^22 terms, the ceiling of the
-    phi1 series (about theta > 3e10), raises ConvergenceError before it
-    is built.
+    Returns ``(lo, logs)``, a float64 array with ``logs[j]`` the log mass at
+    k = lo + j, each term by one Python formula; the window reaches far past
+    any 1e-12 tail mass.  theta = 0 is the point mass at k = 0.  A window of
+    more than 2^22 terms, the ceiling of the phi1 series (about theta > 3e10),
+    raises ConvergenceError before it is built.
     """
     if theta == 0.0:
-        return 0, [0.0]
+        return 0, np.zeros(1)
     sd = math.sqrt(theta)
     # about 24 sd + 51 terms before the clip at 0, counted so rather than as
     # hi - lo, which rounds to 0 once theta's ulp dwarfs sd; compared as a
@@ -198,7 +198,8 @@ def _poisson_log_weights(theta: float) -> tuple[int, list[float]]:
     lo = max(0, int(theta - 12.0 * sd - 20.0))
     hi = int(theta + 12.0 * sd + 30.0)
     log_theta = math.log(theta)
-    return lo, [k * log_theta - theta - math.lgamma(k + 1.0) for k in range(lo, hi + 1)]
+    logs = (k * log_theta - theta - math.lgamma(k + 1.0) for k in range(lo, hi + 1))
+    return lo, np.fromiter(logs, dtype=float, count=hi + 1 - lo)
 
 
 def _noncentral_chi2_log_density(p: int, theta: float, z: np.ndarray) -> np.ndarray:
@@ -219,7 +220,7 @@ def _noncentral_chi2_log_density(p: int, theta: float, z: np.ndarray) -> np.ndar
     # math.log, not np.log: an ulp of log z here is multiplied by p/2 + k
     log_z = np.array([math.log(v) for v in zs.tolist()])[:, None]
     logs = (
-        np.array(log_weights) + (half - 1.0) * log_z - (0.5 * zs)[:, None]
+        log_weights + (half - 1.0) * log_z - (0.5 * zs)[:, None]
         - half * math.log(2.0) - log_gamma
     )
     best = logs.max(axis=1, keepdims=True)
@@ -298,12 +299,14 @@ def js_risk(p: int, beta_norm: float) -> float:
     theta = 0.5 * beta_norm * beta_norm
     if theta == 0.0:
         return p - (p - 2.0)
-    # accumulate E[1/(p-2+2K)] in a numerically flat window around the mode
+    # accumulate E[1/(p-2+2K)] in a numerically flat window around the mode;
+    # the builtin sum runs in k order over Python floats read one at a time
+    # from the window's memoryview, so no list of the window is built
     lo, log_weights = _poisson_log_weights(theta)
-    peak = max(log_weights)
-    weights = [math.exp(lw - peak) for lw in log_weights]
-    total = sum(w * (1.0 / (p - 2.0 + 2.0 * k)) for k, w in enumerate(weights, lo))
-    expectation = total / sum(weights)
+    peak = float(log_weights.max())
+    logs = log_weights.data
+    total = sum(math.exp(lw - peak) * (1.0 / (p - 2.0 + 2.0 * k)) for k, lw in enumerate(logs, lo))
+    expectation = total / sum(math.exp(lw - peak) for lw in logs)
     return p - (p - 2.0) ** 2 * expectation
 
 

@@ -133,6 +133,15 @@ def test_prior_density_kappa_with_explicit_prior(capsys, tmp_path):
         assert abs(float(density) - 1.0) < 1e-12
 
 
+def test_prior_density_past_the_float_range_exit_code(capsys, tmp_path):
+    # at a = 0.01 the kappa density at 5e-324 is about 1e318: exit 2, not an inf row
+    out = tmp_path / "kappa.csv"
+    code, _ = run(capsys, ["prior-density", "--var", "kappa", "--prior", "0.01,1,1,0",
+                           "--grid", "5e-324:0.5:3", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_prior_density_psi_requires_half_cauchy(capsys, tmp_path):
     out = tmp_path / "psi.csv"
     code, _ = run(capsys, ["prior-density", "--var", "psi", "--prior", "1,1,1,0",

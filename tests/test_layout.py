@@ -22,7 +22,12 @@ And the batch phi1 keeps one layout: ``specfun`` defines no ``_Run``,
 imports no ``bisect`` and calls ``np.take`` nowhere.  The family densities
 of ``prior`` are one numpy pass over their grid: ``prior`` defines none of
 the old per-point helpers, and neither a density nor any ``prior``
-function it reaches loops or comprehends over points.
+function it reaches loops or comprehends over points.  Every name a
+production module imports is used there, or re-exported through its
+``__all__``; the two ``integrate_unit`` lines above are the only
+exceptions.  The marginal likelihood has one log-normalizer formula, that
+of ``prior``: ``posterior`` neither defines ``_marginal_from_logs`` nor
+imports ``log_beta``.
 """
 
 import ast
@@ -304,3 +309,42 @@ def test_family_densities_are_one_numpy_pass():
             if isinstance(node, ast.Name) and node.id in functions:
                 todo.append(node.id)
     assert {"log_normalizer", "_grid"} <= reached
+
+
+def _unused_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of every import of module ``path`` whose name the module
+    neither uses nor lists in its ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_production_module_imports_an_unused_name():
+    for name, path in MODULES.items():
+        lines = path.read_text().splitlines()
+        for line, imported in _unused_imports(path):
+            hooked = imported == "integrate_unit" and TRACER_HOOK_COMMENT in lines[line - 1]
+            assert hooked, (name, line, imported)
+
+
+def test_the_marginal_has_one_log_normalizer_formula():
+    tree = ast.parse(MODULES["posterior"].read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_marginal_from_logs" not in defined and not hasattr(posterior, "_marginal_from_logs")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert "log_beta" not in {alias.name for alias in node.names}, node.lineno
+    assert not hasattr(posterior, "log_beta")

@@ -3,9 +3,11 @@ marginal likelihood, the moment generating function, and the kernel-moment
 ratios tying them together.
 
 Oracle values were produced by the independent quadrature route and frozen;
-closed forms cover the untilted special cases.
+closed forms cover the untilted special cases, and at tau2 = 1 a 40-digit
+mpmath 1F1 checks the marginal likelihood at large tilts.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -389,6 +391,47 @@ def test_marginal_scalar_density_integrates_to_one():
 
     mass = 2.0 * integrate_unit(f, 1.0, 1.0)
     assert abs(mass - 1.0) < 1e-6
+
+
+def test_marginal_is_the_gaussian_base_times_the_kernel_moment_bitwise():
+    rng = np.random.default_rng(29)
+    for prior in PRIOR_GRID[::7]:
+        for p, sigma2 in ((1, 1.0), (6, 2.5), (40, 0.3)):
+            y = rng.normal(0.0, 3.0, size=p)
+            z = float(y @ y)
+            base = -p / 2 * math.log(2.0 * math.pi * sigma2)
+            expected = base + log_m_kernel(prior, p, z / sigma2)
+            assert marginal_log_likelihood(y, sigma2, prior) == expected, (prior, p, sigma2)
+
+
+def test_marginal_at_large_tilts_matches_mpmath():
+    # at tau2 = 1 the series is Kummer's 1F1, so log C = -s + log B(a, b)
+    # + log 1F1(b; a+b; s) has a direct 40-digit reference; the bound
+    # 5e-14 max(1, s') was fixed before the run
+    mpmath = pytest.importorskip("mpmath")
+
+    def log_c(a, b, s):
+        a, b, s = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(s)
+        return -s + mpmath.log(mpmath.beta(a, b)) + mpmath.log(mpmath.hyp1f1(b, a + b, s))
+
+    grid = itertools.product(
+        (0.3, 0.5, 1.0, 2.0), (0.3, 0.5, 1.0, 2.0), (-1.0, 0.0, 3.0), (1, 5, 20, 50),
+        (0.0, 3.0, 400.0, 2e5), (1.0, 2.5),
+    )
+    for a, b, s, p, z_target, sigma2 in grid:
+        prior = HIBParams(a, b, 1.0, s)
+        y = np.full(p, math.sqrt(z_target / p))
+        s_post = s + 0.5 * float(y @ y) / sigma2
+        with mpmath.workdps(40):
+            ref = (
+                -mpmath.mpf(p) / 2 * mpmath.log(2 * mpmath.pi * sigma2)
+                + log_c(a + 0.5 * p, b, s_post)
+                - log_c(a, b, s)
+            )
+        bound = 5e-14 * max(1.0, s_post)
+        case = (prior, p, z_target, sigma2)
+        assert abs(marginal_log_likelihood(y, sigma2, prior) - ref) <= bound, case
+        assert abs(shrink(y, sigma2, prior).log_marginal - ref) <= bound, case
 
 
 # ---- moment generating function ----------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from hibshrink import prior as prior_module
 from hibshrink.errors import DomainError
 from hibshrink.prior import (
     HIBParams,
@@ -258,6 +259,25 @@ def test_array_density_rejects_one_bad_point():
         density_lambda(hc, np.array([1.0, math.nan]))
     with pytest.raises(DomainError):
         density_kappa(hc, np.full((2, 2), 0.5))
+
+
+def test_linear_densities_past_the_float_range_raise(monkeypatch):
+    # at a = 0.01 the kappa density near 0 is about kappa^-0.99 / 100, past
+    # the largest double at kappa = 5e-324, where the log form stays finite;
+    # the linear form once returned inf with an overflow warning
+    prior = HIBParams(0.01, 1.0, 1.0, 0.0)
+    assert 709.8 < log_density_kappa(prior, 5e-324) < math.inf
+    with pytest.raises(DomainError, match=r"kappa = 5e-324 .*log_density_kappa"):
+        density_kappa(prior, 5e-324)
+    with pytest.raises(DomainError, match=r"kappa = 5e-324 "):
+        density_kappa(prior, np.array([0.5, 5e-324, 1e-322]))
+    with pytest.raises(DomainError, match=r"lambda2 = 5e-324 .*log_density_lambda2"):
+        density_lambda2(HIBParams(1.0, 0.01, 1.0, 0.0), np.array([1.0, 5e-324]))
+    # a member's lambda density stays below about 1/lam, so no admissible
+    # lam takes it past the float range; a stand-in normalizer of e^-1000 does
+    monkeypatch.setattr(prior_module, "log_normalizer", lambda params: -1000.0)
+    with pytest.raises(DomainError, match=r"lam = 0.5 .*log_density_lambda2"):
+        density_lambda(HIBParams(0.5, 0.3, 1.0, 0.0), np.array([0.0, 0.5]))
 
 
 def test_density_grid_computes_normalizer_once(normalizer_calls):

@@ -344,6 +344,20 @@ def test_js_risk_refuses_an_oversized_poisson_window_before_building_it():
     assert peak <= 2**20, peak
 
 
+def test_js_risk_builds_no_python_list_of_its_poisson_window():
+    # |beta| = 2e4 is a window of about 3.4e5 terms: 2.7 MB as one float64
+    # array, and about 21 MB once held as two Python lists of floats (log
+    # weights, then weights); the 8 MiB bound is fixed before the run
+    js_risk(15, 2e4)
+    tracemalloc.start()
+    try:
+        js_risk(15, 2e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak / 2**20
+
+
 def test_gauss_route_fails_on_the_series_before_the_density_grid(monkeypatch):
     # at |beta| = 1e5 the (node, Poisson term) density grid is 128 x 1.7e6
     # doubles, about 1.7 GB, and r(Z) cannot be summed there at all
