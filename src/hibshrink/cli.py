@@ -101,7 +101,15 @@ def _parse_grid(text: str) -> np.ndarray:
         raise DomainError(f"could not parse grid {text!r}") from exc
     if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise DomainError(f"invalid grid {text!r}")
-    return np.linspace(lo, hi, count)
+    return _linspace(lo, hi, count, f"grid {text!r}")
+
+
+def _linspace(lo: float, hi: float, count: int, what: str) -> np.ndarray:
+    """``np.linspace(lo, hi, count)``; a count numpy refuses raises DomainError."""
+    try:
+        return np.linspace(lo, hi, count)
+    except ValueError as exc:
+        raise DomainError(f"{what}: {exc}") from exc
 
 
 def _read_values(path: str) -> np.ndarray:
@@ -209,8 +217,9 @@ def _cmd_risk_curve(args: argparse.Namespace) -> int:
 def _cmd_marglik_profile(args: argparse.Namespace) -> int:
     if args.grid_size < 2:
         raise DomainError(f"grid-size must be at least 2, got {args.grid_size}")
+    size = args.grid_size
+    grid = tuple(_linspace(10.0 / size, 10.0, size, f"grid-size {size}"))
     data = simulate_sparse(args.data_seed, pure_noise=args.pure_noise)
-    grid = tuple(np.linspace(10.0 / args.grid_size, 10.0, args.grid_size))
     cfg = GibbsConfig(
         n_iter=args.iters, burn_in=args.burn_in, seed=args.seed, lambda_grid=grid
     )

@@ -72,6 +72,9 @@ def _check_data(p: int, Z: float, sigma2: float) -> None:
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
         raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
+    # as floats, so a numpy scalar overflows to inf without a warning
+    if not math.isfinite(float(Z) / float(sigma2)):
+        raise DomainError(f"the tilt Z/sigma2 must be finite, got Z = {Z}, sigma2 = {sigma2}")
 
 
 def _as_data_vector(y) -> np.ndarray:

@@ -22,8 +22,8 @@ coefficients are built once per call and shared by every block.  It also
 takes a 1-D ``gamma``, one output row per value, as the posterior moments
 need phi1 at gamma, gamma + 1 and gamma + 2 for the same tilts: each
 sign's x are one ascending array of |x| for all rows, every block a slice
-of it whose logs go to a slice of the result, and rows close in gamma share
-one recursion of the x-dependent part of the terms.  An ascending x is
+of it whose logs go to a slice of the result, and each row is summed on its
+own, to the bits of a call with its gamma alone.  An ascending x is
 summed in place; any other x is summed as a sorted copy, and each row of
 logs is then put back in x's order by one scatter.  Both give the same
 bits.
@@ -98,18 +98,10 @@ _LOG_RESCALE = 512.0 * math.log(2.0)
 _EXP_OVERFLOW = 709.782712893384  # log of the largest double
 
 # Elements per block of the batch series, chosen by timing risk curves on two
-# threads: a block's working arrays, three plus one per row (1.5 MiB for the
-# three rows of the posterior moments), then stay in a 2 MiB L2 cache, while
-# half as many elements per block cost more in per-call overhead than they
-# save.
+# threads: a block's four working arrays (1 MiB) then stay in a 2 MiB L2
+# cache, while half as many elements per block cost more in per-call
+# overhead than they save.
 _BATCH_BLOCK = 32768
-
-# Largest spread of gamma among batch rows that share one power-series term
-# recursion (see _series_rows).  A row's term is the shared one times
-# q_r(n)/q_r0(n), which at such a spread moves with n at most like n^16, so
-# within 2^22 terms every row stays within about 1e-106 of the largest, far
-# inside the range that rescaling by 2^512 leaves.
-_ROW_SPAN = 16.0
 
 # Lowest crossover of the large-x expansion (see _crossover).  At y = 0,
 # over a, gamma - a in [0.05, 200], its bounds alone never put the crossover
@@ -558,200 +550,120 @@ def _tail_log(v: float, gamma: float, plan: _Plan) -> tuple[float, int]:
     raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
 
 
-def _tail_logs(
-    absx: np.ndarray,
-    out: np.ndarray,
-    gammas: list[float],
-    plans: list[_Plan],
-    splits: list[int],
-) -> None:
-    """:func:`_tail_log` for every row r at the ascending ``absx`` from ``splits[r]`` on.
+def _tail_row(absx: np.ndarray, out: np.ndarray, gamma: float, plan: _Plan) -> None:
+    """:func:`_tail_log` at every ascending ``absx``, all at or above ``plan.x0``, into ``out``.
 
-    Those are the |x| at or above the crossover of ``plans[r]``.  Blocks of
-    ``_BATCH_BLOCK`` start at the smallest split; in each, the rows share
-    the powers of 1/|x| and one log|x|, and each row sums until the bound of
-    the term of its own smallest |x|, the row's largest, is <= _TAIL_TOL.
-    It gets there within its plan's coefficients.  Row r's logs go to
-    ``out[r]``, at the positions of their |x|.
+    Sums in blocks of ``_BATCH_BLOCK``, which share the powers of 1/|x| and
+    one log|x|.  Each block sums until the bound of the term of its smallest
+    |x|, its largest, is <= _TAIL_TOL, and gets there within the plan's
+    coefficients.
     """
-    first = min(splits)
-    width = min(_BATCH_BLOCK, absx.size - first)
-    buffers, sums = np.empty((3, width)), np.empty((len(splits), width))
-    for start in range(first, absx.size, _BATCH_BLOCK):
+    width = min(_BATCH_BLOCK, absx.size)
+    buffers = np.empty((4, width))
+    for start in range(0, absx.size, _BATCH_BLOCK):
         size = min(_BATCH_BLOCK, absx.size - start)
-        inv, power, term = buffers[:, :size]
+        inv, power, term, total = buffers[:, :size]
         xb = absx[start : start + size]
         np.divide(1.0, xb, out=inv)
         power.fill(1.0)
-        rows = []  # (row, offset of its first element in the block, its sum)
-        for r, split in enumerate(splits):
-            lo = max(split - start, 0)
-            if lo < size:
-                total = sums[r, lo:size]
-                total.fill(1.0)
-                rows.append((r, lo, total))
-        summing = list(range(len(rows)))
+        total.fill(1.0)
         s = 0
-        while summing:
+        while True:
             s += 1
+            if s == len(plan.coefs):
+                terms = len(plan.coefs) - 1
+                raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
             power *= inv
-            for k in list(summing):
-                r, lo, total = rows[k]
-                plan = plans[r]
-                if s == len(plan.coefs):
-                    terms = len(plan.coefs) - 1
-                    raise ConvergenceError(
-                        "phi1 asymptotic series did not converge", terms_used=terms
-                    )
-                np.multiply(power[lo:], plan.coefs[s], out=term[lo:])
-                total += term[lo:]
-                if plan.bounds[s] * float(power[lo]) <= _TAIL_TOL:
-                    summing.remove(k)
+            np.multiply(power, plan.coefs[s], out=term)
+            total += term
+            if plan.bounds[s] * float(power[0]) <= _TAIL_TOL:
+                break
         np.log(xb, out=inv)
-        for r, lo, total in rows:
-            plan = plans[r]
-            np.log(total, out=total)
-            total += np.multiply(inv[lo:], plan.a - gammas[r], out=term[lo:])
-            total += plan.tail_log
-            if not plan.tilt:
-                total += xb[lo:]
-            out[r, start + lo : start + size] = total
+        np.log(total, out=total)
+        total += np.multiply(inv, plan.a - gamma, out=term)
+        total += plan.tail_log
+        if not plan.tilt:
+            total += xb
+        out[start : start + size] = total
 
 
-def _row_groups(gammas: list[float]) -> list[list[int]]:
-    """Row indices in increasing gamma, cut into runs spanning <= _ROW_SPAN."""
-    groups: list[list[int]] = []
-    for r in sorted(range(len(gammas)), key=gammas.__getitem__):
-        if groups and gammas[r] - gammas[groups[-1][0]] <= _ROW_SPAN:
-            groups[-1].append(r)
-        else:
-            groups.append([r])
-    return groups
-
-
-def _series_rows(
-    absx: np.ndarray,
-    out: np.ndarray,
-    count: int,
-    group: list[int],
-    gammas: list[float],
-    plans: list[_Plan],
-    splits: list[int],
-    max_terms: int,
+def _series_row(
+    absx: np.ndarray, out: np.ndarray, gamma: float, plan: _Plan, max_terms: int
 ) -> None:
-    """Power series of the rows ``group`` at the first ``count`` ascending ``absx``.
+    """Power series of one row at the ascending ``absx``, all below ``plan.x0``.
 
-    Row r sums, at its first ``splits[r]`` elements (those below its
-    crossover), log_pref - tilt |x| + log of sum_n q_r(n) |x|^n/n!, with
-    q(n) = (a)_n/(gamma)_n inner(n) and the ``a``, ``inner``, ``log_pref``
-    and ``tilt`` of ``plans[r]``; the logs go to ``out[r]``.  Only
-    |x|^n/n! depends on x, so the rows share one term recursion, that of
-    the group's first row r0, the smallest gamma: row r's term is r0's times
-    the scalar kappa_r(n) = q_r(n)/q_r0(n).  The term ratios of r0 and the
-    kappas are built on first use and shared by every block, so each
-    inner(n) is evaluated once per row and term index.
+    Writes log_pref - tilt |x| + log of sum_n q(n) |x|^n/n! into ``out``,
+    with q(n) = (a)_n/(gamma)_n inner(n) and the ``a``, ``inner``,
+    ``log_pref`` and ``tilt`` of ``plan``.  The term ratios are built on
+    first use and shared by every block, so each inner(n) is evaluated once
+    per term index.
 
     The series needs more terms the larger |x| is, so the sorted |x| are
-    summed in blocks of ``_BATCH_BLOCK`` neighbours.  Each row stops when
-    its own largest relative term in the block, over its own elements,
-    stays below ``DEFAULT_REL_TOL`` on 3 checks, 8 terms apart, as a row
-    summed alone does; its logs are then taken, and its slot is not read
-    again.  The block ends when every row has stopped, and raises
+    summed in blocks of ``_BATCH_BLOCK`` neighbours.  Every term is
+    nonnegative, so a term's share of its partial sum grows with |x|, and a
+    block stops when the relative term of its last, largest |x| stays below
+    ``DEFAULT_REL_TOL`` on 3 checks, 8 terms apart; it raises
     ConvergenceError past ``max_terms`` terms.  Blocks of small |x| thus
-    leave after tens of terms instead of running as long as the largest,
-    and each block's working arrays stay in cache.  Partial sums are
-    rescaled per element, in every row at once, when any row's passes
-    _SCALE_HI; a group spans at most _ROW_SPAN in gamma, so no row is then
-    pushed out of the float range.  All terms are nonnegative, so the
-    streaming rescaled accumulation is stable.
+    leave after tens of terms instead of running as long as the largest, and
+    each block's working arrays stay in cache.  Partial sums are rescaled per
+    element when they pass _SCALE_HI, so the streaming accumulation is
+    stable.
     """
-    base = plans[group[0]]
-    a0, gamma0 = base.a, gammas[group[0]]
-    others = [(plans[r].a, gammas[r], plans[r].inner) for r in group[1:]]
-    q_first = [plans[r].inner(0) for r in group]
-    if min(q_first) <= 0.0:
+    a, inner = plan.a, plan.inner
+    q_first = q_prev = inner(0)
+    if q_first <= 0.0:
         raise DomainError("phi1 batch requires positive series coefficients")
-    q_prev = q_first[0]
     poch_ratio = 1.0
-    ratios = [0.0]  # ratios[n] = q_r0(n) / (q_r0(n-1) n); index 0 is unused
-    kappa_poch = [1.0] * len(others)  # (a_r)_n (gamma0)_n / ((gamma_r)_n (a0)_n)
-    kappas: list[list[float]] = [[]]  # kappas[n][k - 1] = kappa of row group[k] at n
-    width = min(_BATCH_BLOCK, count)
-    buffers, sums = np.empty((3, width)), np.empty((len(group), width))
-    for start in range(0, count, _BATCH_BLOCK):
-        size = min(_BATCH_BLOCK, count - start)
-        term, off, scratch = buffers[:, :size]
+    ratios = [0.0]  # ratios[n] = q(n) / (q(n-1) n); index 0 is unused
+    width = min(_BATCH_BLOCK, absx.size)
+    buffers = np.empty((4, width))
+    for start in range(0, absx.size, _BATCH_BLOCK):
+        size = min(_BATCH_BLOCK, absx.size - start)
+        term, off, scratch, total = buffers[:, :size]
         xb = absx[start : start + size]
-        cuts = [min(max(splits[r] - start, 0), size) for r in group]
-        totals = sums[:, :size]
-        totals[:] = np.array(q_first)[:, None]
-        rows = list(totals)  # one view per row
-        term.fill(q_first[0])
+        total.fill(q_first)
+        term.fill(q_first)
         off.fill(0.0)
-        summing = [k for k, cut in enumerate(cuts) if cut]
-        streaks = [0] * len(group)
+        streak = 0
         rescaled = False
         n = 0
-        while summing:
+        while streak < 3:
             if n == max_terms:
                 raise ConvergenceError("phi1 batch series did not converge", terms_used=n)
             n += 1
             if n == len(ratios):
-                poch_ratio *= (a0 + n - 1.0) / (gamma0 + n - 1.0)
+                poch_ratio *= (a + n - 1.0) / (gamma + n - 1.0)
                 if poch_ratio < _SCALE_LO:
-                    # (a0)_n/(gamma0)_n underflows at large gamma (the risk moments
+                    # (a)_n/(gamma)_n underflows at large gamma (the risk moments
                     # from p ~ 1950 on); one power of two in both moves no ratio
                     poch_ratio *= _RESCALE
                     q_prev *= _RESCALE
-                inner = base.inner(n)
-                q = poch_ratio * inner
+                q = poch_ratio * inner(n)
                 ratios.append(q / (q_prev * n))
                 q_prev = q
-                column = []
-                for k, (a, gamma, inner_r) in enumerate(others):
-                    kappa_poch[k] *= (
-                        (a + n - 1.0) * (gamma0 + n - 1.0) / ((gamma + n - 1.0) * (a0 + n - 1.0))
-                    )
-                    column.append(kappa_poch[k] * inner_r(n) / inner)
-                kappas.append(column)
             np.multiply(xb, ratios[n], out=scratch)
             term *= scratch
-            rows[0] += term
-            for row, kappa in zip(rows[1:], kappas[n]):
-                row += np.multiply(term, kappa, out=scratch)
+            total += term
             # per-step growth can exceed 1e6 when x is huge, so rescale checks
             # cannot be amortized the way the convergence checks are; every
-            # term grows with x, so until the block first rescales each row's
+            # term grows with x, so until the block first rescales its
             # largest partial sum is its last
-            if float(totals.max() if rescaled else totals[:, -1].max()) > _SCALE_HI:
+            if float(total.max() if rescaled else total[-1]) > _SCALE_HI:
                 rescaled = True
-                big = (totals > _SCALE_HI).any(axis=0)
-                totals[:, big] /= _RESCALE
+                big = total > _SCALE_HI
+                total[big] /= _RESCALE
                 term[big] /= _RESCALE
                 off[big] += _LOG_RESCALE
             if n % 8 == 0:
-                for k in list(summing):
-                    cut = cuts[k]
-                    part = scratch[:cut]
-                    row_term = np.multiply(term[:cut], kappas[n][k - 1], out=part) if k else term[:cut]
-                    # terms are nonnegative, so term / total is the relative term
-                    if float(np.divide(row_term, rows[k][:cut], out=part).max()) > DEFAULT_REL_TOL:
-                        streaks[k] = 0
-                        continue
-                    streaks[k] += 1
-                    if streaks[k] < 3:
-                        continue
-                    summing.remove(k)
-                    plan = plans[group[k]]
-                    logs = rows[k][:cut]
-                    if not np.all(logs > 0.0):
-                        raise DomainError("phi1 batch accumulated a non-positive partial sum")
-                    np.log(logs, out=logs)
-                    logs += off[:cut]
-                    logs += plan.log_pref
-                    if plan.tilt:
-                        logs += np.multiply(xb[:cut], -plan.tilt, out=part)
-                    out[group[k], start : start + cut] = logs
+                streak = 0 if float(term[-1]) / float(total[-1]) > DEFAULT_REL_TOL else streak + 1
+        if not np.all(total > 0.0):
+            raise DomainError("phi1 batch accumulated a non-positive partial sum")
+        np.log(total, out=total)
+        total += off
+        total += plan.log_pref
+        if plan.tilt:
+            total += np.multiply(xb, -plan.tilt, out=scratch)
+        out[start : start + size] = total
 
 
 def _batch_sum(
@@ -770,11 +682,11 @@ def _batch_sum(
     x as they are, and the negatives, which come first, negated once and
     read backwards, with the matching reversed view of ``out``.  Row r has
     gamma = ``gammas[r]`` and the :func:`_plan` of that gamma and the sign
-    (``largest`` is the largest |x| of the call).  The |x| below a row's
-    crossover x0 take its power series, summed by :func:`_series_rows` for
-    each group of rows close in gamma, and those at or above it the plan's
-    large-|x| expansion (:func:`_tail_logs`), as on the scalar path.  Every
-    block is a slice of the |x|, and its logs go to a slice of ``out``.
+    (``largest`` is the largest |x| of the call), and is summed on its own,
+    exactly as a call with its gamma alone would be: the |x| below its
+    crossover x0 by :func:`_series_row`, and those at or above it by the
+    plan's large-|x| expansion (:func:`_tail_row`), as on the scalar path.
+    Every block is a slice of the |x|, and its logs go to a slice of ``out``.
     """
     k = int(np.searchsorted(x, 0.0))
     signs = ((False, x[k:], out[:, k:]), (True, np.negative(x[:k][::-1]), out[:, :k][:, ::-1]))
@@ -783,14 +695,13 @@ def _batch_sum(
             continue
         if negative and min(gammas) <= alpha:
             raise DomainError("log_phi1_batch with negative x requires gamma > alpha")
-        plans = [_plan(alpha, beta, g, y, negative, max_terms, largest) for g in gammas]
-        splits = np.searchsorted(absx, [plan.x0 for plan in plans]).tolist()
-        for group in _row_groups(gammas):
-            count = max(splits[r] for r in group)
-            if count:
-                _series_rows(absx, slots, count, group, gammas, plans, splits, max_terms)
-        if min(splits) < absx.size:
-            _tail_logs(absx, slots, gammas, plans, splits)
+        for gamma, row in zip(gammas, slots):
+            plan = _plan(alpha, beta, gamma, y, negative, max_terms, largest)
+            split = int(np.searchsorted(absx, plan.x0))
+            if split:
+                _series_row(absx[:split], row[:split], gamma, plan, max_terms)
+            if split < absx.size:
+                _tail_row(absx[split:], row[split:], gamma, plan)
 
 
 def log_phi1_batch(
@@ -817,9 +728,8 @@ def log_phi1_batch(
     machine precision for any magnitude of ``x``.  The entries at or above
     the crossover of their sign and gamma take the plan's large-|x|
     expansion instead, as the scalar path does (see :func:`_batch_sum`).
-    Rows close in gamma share their power-series work, and each row matches
-    a call with its gamma alone to a few ulps; a scalar ``gamma`` returns
-    what it always has, bit for bit.  Requires ``gamma > alpha`` when
+    Rows are summed independently, and each equals the call with its gamma
+    alone, bit for bit.  Requires ``gamma > alpha`` when
     negative ``x`` are present (always true for the posterior patterns,
     where gamma - alpha is the posterior shape a').
     """

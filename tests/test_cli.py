@@ -223,6 +223,16 @@ def test_shrink_absurd_tilt_exit_code(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_shrink_overflowed_tilt_exit_code(capsys, tmp_path):
+    src = tmp_path / "y.txt"
+    src.write_text("1.0\n")
+    out = tmp_path / "fit.json"
+    code = main(["shrink", "--input", str(src), "--sigma2", "5e-324", "--out", str(out)])
+    assert code == 2
+    assert "tilt Z/sigma2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shrink_huge_signal_converges(capsys, tmp_path):
     # Z = 1e6 needs ~5e5 series terms, five times DEFAULT_MAX_TERMS
     values = np.full(10, math.sqrt(1e5))
@@ -394,6 +404,21 @@ def test_marglik_profile_rejects_bad_burn_in(capsys, tmp_path):
     code, _ = run(capsys, ["marglik-profile", "--iters", "100", "--burn-in", "100",
                            "--out", str(tmp_path / "p.csv")])
     assert code == 2
+
+
+# 10**20 points: numpy refuses the grid before allocating anything
+@pytest.mark.parametrize("argv", [
+    ["prior-density", "--var", "lambda", "--grid", f"0:4:{10**20}"],
+    ["risk-curve", "--p", "7", "--grid", f"0:4:{10**20}"],
+    ["marglik-profile", "--iters", "50", "--burn-in", "10", "--grid-size", str(10**20)],
+])
+def test_a_grid_numpy_refuses_exit_code(capsys, tmp_path, argv):
+    out = tmp_path / "x.csv"
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: grid") and "Maximum allowed size exceeded" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("size", ["0", "-3"])

@@ -144,6 +144,16 @@ def test_batch_phi1_has_one_layout():
     assert not hasattr(specfun, "_Run") and not hasattr(specfun, "bisect")
 
 
+def test_batch_rows_share_no_series():
+    # each gamma row sums its own series; no row grouping or shared term
+    # recursion returns
+    tree = ast.parse(MODULES["specfun"].read_text())
+    defined = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("_row_groups", "_ROW_SPAN", "_series_rows", "_tail_logs"):
+        assert name not in defined and not hasattr(specfun, name), name
+
+
 # parameter names through which a caller would set a tolerance or a budget
 SETTING_NAMES = {"cfg", "abs_tol", "rel_tol", "max_depth"}
 
@@ -239,7 +249,7 @@ def _functions_reaching(target: str) -> dict[str, set[str]]:
 
 def test_the_large_x_crossover_is_private():
     # the private names this guards
-    for name in ("_crossover", "_endpoint_coefficients", "_tail_log", "_tail_logs", "_plan"):
+    for name in ("_crossover", "_endpoint_coefficients", "_tail_log", "_tail_row", "_plan"):
         assert callable(getattr(specfun, name)), name
         assert name not in specfun.__all__ and name not in hibshrink.__all__, name
     for name in specfun.__all__ + hibshrink.__all__:

@@ -78,6 +78,19 @@ def test_update_validation():
         update(hc, 5, 1.0, 0.0)
 
 
+def test_an_overflowed_tilt_is_refused_by_name():
+    # Z = 1 is finite, but Z/sigma2 at sigma2 = 5e-324 is not
+    y = np.array([1.0])
+    calls = (
+        lambda: marginal_log_likelihood(y, 5e-324, half_cauchy()),
+        lambda: shrink(y, 5e-324, half_cauchy()),
+        lambda: update(half_cauchy(), 1, 1.0, 5e-324),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="tilt Z/sigma2 must be finite"):
+            call()
+
+
 def test_update_composes_exactly():
     # two-block updating must land on the same parameters bit for bit
     prior = HIBParams(0.5, 0.5, 4.0, 1.0)

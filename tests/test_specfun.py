@@ -17,6 +17,7 @@ import pytest
 from hibshrink import specfun
 from hibshrink.errors import ConvergenceError, DomainError, NumericalWarning
 from hibshrink.oracles import phi1_double_series
+from hibshrink.prior import half_cauchy
 from hibshrink.specfun import (
     Phi1Args,
     log_beta,
@@ -534,7 +535,7 @@ def test_each_x_takes_the_branch_of_its_crossover(monkeypatch, y):
              for v in (40.0, 200.0, x0[sign] * (1.0 - 1e-3)) if v < x0[sign] and v < 1e3]
     above = [sign * v for sign in (1.0, -1.0) for v in (x0[sign], x0[sign] * (1.0 + 1e-3), 1e5)]
     values = {}
-    for xs, refused in ((small, ("_crossover",)), (below, ("_tail_log", "_tail_logs")),
+    for xs, refused in ((small, ("_crossover",)), (below, ("_tail_log", "_tail_row")),
                         (above, ("_hyp2f1_series", "_unit_inner"))):
         with monkeypatch.context() as m:
             for name in refused:
@@ -631,7 +632,7 @@ def test_single_gamma_batch_is_bitwise_unchanged(monkeypatch, y):
 
 
 # (alpha, gammas): the three series of a posterior moment, and four gammas
-# in three groups of _ROW_SPAN, given out of order
+# far apart, given out of order
 _ROW_CASES = [(0.5, [8.5, 9.5, 10.5]), (1.0, [51.0, 3.0, 20.0, 50.0])]
 
 
@@ -648,17 +649,13 @@ def _rows_xs(np, alpha, gammas, y):
 
 @pytest.mark.parametrize("y", [-3.0, 0.0, 0.25, 0.75, 0.9])
 def test_log_phi1_batch_rows_match_single_gamma_calls(monkeypatch, y):
-    """Each row of a multi-gamma call matches the call with its gamma alone
-    to 1e-14 max(1, |ref|, |x|), in one block and in blocks of 5 that
-    straddle every crossover.
+    """Each row of a multi-gamma call is the call with its gamma alone, bit
+    for bit, in one block and in blocks of 5 that straddle every crossover.
 
-    Rows of one group share a term recursion, so each row's terms round
-    differently from those of its own recursion, by a few ulps.  Where the
-    power series is tilted by e^x, at x < 0, the log of its sum lies near
-    |x| and rounds to an ulp of |x| before the tilt is subtracted: one ulp
-    is 2.8e-14 at |x| = 145, where the two paths differ by 2.1e-14 with a
-    log phi1 of -1.35, and each is 1.4e-14 off mpmath.  So the bound
-    scales with |x| as well as with |ref|.
+    Rows are summed independently, each over its own slices of the one
+    ascending |x|: the power series below its own crossover and the
+    large-|x| expansion from it on, in blocks that start where its own
+    series and expansion start.
     """
     np = pytest.importorskip("numpy")
     for block in (5, specfun._BATCH_BLOCK):
@@ -670,8 +667,28 @@ def test_log_phi1_batch_rows_match_single_gamma_calls(monkeypatch, y):
             assert rows.shape == (len(gammas), xs.size)
             for gamma, row in zip(gammas, rows):
                 ref = log_phi1_batch(alpha, 1.0, gamma, xs, y)
-                err = np.abs(row - ref) / np.maximum(1.0, np.maximum(np.abs(ref), np.abs(xs)))
-                assert err.max() <= 1e-14, (block, alpha, gamma, y, xs[err.argmax()])
+                assert np.array_equal(row, ref), (block, alpha, gamma, y)
+
+
+def test_production_size_rows_match_single_gamma_calls():
+    """The three gammas of a posterior moment at p = 15 over 200k sorted
+    draws, as a risk point sums them: several default blocks, with each
+    row's large-|x| expansion spread over more than one of them; every row
+    is its single-gamma call, bit for bit."""
+    np = pytest.importorskip("numpy")
+    assert specfun._BATCH_BLOCK == 32768
+    prior = half_cauchy()
+    alpha, c = prior.b, prior.a + 7.5 + prior.b  # the b and a' + b of p = 15
+    gammas = [c, c + 1.0, c + 2.0]
+    # tilts Z/2 at |beta|^2 = 100, about half of them past each crossover
+    rng = np.random.default_rng(26)
+    x = np.sort(0.5 * rng.noncentral_chisquare(15, 100.0, 200_000))
+    for gamma in gammas:
+        split = int(np.searchsorted(x, _x0(alpha, gamma, 0.0, False)))
+        assert min(split, x.size - split) > specfun._BATCH_BLOCK, (gamma, split)
+    rows = log_phi1_batch(alpha, 1.0, gammas, x, 0.0)
+    for gamma, row in zip(gammas, rows):
+        assert np.array_equal(row, log_phi1_batch(alpha, 1.0, gamma, x, 0.0)), gamma
 
 
 def test_log_phi1_batch_rows_are_equivariant_under_permutation(monkeypatch):
