@@ -38,6 +38,7 @@ from .risk import (
     _draw_z,
     _point,
     _poisson_log_weights,
+    _squared_errors,
 )
 from .specfun import (
     DEFAULT_REL_TOL,
@@ -168,18 +169,17 @@ def risk_direct(
 ) -> RiskPoint:
     """Definitional risk oracle: simulate data, apply the posterior mean.
 
-    With beta on the first axis, the loss only needs the first coordinate
-    and the squared norm: |(1-k)y - beta|^2 = (1-k)^2 Z - 2(1-k) |beta| y_1
-    + |beta|^2 with k the posterior mean shrinkage weight.
+    With beta on the first axis and e = y_1 - |beta|, the loss needs only e
+    and the squared norm V of the other coordinates: |(1-k)y - beta|^2 =
+    ((1-k) e - k |beta|)^2 + (1-k)^2 V with k the posterior mean shrinkage
+    weight, a sum of squares that cancels at no norm.
     """
     _check_point(p, beta_norm)
     _check_draws(n_mc, seed)
     rng = stream(seed, "risk-direct", str(p), f"{beta_norm:.17g}")
-    y1, z = _draw_z(beta_norm, p, rng, n_mc)
+    y1, z, v = _draw_z(beta_norm, p, rng, n_mc)
     g1, _ = kappa_moment12_batch(prior, p, z)
-    keep = 1.0 - g1
-    losses = keep * keep * z - 2.0 * keep * beta_norm * y1 + beta_norm * beta_norm
-    return _point(_BAYES_TAG, beta_norm, losses)
+    return _point(_BAYES_TAG, beta_norm, _squared_errors(1.0 - g1, g1, y1, v, beta_norm))
 
 
 def _log_density_derivative_bracket(prior: HIBParams, kappa: float) -> float:

@@ -9,6 +9,8 @@ normalizing constant, hence to ratios of the two-variable confluent series,
 which are always evaluated as differences of logs so that correlated
 truncation error cancels.  The marginal likelihood is (2 pi sigma2)^(-p/2)
 times the kernel moment m_p(Z/sigma2), the normalizer ratio C(a', s')/C(a, s).
+The prior's half of that ratio is ``prior.log_normalizer``; this module sums
+only tilted series.
 
 sigma2 is treated as fixed throughout; callers may plug in an estimate.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .prior import HIBParams, _log_normalizer_from_series
+from .prior import HIBParams, _log_normalizer_from_series, log_normalizer
 from .specfun import log_phi1, log_phi1_batch, pochhammer
 
 __all__ = [
@@ -179,7 +181,8 @@ def shrink(y: np.ndarray, sigma2: float, prior: HIBParams) -> ShrinkageFit:
     """Posterior-mean estimate of the mean vector with its shrinkage weight.
 
     Three series evaluations: the posterior denominator at a'+b is shared by
-    E(kappa | y) and the kernel moment of the marginal likelihood.
+    E(kappa | y) and the kernel moment of the marginal likelihood, whose
+    prior half is ``log_normalizer``, the prior's own series.
     """
     y = _as_data_vector(y)
     state = update(prior, y.size, float(y @ y), sigma2)
@@ -187,14 +190,13 @@ def shrink(y: np.ndarray, sigma2: float, prior: HIBParams) -> ShrinkageFit:
     c = state.a_post + pr.b
     log_num = log_phi1(pr.b, 1.0, c + 1, state.s_post, pr.y)
     log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y)
-    log_prior = log_phi1(pr.b, 1.0, pr.a + pr.b, pr.s, pr.y)
     kappa_bar = _moment_from_logs(state, 1, log_num, log_den)
     return ShrinkageFit(
         post_mean=(1.0 - kappa_bar) * y,
         post_var_scalar=(1.0 - kappa_bar) * sigma2,
         kappa_bar=kappa_bar,
         log_marginal=-0.5 * state.p * math.log(2.0 * math.pi * sigma2)
-        + _log_m_from_series(pr, state.a_post, state.s_post, log_den, log_prior),
+        + _log_m_from_series(pr, state.a_post, state.s_post, log_den),
     )
 
 
@@ -227,16 +229,15 @@ def log_m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:
     a_tilted = prior.a + 0.5 * p_eff
     s_tilted = prior.s + 0.5 * Z
     log_tilted = log_phi1(prior.b, 1.0, a_tilted + prior.b, s_tilted, prior.y)
-    log_prior = log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y)
-    return _log_m_from_series(prior, a_tilted, s_tilted, log_tilted, log_prior)
+    return _log_m_from_series(prior, a_tilted, s_tilted, log_tilted)
 
 
 def _log_m_from_series(
-    prior: HIBParams, a_tilted: float, s_tilted: float, log_tilted: float, log_prior: float
+    prior: HIBParams, a_tilted: float, s_tilted: float, log_tilted: float
 ) -> float:
-    """log C(a_tilted, b, tau2, s_tilted) - log C(prior) from the two series logs."""
+    """log C(a_tilted, b, tau2, s_tilted) - log C(prior), from the tilted series log."""
     log_c_tilted = _log_normalizer_from_series(a_tilted, prior.b, s_tilted, log_tilted)
-    return log_c_tilted - _log_normalizer_from_series(prior.a, prior.b, prior.s, log_prior)
+    return log_c_tilted - log_normalizer(prior)
 
 
 def m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:

@@ -79,6 +79,14 @@ class HIBParams:
                 raise DomainError(f"{name} must be positive and finite, got {value}")
         if not math.isfinite(self.s):
             raise DomainError(f"s must be finite, got {self.s}")
+        # every series of the member takes y = 1 - 1/tau2, which phi1 needs
+        # finite and below 1: 1/tau2 overflows below tau2 ~ 5.6e-309, and y
+        # rounds to 1 above tau2 ~ 1.8e16
+        if not (math.isfinite(self.y) and self.y < 1.0):
+            raise DomainError(
+                f"tau2 = {self.tau2} puts the series argument 1 - 1/tau2 = {self.y} "
+                "outside phi1's domain (finite and below 1)"
+            )
 
     @property
     def y(self) -> float:

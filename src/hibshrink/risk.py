@@ -101,22 +101,54 @@ def _check_point(p: int, beta_norm: float) -> None:
         raise DomainError(f"beta_norm must be nonnegative and finite, got {beta_norm}")
 
 
-def _draw_z(beta_norm: float, p: int, rng: np.random.Generator, size: int):
-    """Draws of (first coordinate, squared norm) of y ~ N(beta, I_p).
+def _check_square(beta_norm: float) -> None:
+    """Refuse a norm at which 4 |beta|^2 overflows: the Gauss window's 8 theta
+    is the largest multiple of |beta|^2 that any risk route forms."""
+    norm = float(beta_norm)  # a float product overflows to inf; ** would raise
+    if not math.isfinite(4.0 * norm * norm):
+        raise DomainError(f"beta_norm = {beta_norm:g} is too large: 4 beta_norm^2 overflows")
 
-    The squared norm splits as Z = U^2 + V, U ~ N(|beta|, 1),
-    V ~ chi-square(p-1), with beta on the first axis without loss of
-    generality.
+
+def _draw_z(beta_norm: float, p: int, rng: np.random.Generator, size: int):
+    """Draws ``(y_1, Z, V)`` of y ~ N(beta, I_p), beta on the first axis
+    without loss of generality.
+
+    y_1 ~ N(|beta|, 1) is the first coordinate, V ~ chi-square(p-1) the
+    squared norm of the others, and Z = y_1^2 + V.  A norm that
+    ``_check_square`` refuses raises before any draw.
     """
-    u = rng.normal(loc=beta_norm, scale=1.0, size=size)
-    return u, u * u + rng.chisquare(p - 1, size=size)
+    _check_square(beta_norm)
+    y1 = rng.normal(loc=beta_norm, scale=1.0, size=size)
+    v = rng.chisquare(p - 1, size=size)
+    return y1, y1 * y1 + v, v
+
+
+def _squared_errors(keep: np.ndarray, shrunk: np.ndarray, y1: np.ndarray, v: np.ndarray,
+                    beta_norm: float) -> np.ndarray:
+    """|keep y - beta|^2 at each draw ``(y_1, V)`` of ``_draw_z``, shrunk = 1 - keep.
+
+    With e = y_1 - |beta|, exact wherever y_1 is within a factor 2 of
+    |beta|, keep y - beta has first coordinate keep e - shrunk |beta| and
+    squared norm keep^2 V in the others, so no terms of size |beta|^2
+    cancel, as they do in keep^2 Z - 2 keep |beta| y_1 + |beta|^2.  Works
+    in place: y1, which is returned, keep and shrunk are overwritten.
+    """
+    e = y1
+    e -= beta_norm
+    shrunk *= beta_norm
+    e *= keep
+    e -= shrunk
+    e *= e
+    keep *= keep
+    keep *= v
+    e += keep
+    return e
 
 
 def sample_z(beta_norm: float, p: int, rng: np.random.Generator) -> float:
     """One draw of the squared data norm given the mean norm."""
     _check_point(p, beta_norm)
-    _, z = _draw_z(beta_norm, p, rng, 1)
-    return float(z[0])
+    return float(_draw_z(beta_norm, p, rng, 1)[1][0])
 
 
 def sure_integrand(prior: HIBParams, p: int, Z: Points) -> Points:
@@ -239,6 +271,7 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
 def _expect_integrand_quadrature(prior: HIBParams, p: int, beta_norm: float) -> float:
     """E_Z[r(Z)] by the Gauss-Legendre rule in t = sqrt(Z), dZ = 2t dt, over
     a 12-sigma window of Z widened by 30; the density ~ t^(p-1) is smooth in t."""
+    _check_square(beta_norm)
     theta = 0.5 * beta_norm * beta_norm
     mean = p + 2.0 * theta
     margin = 12.0 * math.sqrt(2.0 * p + 8.0 * theta) + 30.0
@@ -253,16 +286,18 @@ def _expect_integrand_quadrature(prior: HIBParams, p: int, beta_norm: float) -> 
 
 
 def _shrink_factor(tag: str, z: Points, p: int) -> np.ndarray:
-    """Multiplier applied to y by each comparator estimator."""
+    """Multiplier applied to y by each comparator estimator, a new array."""
     if tag == "mle":
         return np.ones_like(z)
+    factor = np.empty_like(z)  # 0-d for a float z, so each step works in place
     with np.errstate(divide="ignore"):
-        factor = 1.0 - (p - 2.0) / z
-    factor = np.where(z == 0.0, 0.0, factor)
+        np.divide(p - 2.0, z, out=factor)
+    np.subtract(1.0, factor, out=factor)
+    factor[z == 0.0] = 0.0
     if tag == "js":
         return factor
     if tag == "js_plus":
-        return np.maximum(factor, 0.0)
+        return np.maximum(factor, 0.0, out=factor)
     raise DomainError(f"unknown estimator tag {tag!r}")
 
 
@@ -273,7 +308,8 @@ def simulate_estimator_risk(
     n_mc: int = 200_000,
     seed: int = 0,
 ) -> RiskPoint:
-    """Direct Monte Carlo risk of a comparator estimator."""
+    """Direct Monte Carlo risk of a comparator estimator; the loss of each
+    draw is formed without cancellation, so it stays accurate at any norm."""
     if tag not in COMPARATOR_TAGS:
         raise DomainError(f"tag must be one of {COMPARATOR_TAGS}, got {tag!r}")
     if tag != "mle" and p < 3:
@@ -281,9 +317,11 @@ def simulate_estimator_risk(
     _check_point(p, beta_norm)
     _check_draws(n_mc, seed)
     rng = stream(seed, "risk-sim", tag, str(p), f"{beta_norm:.17g}")
-    y1, z = _draw_z(beta_norm, p, rng, n_mc)
+    y1, z, v = _draw_z(beta_norm, p, rng, n_mc)
     factor = _shrink_factor(tag, z, p)
-    losses = factor * factor * z - 2.0 * factor * beta_norm * y1 + beta_norm * beta_norm
+    shrunk = np.subtract(1.0, factor, out=z)  # Z is spent
+    losses = _squared_errors(factor, shrunk, y1, v, beta_norm)
+    del factor, shrunk, v
     return _point(tag, beta_norm, losses)
 
 

@@ -125,10 +125,15 @@ class GibbsConfig:
         grid = np.asarray(self.lambda_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise DomainError("lambda_grid must hold at least two points")
+        if not np.isfinite(grid).all():
+            raise DomainError(f"lambda_grid must be finite, got {grid[~np.isfinite(grid)][0]}")
         if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
             raise DomainError("lambda_grid must be ascending and positive")
         if grid[-1] != _GRID_MAX:
             raise DomainError(f"lambda_grid must be truncated at {_GRID_MAX}")
+        # the global-scale draw divides by lambda^2
+        if grid[0] * grid[0] == 0.0:
+            raise DomainError(f"lambda_grid point {grid[0]} has lambda^2 = 0")
 
 
 @dataclass(frozen=True)

@@ -230,7 +230,8 @@ def _check_y(y: float, xabs: float) -> int:
     The budget is ``DEFAULT_MAX_TERMS + 2 ceil(xabs)``, with ``xabs`` the
     largest ``|x|`` to be summed; a budget past ``_MAX_TERMS_CEILING`` raises
     ConvergenceError before any term is summed.  y in [0.999, 1) caps the
-    budget.
+    budget and warns; every entry point calls this itself, so that the
+    warning names the entry point's caller.
     """
     if y >= 1.0:
         raise DomainError(f"phi1 requires y < 1, got {y}")
@@ -342,8 +343,10 @@ def _unit_inner(n: int) -> float:
     return 1.0
 
 
-def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
+def _phi1_core(args: Phi1Args, max_terms: int) -> tuple[float, float, int]:
     """Scalar phi1 engine returning ``(log|value|, sign, terms)``.
+
+    ``max_terms`` is the budget from ``_check_y``, which each entry point calls.
 
     Sums the series :func:`_plan` picks for the sign of ``x``, or, from its
     crossover on, the plan's large-|x| expansion (:func:`_tail_log`).  Partial
@@ -353,7 +356,6 @@ def _phi1_core(args: Phi1Args) -> tuple[float, float, int]:
     """
     gamma, x, y, rel_tol = args.gamma, args.x, args.y, DEFAULT_REL_TOL
     xabs = abs(x)
-    max_terms = _check_y(y, xabs)
     plan = _plan(args.alpha, args.beta, gamma, y, x < 0.0, max_terms, xabs)
     if xabs >= plan.x0:
         log_abs, n = _tail_log(xabs, gamma, plan)
@@ -403,7 +405,7 @@ def phi1(args: Phi1Args) -> SeriesResult:
     whichever sum was taken: the series, or past a crossover the large-|x|
     expansion.
     """
-    return _linear(*_phi1_core(args))
+    return _linear(*_phi1_core(args, _check_y(args.y, abs(args.x))))
 
 
 def log_phi1(alpha: float, beta: float, gamma: float, x: float, y: float) -> float:
@@ -413,7 +415,8 @@ def log_phi1(alpha: float, beta: float, gamma: float, x: float, y: float) -> flo
     argument pattern produced by the HIB posterior formulas) phi1 is strictly
     positive, so the log is well defined for arbitrarily large ``x``.
     """
-    log_abs, sign, _ = _phi1_core(Phi1Args(alpha, beta, gamma, x, y))
+    args = Phi1Args(alpha, beta, gamma, x, y)
+    log_abs, sign, _ = _phi1_core(args, _check_y(args.y, abs(args.x)))
     if sign <= 0.0:
         raise DomainError("phi1 evaluated non-positive; log_phi1 undefined here")
     return log_abs

@@ -142,6 +142,17 @@ def test_prior_density_past_the_float_range_exit_code(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_prior_density_refuses_a_tau2_outside_the_series_domain(capsys, tmp_path):
+    # 1/tau2 overflows at tau2 = 1e-320: one error line naming tau2, no warning
+    out = tmp_path / "kappa.csv"
+    code = main(["prior-density", "--var", "kappa", "--prior", "0.5,0.5,1e-320,0",
+                 "--grid", "0.1:0.9:3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: tau2 = 1e-320") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_prior_density_psi_requires_half_cauchy(capsys, tmp_path):
     out = tmp_path / "psi.csv"
     code, _ = run(capsys, ["prior-density", "--var", "psi", "--prior", "1,1,1,0",
@@ -320,6 +331,17 @@ def test_bad_thread_count_is_a_domain_error(command, value, capsys, tmp_path, mo
     err = capsys.readouterr().err
     assert code == 2
     assert "HIBSHRINK_THREADS" in err
+    assert not out.exists()
+
+
+def test_risk_curve_refuses_a_norm_whose_square_overflows(capsys, tmp_path):
+    # once three RuntimeWarnings, then an error blaming z_values
+    out = tmp_path / "risk.csv"
+    code = main(["risk-curve", "--p", "3", "--grid", "0:1e200:2", "--mc", "10",
+                 "--compare", "js_plus", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: beta_norm = 1e+200") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -27,7 +27,10 @@ production module imports is used there, or re-exported through its
 ``__all__``; the two ``integrate_unit`` lines above are the only
 exceptions.  The marginal likelihood has one log-normalizer formula, that
 of ``prior``: ``posterior`` neither defines ``_marginal_from_logs`` nor
-imports ``log_beta``.
+imports ``log_beta``.  And a member's normalizer has one home: the untilted
+series, whose x is a member's own tilt ``s``, is summed in
+``prior.log_normalizer`` alone, and ``shrink`` and ``log_m_kernel`` reach
+that function for the prior's half of a kernel moment.
 """
 
 import ast
@@ -358,3 +361,29 @@ def test_the_marginal_has_one_log_normalizer_formula():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             assert "log_beta" not in {alias.name for alias in node.names}, node.lineno
     assert not hasattr(posterior, "log_beta")
+
+
+# the entry points through which a module sums a phi1 series, x in 4th place
+SERIES_ENTRIES = {"phi1", "log_phi1", "log_phi1_batch", "Phi1Args"}
+
+
+def test_the_untilted_series_is_summed_in_log_normalizer_alone():
+    # the untilted series of a member passes the member's own tilt, an
+    # attribute ``.s``, as x; every tilted series passes s' or s + Z/2
+    untilted = set()
+    for name, path in MODULES.items():
+        if name == "oracles":
+            continue
+        for function in ast.parse(path.read_text()).body:
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call) or len(node.args) < 4:
+                    continue
+                callee = node.func.id if isinstance(node.func, ast.Name) else None
+                x = node.args[3]
+                if callee in SERIES_ENTRIES and isinstance(x, ast.Attribute) and x.attr == "s":
+                    untilted.add((name, function.name))
+    assert untilted == {("prior", "log_normalizer")}
+    reaching = _functions_reaching("log_normalizer")
+    assert {"shrink", "log_m_kernel"} <= reaching.get("posterior", set())

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hibshrink import posterior as posterior_module
+from hibshrink import prior as prior_module
 from hibshrink import specfun
 from hibshrink.errors import ConvergenceError, DomainError
 from hibshrink.posterior import (
@@ -348,6 +349,8 @@ def test_shrink_matches_moment_and_marginal_bitwise():
 
 
 def test_shrink_evaluates_three_series(monkeypatch):
+    # counted in posterior and prior together: the prior's own series is
+    # summed by prior.log_normalizer, the two tilted ones by posterior
     calls = []
     real = posterior_module.log_phi1
 
@@ -356,6 +359,7 @@ def test_shrink_evaluates_three_series(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(posterior_module, "log_phi1", counting)
+    monkeypatch.setattr(prior_module, "log_phi1", counting)
     shrink(np.array([1.0, -2.0, 0.5, 3.0]), 1.0, HIBParams(0.5, 1.0, 4.0, -1.0))
     assert len(calls) == 3
 

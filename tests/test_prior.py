@@ -60,6 +60,14 @@ def test_params_validation():
     HIBParams(0.5, 0.5, 1.0, -1000.0)
 
 
+def test_params_refuse_a_tau2_outside_the_series_domain():
+    # y = 1 - 1/tau2 is -inf at 1e-320, where 1/tau2 overflows, and rounds
+    # to 1.0 at 1e17; phi1 takes neither
+    for tau2 in (1e-320, 1e17):
+        with pytest.raises(DomainError, match="tau2"):
+            HIBParams(0.5, 0.5, tau2, 0.0)
+
+
 def test_half_cauchy_is_the_standard_member():
     hc = half_cauchy()
     assert (hc.a, hc.b, hc.tau2, hc.s) == (0.5, 0.5, 1.0, 0.0)

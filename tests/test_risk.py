@@ -344,6 +344,36 @@ def test_js_risk_refuses_an_oversized_poisson_window_before_building_it():
     assert peak <= 2**20, peak
 
 
+def test_simulated_comparator_risk_does_not_cancel_at_large_norms():
+    # the loss was once f^2 Z - 2 f |beta| y_1 + |beta|^2, whose terms of
+    # size |beta|^2 cancel: the mle risk read -1.7e7 at 1e12; the bound of
+    # 4 reported SE around the exact risk p was fixed before the run
+    p = 3
+    for beta_norm in (1e8, 1e10, 1e12):
+        for tag in ("mle", "js", "js_plus"):
+            point = simulate_estimator_risk(tag, p, beta_norm, n_mc=200_000, seed=1)
+            assert point.mse > 0.0, (tag, beta_norm, point.mse)
+            assert abs(point.mse - p) <= 4.0 * point.mc_std_err, (tag, beta_norm, point)
+
+
+def test_a_norm_whose_square_overflows_is_refused_before_any_draw():
+    # 4 |beta|^2, the Gauss window's 8 theta, overflows past about 6.7e153
+    prior = half_cauchy()
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    calls = (
+        lambda: simulate_estimator_risk("js_plus", 3, 1e200, n_mc=10, seed=0),
+        lambda: risk_analytic(prior, 3, 1e200, n_mc=10, seed=0),
+        lambda: risk_analytic(prior, 3, 1e200, method="quadrature"),
+        lambda: risk_direct(prior, 3, 1e200, n_mc=10, seed=0),
+        lambda: sample_z(1e200, 3, rng),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="beta_norm"):
+            call()
+    assert rng.bit_generator.state == state
+
+
 def test_js_risk_builds_no_python_list_of_its_poisson_window():
     # |beta| = 2e4 is a window of about 3.4e5 terms: 2.7 MB as one float64
     # array, and about 21 MB once held as two Python lists of floats (log

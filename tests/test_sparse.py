@@ -118,6 +118,14 @@ def test_gibbs_config_validation():
         GibbsConfig(lambda_grid=(5.0, 0.1, 10.0))  # must ascend
 
 
+def test_gibbs_config_refuses_a_grid_point_the_chain_cannot_use():
+    # a NaN point once failed the chain's likelihood check, and a point
+    # whose square underflows to 0 made the global-scale draw divide by 0
+    for grid in ((0.05, math.nan, 10.0), (math.inf, 10.0), (1e-200, 10.0)):
+        with pytest.raises(DomainError, match="lambda_grid"):
+            GibbsConfig(lambda_grid=grid)
+
+
 # ---- conditional log likelihood ------------------------------------------------
 
 

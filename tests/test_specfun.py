@@ -339,6 +339,21 @@ def test_phi1_warns_close_to_unit_y():
     assert rel_err(r.value, (1.0 - 0.9995) ** -0.5) < 1e-7
 
 
+def test_unit_y_warning_names_the_callers_line():
+    # each entry point attributes the warning to its caller, so Python's
+    # once-per-location filter shows it once per calling line
+    calls = (
+        lambda: phi1(Phi1Args(0.5, 1.0, 1.0, 0.0, 0.9995)),
+        lambda: log_phi1(0.5, 1.0, 1.0, 0.0, 0.9995),
+        lambda: log_phi1_batch(0.5, 1.0, 1.0, [0.0, 1.0], 0.9995),
+    )
+    for call in calls:
+        with pytest.warns(NumericalWarning) as record:
+            call()
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
+
 def test_phi1_convergence_error_carries_terms(monkeypatch):
     # a budget of 1 + 2 * 30 terms is too few for the x-series at x = 30
     monkeypatch.setattr(specfun, "DEFAULT_MAX_TERMS", 1)
