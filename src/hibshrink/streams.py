@@ -39,8 +39,9 @@ def label_hash(*labels: object) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """Return ``seed``, an int in [0, 2^64); any other value raises ``DomainError``."""
-    if not (isinstance(seed, int) and 0 <= seed <= _MASK64):
+    """Return ``seed``, an int in [0, 2^64); any other value, a ``bool`` included,
+    raises ``DomainError``."""
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed <= _MASK64):
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return seed
 

@@ -4,6 +4,8 @@ byte-level reproducibility of every file-producing command."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hibshrink import cli, specfun
 from hibshrink.cli import main
 from hibshrink.posterior import shrink
 from hibshrink.prior import half_cauchy
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 def run(capsys, argv):
@@ -314,6 +318,26 @@ def test_marglik_profile_thread_count_does_not_change_bytes(capsys, tmp_path, mo
         code, _ = run(capsys, ["marglik-profile", "--seed", "3", "--data-seed", "7",
                                "--iters", "2000", "--burn-in", "500", "--out", str(out)])
         assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_marglik_profile_blas_thread_count_does_not_change_bytes(tmp_path):
+    # each likelihood row's dot products are BLAS calls, which may split
+    # their work over BLAS threads; OPENBLAS_NUM_THREADS is read at start-up
+    outputs = []
+    for blas in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        env["HIBSHRINK_THREADS"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = tmp_path / f"profile-{blas}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "hibshrink", "marglik-profile", "--seed", "3",
+             "--data-seed", "7", "--iters", "1500", "--burn-in", "497", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
 

@@ -27,7 +27,7 @@ from hibshrink.sparse import (
     ig_induced_density,
     simulate_sparse,
 )
-from hibshrink.streams import stream, worker_count
+from hibshrink.streams import check_seed, stream, worker_count
 
 
 # ---- dataset ----------------------------------------------------------------
@@ -70,6 +70,14 @@ def test_simulate_sparse_refuses_a_seed_outside_64_bits():
         stream(-1, "test")
 
 
+def test_check_seed_refuses_a_bool():
+    # True and False are ints, and passed as seeds 1 and 0
+    for seed in (True, False):
+        with pytest.raises(DomainError, match="seed"):
+            check_seed(seed)
+    assert check_seed(1) == 1
+
+
 def test_simulate_sparse_pure_noise():
     data = simulate_sparse(3, pure_noise=True)
     np.testing.assert_array_equal(data.beta_true, np.zeros(50))
@@ -95,6 +103,14 @@ def test_dataset_validation():
             SparseDataset(np.zeros(3), np.zeros((3, 2)), 2, bad_sigma)
 
 
+def test_dataset_refuses_a_bool_n_rep_or_sigma():
+    # True passed for n_rep 1 and for sigma 1.0
+    with pytest.raises(DomainError, match="n_rep must be a positive integer"):
+        SparseDataset(np.zeros(3), np.zeros((3, 1)), True, 1.0)
+    with pytest.raises(DomainError, match="sigma must be positive"):
+        SparseDataset(np.zeros(3), np.zeros((3, 1)), 1, True)
+
+
 def test_dataset_from_lists_runs_likelihood_and_sampler():
     data = SparseDataset([0.0, 0.0], [[0.5], [1.0]], 1, 1.0)
     assert isinstance(data.y, np.ndarray) and data.y.dtype == float
@@ -116,6 +132,15 @@ def test_gibbs_config_validation():
         GibbsConfig(lambda_grid=(0.1, 5.0))  # grid must end at the cap
     with pytest.raises(DomainError):
         GibbsConfig(lambda_grid=(5.0, 0.1, 10.0))  # must ascend
+
+
+def test_gibbs_config_refuses_a_bool_count():
+    # True and False passed for n_iter 1 and burn_in 0
+    with pytest.raises(DomainError, match="n_iter"):
+        GibbsConfig(n_iter=True, burn_in=0)
+    with pytest.raises(DomainError, match="burn_in"):
+        GibbsConfig(n_iter=1, burn_in=False)
+    GibbsConfig(n_iter=1, burn_in=0)
 
 
 def test_gibbs_config_refuses_a_grid_point_the_chain_cannot_use():
@@ -198,11 +223,52 @@ def test_likelihood_rows_match_per_row_formula(sigma):
     lam = np.linspace(0.05, 10.0, 200)
     rows = _LikelihoodRows(data, sigma, lam * lam)
     rng = stream(12, "test", "rows")
-    for _ in range(20):
-        u2 = 10.0 ** rng.uniform(-12.0, 12.0, size=50)
-        expected = _reference_rows(data, sigma, lam * lam, u2)
-        got = rows(u2)
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+    u2s = 10.0 ** rng.uniform(-12.0, 12.0, size=(20, 50))
+    for start in range(0, len(u2s), sparse._SLAB):
+        slab = u2s[start : start + sparse._SLAB]
+        for u2, got in zip(slab, rows(slab)):
+            expected = _reference_rows(data, sigma, lam * lam, u2)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def _one_row(data, sigma, lam2, u2):
+    # one retained sweep's row, by the operations of a one-row evaluation
+    s1 = data.y.sum(axis=1)
+    s2 = (data.y * data.y).sum(axis=1)
+    sigma2 = sigma * sigma
+    b = np.multiply.outer(u2, data.n_rep * lam2)
+    denom = b + 1.0
+    b /= denom
+    np.log(denom, out=denom)
+    row = np.dot(0.5 * s1 * s1 / (sigma2 * data.n_rep), b)
+    row -= np.dot(np.full(s1.size, 0.5), denom)
+    row += -0.5 * float(s2.sum()) / sigma2 - (
+        0.5 * data.n_rep * math.log(2.0 * math.pi * sigma2) * s1.size
+    )
+    return row
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.7])
+@pytest.mark.parametrize("grid_size", [200, 7, 41])
+def test_slab_rows_equal_one_row_evaluation_bitwise(sigma, grid_size):
+    # 1,003 retained sweeps: 15 full blocks of 64 and one of 43, whose last
+    # slab holds 3 rows; the rows stay the chain's buffers, so copy each
+    data = simulate_sparse(2)
+    lam2 = np.linspace(10.0 / grid_size, 10.0, grid_size) ** 2
+    rows = _LikelihoodRows(data, sigma, lam2)
+    u2s = 10.0 ** stream(14, "test", "slab-rows").uniform(-12.0, 12.0, size=(1_003, 50))
+    got = []
+    for start in range(0, len(u2s), sparse._ROW_BLOCK):
+        block = u2s[start : start + sparse._ROW_BLOCK]
+        got += [row.copy() for row in sparse._checked_rows(rows, block)]
+    assert len(got) == len(u2s)
+    for u2, row in zip(u2s, got):
+        np.testing.assert_array_equal(row, _one_row(data, sigma, lam2, u2))
+    # the likelihood at one lambda is a one-row, one-point evaluation
+    for lam in (0.05, 1.3, 10.0):
+        assert conditional_log_likelihood(data, lam, sigma, u2s[0]) == float(
+            _one_row(data, sigma, np.array([lam * lam]), u2s[0])[0]
+        )
 
 
 # ---- streaming log-mean-exp ------------------------------------------------------
@@ -365,6 +431,71 @@ def test_global_scale_draw_with_hoisted_constants_keeps_every_bit():
     assert np.unique(sequences[0]).size > 10  # the chain moves
     np.testing.assert_array_equal(sequences[0], sequences[1])
     np.testing.assert_array_equal(sequences[0], sequences[2])
+
+
+def _written_out_means(rng, s1, n_rep, sigma, lam, u2):
+    sigma2 = sigma * sigma
+    variance = 1.0 / (n_rep / sigma2 + 1.0 / (lam * lam * sigma2 * u2))
+    mean = variance * s1 / sigma2
+    return mean + np.sqrt(variance) * rng.standard_normal(s1.size)
+
+
+def _written_out_local_scales(rng, beta, sigma, lam, u2):
+    xi = (1.0 + 1.0 / u2) / rng.standard_exponential(u2.size)
+    rate = 1.0 / xi + beta * beta / (2.0 * lam * lam * sigma * sigma)
+    return rate / rng.standard_exponential(u2.size)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.7])
+def test_in_place_updates_keep_every_bit(sigma):
+    # the public updates work in place on the array they return; the
+    # written-out formulas, on the same draws, give the same means and scales
+    data = simulate_sparse(3)
+    grid = np.asarray(GibbsConfig().lambda_grid)
+    s1 = data.y.sum(axis=1)
+    runs = []
+    for means, local in (
+        (_written_out_means, _written_out_local_scales),
+        (gibbs_update_means, gibbs_update_local_scales),
+    ):
+        rng = stream(9, "test", "in-place")
+        u2, lam, seen = np.ones(s1.size), 1.0, []
+        for _ in range(2_000):
+            beta = means(rng, s1, data.n_rep, sigma, lam, u2)
+            u2_next = local(rng, beta, sigma, lam, u2)
+            assert u2_next is not u2
+            u2 = u2_next
+            lam = gibbs_update_global_scale(rng, beta, sigma, u2, grid)
+            seen.append(np.concatenate([beta, u2, [lam]]))
+        runs.append(np.array(seen))
+    assert np.unique(runs[0][:, -1]).size > 10  # the chain moves
+    np.testing.assert_array_equal(runs[0], runs[1])
+
+
+def test_global_scale_draw_gives_an_overflowing_point_no_weight():
+    # S / (2 lambda^2) passes the float range at lambda = 1e-160, where a
+    # RuntimeWarning once escaped; that point can no longer be drawn
+    grid = np.array([1e-160, 1.0, 10.0])
+    draw = _GlobalScaleDraw(grid, 3)
+    rng = stream(10, "test", "overflow")
+    beta, u2 = np.full(3, 2.0), np.ones(3)
+    assert {draw(rng, beta, 1.0, u2) for _ in range(200)} <= {1.0, 10.0}
+    # no point overflows at S = 0, where the tiny point has the most weight
+    assert draw(rng, np.zeros(3), 1.0, u2) == 1e-160
+    result = horseshoe_gibbs(
+        simulate_sparse(0), GibbsConfig(n_iter=50, burn_in=5, lambda_grid=(1e-160, 10.0))
+    )
+    assert np.all(np.isfinite(result.profile))
+    assert result.profile.max() == 1.0
+    assert result.overlay_ig_induced[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_global_scale_draw_refuses_a_non_finite_statistic(bad):
+    draw = _GlobalScaleDraw(np.asarray(GibbsConfig().lambda_grid), 3)
+    beta = np.array([1.0, bad, 0.5])
+    with pytest.raises(HibshrinkError, match="non-finite global-scale statistic"):
+        draw(stream(10, "test", "non-finite"), beta, 1.0, np.ones(3))
 
 
 # ---- full sampler and profile --------------------------------------------------------
@@ -536,12 +667,13 @@ def test_non_finite_row_raises_the_same_error_on_either_side(
     calls = []
     real = _LikelihoodRows.__call__
 
-    def poisoned(self, u2):
-        row = real(self, u2)
-        calls.append(None)
-        if len(calls) == 100:
-            row[7] = np.nan
-        return row
+    def poisoned(self, block):
+        rows = real(self, block)
+        before = len(calls)
+        calls.extend([None] * len(block))
+        if before < 100 <= len(calls):
+            rows[99 - before, 7] = np.nan
+        return rows
 
     monkeypatch.setattr(_LikelihoodRows, "__call__", poisoned)
     monkeypatch.setenv("HIBSHRINK_THREADS", threads)
@@ -585,10 +717,10 @@ def test_helper_that_dies_raises_a_package_error(monkeypatch, helpers_started):
     chain_pid = os.getpid()
     real = _LikelihoodRows.__call__
 
-    def dying(self, u2):
+    def dying(self, block):
         if os.getpid() != chain_pid:
             os._exit(3)
-        return real(self, u2)
+        return real(self, block)
 
     monkeypatch.setattr(_LikelihoodRows, "__call__", dying)
     monkeypatch.setenv("HIBSHRINK_THREADS", "2")
@@ -613,9 +745,9 @@ def test_rows_keep_their_bits_whoever_evaluates_them(
     calls = []
     real = _LikelihoodRows.__call__
 
-    def counted(self, u2):
-        calls.append(None)
-        return real(self, u2)
+    def counted(self, block):
+        calls.extend([None] * len(block))
+        return real(self, block)
 
     monkeypatch.setattr(_LikelihoodRows, "__call__", counted)
     monkeypatch.setattr(sparse, "_SHARE_BACKLOG", backlog)
