@@ -16,20 +16,21 @@ densities on the same grid show what a half-Cauchy prior and an
 inverse-gamma-induced prior on lambda would weight: the latter vanishes near
 zero, which is the distortion the profile makes visible.
 
-The likelihood rows of a block are evaluated in slabs of 8 retained
-sweeps: one rank-1 product, one add, divide and log pass, and one stacked
-matrix-vector product per weight vector cover a slab, so the per-call
-overhead is paid once a slab while each row keeps the bits of its one-row
-evaluation.
+The likelihood rows of a block are evaluated, and added to the profile, in
+slabs of 8 retained sweeps: one rank-1 product, one add and divide pass,
+one product over the means and one log per (row, lambda) for the
+log-determinants, one stacked matrix-vector product, and one log-mean-exp
+update cover a slab, so the per-call overhead is paid once a slab while
+each row keeps the bits of its one-row evaluation.
 
 No later sweep reads the likelihood rows, so a chain granted two workers
 (``HIBSHRINK_THREADS``, else the CPUs the process may run on) sums them on
 one forked helper process: the chain runs the three updates and pipes each
 retained u^2 to it in blocks of 64 sweeps.  Whenever the helper falls two
 u^2 blocks behind, the chain evaluates the next block's rows itself and
-pipes the rows instead, which the helper only adds.  With one worker, no
-``fork`` start method, or another thread alive, the same block function
-runs inline; the profile has the same bits either way.
+pipes the rows instead, which the helper only adds, in the same slabs.
+With one worker, no ``fork`` start method, or another thread alive, the
+same block function runs inline; the profile has the same bits either way.
 """
 
 from __future__ import annotations
@@ -166,28 +167,49 @@ class LogMeanExpAccumulator:
     the final log-mean is exact up to rounding no matter how large or small
     the log values are.  A component given NaN, +inf, or -inf before any
     finite value has no log-mean, and ``log_mean`` raises ``DomainError``.
+
+    ``add`` takes one row or a (k, size) slab of rows: one maximum, one
+    rescale of the sum and one exp-and-sum pass cover the slab, the
+    rescaled sum being the first term of a sum that runs in row order.  A
+    one-row add is the k = 1 slab and keeps the bits of the per-row update;
+    a slab differs from its rows added one at a time only where a row after
+    its first raises the maximum, and then by rounding.
     """
 
     def __init__(self, size: int) -> None:
         self._max = np.full(size, -np.inf)
         self._sum = np.zeros(size)
         self._count = 0
-        # the next maximum and one scratch row, overwritten by every add
+        # the next maximum, one scratch row and the slab's terms, overwritten by every add
         self._new_max = np.empty(size)
         self._scratch = np.empty(size)
+        self._terms = np.empty((1, size))
 
     def add(self, log_values: np.ndarray) -> None:
         l = np.asarray(log_values, dtype=float)
-        if l.shape != self._max.shape:
-            raise DomainError(f"expected shape {self._max.shape}, got {l.shape}")
-        new_max = np.maximum(self._max, l, out=self._new_max)
+        if l.shape[-1:] != self._max.shape or l.ndim > 2 or l.size == 0:
+            raise DomainError(
+                f"expected shape {self._max.shape} or (k, {self._max.size}), got {l.shape}"
+            )
+        l = l.reshape(-1, self._max.size)
+        k = len(l)
+        if self._count == 0:
+            # a first row of -inf leaves the one-row update 0 * exp(nan): poison it here
+            # too, where a later finite row in the slab would set the maximum
+            self._sum[np.isneginf(l[0])] = np.nan
+        new_max = np.maximum.reduce(l, axis=0, out=self._new_max)
+        np.maximum(self._max, new_max, out=new_max)
         scratch = self._scratch
         np.subtract(self._max, new_max, out=scratch)
         self._sum *= np.exp(scratch, out=scratch)
-        np.subtract(l, new_max, out=scratch)
-        self._sum += np.exp(scratch, out=scratch)
+        if len(self._terms) < k:
+            self._terms = np.empty((k, self._max.size))
+        terms = np.subtract(l, new_max, out=self._terms[:k])
+        np.exp(terms, out=terms)
+        terms[0] += self._sum
+        np.add.reduce(terms, axis=0, out=self._sum)
         self._max, self._new_max = new_max, self._max
-        self._count += 1
+        self._count += k
 
     def log_mean(self) -> np.ndarray:
         if self._count == 0:
@@ -224,20 +246,25 @@ class _LikelihoodRows:
             - (s2_i - lambda^2 u_i^2 s1_i^2 / (1 + n lambda^2 u_i^2))
               / (2 sigma^2) ].
     With b_i = n lambda^2 u_i^2 and d_i = 1 + b_i the u-dependent part is
-    sum_i s1_i^2/(2 n sigma^2) b_i/d_i - (1/2) sum_i log d_i, two dot
-    products over the rows; the rest is a constant fixed at construction.
+    sum_i s1_i^2/(2 n sigma^2) b_i/d_i - (1/2) sum_i log d_i, a dot
+    product and a log-determinant over the means; the rest is a constant
+    fixed at construction.
 
     One call evaluates a slab of up to ``_SLAB`` retained u^2 vectors in a
     (slab * p, grid size) layout, row r's (p, grid size) matrix at rows
     r*p to (r+1)*p: b is one rank-1 matrix product of the slab's u^2 column
-    with the n lambda^2 row, then one add, divide and log pass covers the
-    slab.  Each weight vector then takes one stacked ``matmul`` over the
-    slab's (p, grid size) matrices, which makes each row's matrix-vector
-    product the BLAS call a one-row slab makes.  So a row has the same bits
-    wherever it sits in a slab, for any grid size; one matrix-vector product
-    over the (p, slab * grid size) view would not, since BLAS sums the last
-    few entries of its output apart.  The work arrays are allocated once
-    and overwritten by every call, and so are the returned rows.
+    with the n lambda^2 row, then one add and divide pass covers the slab.
+    The log-determinant term is (1/2) log prod_i d_i: one product over the
+    p axis, then one log per (row, lambda) rather than per entry.  A row
+    whose product passes the float range (many large u_i^2) takes, alone,
+    (1/2) sum_i log d_i as a matrix-vector product instead.  The weights of
+    b/d take one stacked ``matmul`` over the slab's (p, grid size)
+    matrices, which makes each row's matrix-vector product the BLAS call a
+    one-row slab makes.  So a row has the same bits wherever it sits in a
+    slab, for any grid size; one matrix-vector product over the
+    (p, slab * grid size) view would not, since BLAS sums the last few
+    entries of its output apart.  The work arrays are allocated once and
+    overwritten by every call, and so are the returned rows.
     """
 
     def __init__(
@@ -265,9 +292,18 @@ class _LikelihoodRows:
         b = np.dot(u2.reshape(k * p, 1), self._n_lam2, out=self._b[: k * p])
         denom = np.add(b, 1.0, out=self._denom[: k * p])
         b /= denom
-        np.log(denom, out=denom)
+        denom = denom.reshape(k, p, g)
+        logdet = self._logdet[:k]
+        with np.errstate(over="ignore"):
+            np.multiply.reduce(denom, axis=1, out=logdet.reshape(k, g))
+        np.log(logdet, out=logdet)
+        logdet *= 0.5
+        if not np.isfinite(logdet).all():  # a product passed the float range
+            for r in np.flatnonzero(~np.isfinite(logdet).all(axis=(1, 2))):
+                np.log(denom[r], out=denom[r])
+                np.matmul(self._logdet_weights, denom[r : r + 1], out=logdet[r : r + 1])
         rows = np.matmul(self._quad_weights, b.reshape(k, p, g), out=self._rows[:k])
-        rows -= np.matmul(self._logdet_weights, denom.reshape(k, p, g), out=self._logdet[:k])
+        rows -= logdet
         rows += self._const
         return rows.reshape(k, g)
 
@@ -326,16 +362,19 @@ def gibbs_update_local_scales(
     With an auxiliary xi_i per scale, both conditionals are IG with unit
     shape, and an IG(1, c) draw is c divided by a standard exponential:
     xi = (1 + 1/u^2) / e1, then u^2 = (1/xi + beta^2 / (2 lambda^2 sigma^2))
-    / e2, each operation in place, in that order.
+    / e2, each operation in place, in that order.  e1 and e2 are the two
+    halves of one draw of 2p exponentials, the values two draws of p give.
     """
+    p = u2.size
+    e = rng.standard_exponential(2 * p)
     rate = np.reciprocal(u2)
     rate += 1.0
-    rate /= rng.standard_exponential(u2.size)
+    rate /= e[:p]
     np.reciprocal(rate, out=rate)
     spread = np.multiply(beta, beta)
     spread /= 2.0 * lam * lam * sigma * sigma
     rate += spread
-    rate /= rng.standard_exponential(u2.size)
+    rate /= e[p:]
     return rate
 
 
@@ -400,26 +439,31 @@ class _GlobalScaleDraw:
         return float(self._grid[int(cdf.searchsorted(draw))])
 
 
+def _slabs(block: np.ndarray) -> Iterator[np.ndarray]:
+    """``block`` in slabs of ``_SLAB`` rows from its start, the last possibly shorter."""
+    for start in range(0, len(block), _SLAB):
+        yield block[start : start + _SLAB]
+
+
 def _checked_rows(rows: _LikelihoodRows, block: np.ndarray) -> Iterator[np.ndarray]:
-    """The likelihood row of each retained u^2 in ``block``, in sweep order.
+    """The likelihood rows of each slab of retained u^2 in ``block``, in sweep order.
 
     Rows are evaluated, and checked finite, a slab of ``_SLAB`` sweeps at a
-    time.  Each row is the evaluator's own buffer, overwritten by the next
-    slab.
+    time.  Each slab is the evaluator's own buffer, overwritten by the next.
     """
-    for start in range(0, len(block), _SLAB):
-        slab = rows(block[start : start + _SLAB])
+    for u2 in _slabs(block):
+        slab = rows(u2)
         if not np.isfinite(slab).all():
             raise HibshrinkError("non-finite conditional likelihood in sampler")
-        yield from slab
+        yield slab
 
 
 def _add_rows(
     rows: _LikelihoodRows, acc: LogMeanExpAccumulator, block: np.ndarray
 ) -> None:
-    """Add the likelihood row of each retained u^2 in ``block``, in sweep order."""
-    for row in _checked_rows(rows, block):
-        acc.add(row)
+    """Add the likelihood rows of the retained u^2 in ``block``, a slab at a time."""
+    for slab in _checked_rows(rows, block):
+        acc.add(slab)
 
 
 class _InlineRows:
@@ -454,11 +498,11 @@ def _serve_rows(
 
     Each message is a tag and a block.  A block of u^2 has its rows
     evaluated and added, and then counts in ``taken``; a block of rows the
-    chain evaluated is only added.  An empty message ends the chain; the
-    reply is the accumulator, or the first failure, after which later
-    blocks are read, counted and dropped so the chain never blocks on a full
-    pipe.  End of file means the chain's process is gone, and the helper
-    ends with it.
+    chain evaluated is only added, in the same slabs.  An empty message
+    ends the chain; the reply is the accumulator, or the first failure,
+    after which later blocks are read, counted and dropped so the chain
+    never blocks on a full pipe.  End of file means the chain's process is
+    gone, and the helper ends with it.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the chain's process ends this one
     parent_end.close()
@@ -474,8 +518,8 @@ def _serve_rows(
                     if is_u2:
                         _add_rows(rows, acc, body.reshape(-1, p))
                     else:
-                        for row in body.reshape(-1, size):
-                            acc.add(row)
+                        for slab in _slabs(body.reshape(-1, size)):
+                            acc.add(slab)
                 except HibshrinkError as exc:
                     failure = exc
             if is_u2:
@@ -493,9 +537,10 @@ class _HelperRows:
     chain evaluates the block's rows itself, with the evaluator it built
     before the fork and the same finiteness check, and writes the rows in
     its place; blocks of rows do not count toward that backlog.  The helper
-    adds every row in sweep order, whoever evaluated it, so the sum keeps
-    its bits.  Leaving the ``with`` block kills the helper if the chain
-    raised, closes the pipe and always joins the helper.
+    adds every block in slabs of ``_SLAB`` rows from its start, whoever
+    evaluated it, so the sum keeps its bits.  Leaving the ``with`` block
+    kills the helper if the chain raised, closes the pipe and always joins
+    the helper.
     """
 
     def __init__(
@@ -531,8 +576,8 @@ class _HelperRows:
         if self._sent - self._taken.value >= _SHARE_BACKLOG:
             message[0] = _ROWS
             body = message[1 : 1 + len(block) * self._size].reshape(-1, self._size)
-            for out, row in zip(body, _checked_rows(self._rows, block)):
-                out[:] = row
+            for out, slab in zip(_slabs(body), _checked_rows(self._rows, block)):
+                out[:] = slab
         else:
             message[0] = _U2
             body = message[1 : 1 + block.size].reshape(block.shape)

@@ -206,7 +206,10 @@ def _hyp2f1_series(
 ) -> tuple[float, int]:
     """Raw 2F1 power series; caller guarantees it converges (|z| < 1).
 
-    Returns ``(value, terms)``.  Raises ConvergenceError past ``max_terms``.
+    Returns ``(value, terms)``.  Raises ConvergenceError past ``max_terms``,
+    naming z and the terms the series would need: its terms fall off like
+    z^m, so reaching ``DEFAULT_REL_TOL`` takes about 27.6/(1 - |z|) of them
+    as |z| nears 1.
     """
     rel_tol = DEFAULT_REL_TOL
     total = 1.0
@@ -221,7 +224,12 @@ def _hyp2f1_series(
                 return total, m + 1
         else:
             streak = 0
-    raise ConvergenceError("2F1 series did not converge", terms_used=max_terms)
+    needed = -math.log(rel_tol) / (1.0 - abs(z))
+    raise ConvergenceError(
+        f"2F1 series at z = {z!r} did not converge within its budget of"
+        f" {max_terms} terms; it needs about {needed:.3g}",
+        terms_used=max_terms,
+    )
 
 
 def _check_y(y: float, xabs: float) -> int:

@@ -157,6 +157,21 @@ def test_prior_density_refuses_a_tau2_outside_the_series_domain(capsys, tmp_path
     assert not out.exists()
 
 
+def test_prior_density_past_the_inner_2f1_budget_exit_code(capsys, tmp_path):
+    # the normalizer's inner 2F1 at z = 0.9999 needs about 2.76e5 terms: exit 3
+    # with one error line that says so
+    out = tmp_path / "kappa.csv"
+    code = main(["prior-density", "--var", "kappa", "--prior", "0.5,0.5,1e-4,0",
+                 "--grid", "0.1:0.9:3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == (
+        "error: 2F1 series at z = 0.9999 did not converge within its budget of"
+        " 100000 terms; it needs about 2.76e+05 (terms_used=100000)\n"
+    )
+    assert not out.exists()
+
+
 def test_prior_density_psi_requires_half_cauchy(capsys, tmp_path):
     out = tmp_path / "psi.csv"
     code, _ = run(capsys, ["prior-density", "--var", "psi", "--prior", "1,1,1,0",

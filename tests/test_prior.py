@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hibshrink import prior as prior_module
-from hibshrink.errors import DomainError
+from hibshrink.errors import ConvergenceError, DomainError
 from hibshrink.prior import (
     HIBParams,
     density_kappa,
@@ -105,6 +105,18 @@ def test_normalizer_against_direct_quadrature():
 
     direct = integrate_unit(integrand, 0.5, 0.5, f_complement=integrand_c)
     assert rel_err(math.exp(log_normalizer(prior)), direct) < 1e-8
+
+
+def test_normalizer_past_the_inner_2f1_budget_names_what_it_needs():
+    # tau2 = 1e-4 puts the inner 2F1 at z = 0.9999, where its terms fall off
+    # like z^m: about 27.6 / (1 - z) = 2.76e5 terms, past the 1e5 budget
+    with pytest.raises(ConvergenceError) as exc:
+        log_normalizer(HIBParams(0.5, 0.5, 1e-4, 0.0))
+    assert exc.value.terms_used == 100_000
+    assert str(exc.value) == (
+        "2F1 series at z = 0.9999 did not converge within its budget of 100000"
+        " terms; it needs about 2.76e+05 (terms_used=100000)"
+    )
 
 
 # ---- kappa density -----------------------------------------------------------

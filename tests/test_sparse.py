@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -231,17 +232,23 @@ def test_likelihood_rows_match_per_row_formula(sigma):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
-def _one_row(data, sigma, lam2, u2):
-    # one retained sweep's row, by the operations of a one-row evaluation
+def _one_row(data, sigma, lam2, u2, logdet="product"):
+    # one retained sweep's row, by the operations of a one-row evaluation:
+    # half the log of the product of the 1 + n lam^2 u_i^2 over the means, or
+    # where that product overflows (or with logdet="sum"), half the sum of
+    # their logs
     s1 = data.y.sum(axis=1)
     s2 = (data.y * data.y).sum(axis=1)
     sigma2 = sigma * sigma
     b = np.multiply.outer(u2, data.n_rep * lam2)
     denom = b + 1.0
     b /= denom
-    np.log(denom, out=denom)
+    with np.errstate(over="ignore"):
+        half_logdet = 0.5 * np.log(np.multiply.reduce(denom, axis=0))
+    if logdet == "sum" or not np.isfinite(half_logdet).all():
+        half_logdet = np.dot(np.full(s1.size, 0.5), np.log(denom))
     row = np.dot(0.5 * s1 * s1 / (sigma2 * data.n_rep), b)
-    row -= np.dot(np.full(s1.size, 0.5), denom)
+    row -= half_logdet
     row += -0.5 * float(s2.sum()) / sigma2 - (
         0.5 * data.n_rep * math.log(2.0 * math.pi * sigma2) * s1.size
     )
@@ -260,15 +267,51 @@ def test_slab_rows_equal_one_row_evaluation_bitwise(sigma, grid_size):
     got = []
     for start in range(0, len(u2s), sparse._ROW_BLOCK):
         block = u2s[start : start + sparse._ROW_BLOCK]
-        got += [row.copy() for row in sparse._checked_rows(rows, block)]
+        got += [slab.copy() for slab in sparse._checked_rows(rows, block)]
+    got = np.concatenate(got)
     assert len(got) == len(u2s)
     for u2, row in zip(u2s, got):
         np.testing.assert_array_equal(row, _one_row(data, sigma, lam2, u2))
+    # u^2 up to 1e12 overflows the product of many rows: both forms are tested
+    with np.errstate(over="ignore"):
+        products = [
+            np.multiply.reduce(1.0 + np.multiply.outer(u2, data.n_rep * lam2)) for u2 in u2s
+        ]
+    overflowed = sum(not np.isfinite(product).all() for product in products)
+    assert 0 < overflowed < len(u2s)
     # the likelihood at one lambda is a one-row, one-point evaluation
     for lam in (0.05, 1.3, 10.0):
         assert conditional_log_likelihood(data, lam, sigma, u2s[0]) == float(
             _one_row(data, sigma, np.array([lam * lam]), u2s[0])[0]
         )
+
+
+def test_overflowing_rows_fall_back_alone_to_the_sum_of_logs():
+    # a slab of 8 whose rows 2 and 5 have u^2 = 1e12 on every mean: their
+    # product of 1 + n lam^2 u^2 passes the float range at every lambda, and
+    # they alone take half the sum of the logs, with no RuntimeWarning
+    data = simulate_sparse(2)
+    lam2 = np.asarray(GibbsConfig().lambda_grid) ** 2
+    rows = _LikelihoodRows(data, 1.0, lam2)
+    u2s = 10.0 ** stream(15, "test", "overflow-rows").uniform(-2.0, 2.0, size=(8, 50))
+    u2s[[2, 5]] = 1e12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slab = rows(u2s).copy()
+        alone = [rows(u2[None, :]).copy()[0] for u2 in u2s]
+    for u2, row, row_alone in zip(u2s, slab, alone):
+        np.testing.assert_array_equal(row, row_alone)
+        np.testing.assert_array_equal(row, _one_row(data, 1.0, lam2, u2))
+        np.testing.assert_allclose(
+            row, _reference_rows(data, 1.0, lam2, u2), rtol=1e-12, atol=0.0
+        )
+    for r in (2, 5):
+        np.testing.assert_array_equal(
+            slab[r], _one_row(data, 1.0, lam2, u2s[r], logdet="sum")
+        )
+    for r in (0, 1, 3, 4, 6, 7):  # the other rows take the product
+        product = np.multiply.reduce(1.0 + np.multiply.outer(u2s[r], data.n_rep * lam2))
+        assert np.isfinite(product).all()
 
 
 # ---- streaming log-mean-exp ------------------------------------------------------
@@ -290,13 +333,18 @@ class _BranchingAccumulator:
         self.max = np.maximum(self.max, l)
 
 
-@pytest.mark.parametrize("shift", [0.0, 700.0, -700.0])
-def test_log_mean_exp_matches_branching_update_bitwise(shift):
+def _tie_laden_rows(shift):
     rng = stream(13, "test", "lse-bits")
     rows = rng.normal(0.0, 3.0, size=(5_000, 12)) + shift
     # exact ties with the running maximum
     rows[100:200] = rows[99]
     rows[300, :6] = np.maximum.accumulate(rows[:300], axis=0)[-1, :6]
+    return rows
+
+
+@pytest.mark.parametrize("shift", [0.0, 700.0, -700.0])
+def test_log_mean_exp_matches_branching_update_bitwise(shift):
+    rows = _tie_laden_rows(shift)
     acc = LogMeanExpAccumulator(12)
     ref = _BranchingAccumulator(12)
     for row in rows:
@@ -307,6 +355,57 @@ def test_log_mean_exp_matches_branching_update_bitwise(shift):
     np.testing.assert_array_equal(
         acc.log_mean(), ref.max + np.log(ref.sum) - math.log(len(rows))
     )
+
+
+@pytest.mark.parametrize("shift", [0.0, 700.0, -700.0])
+def test_slab_adds_agree_with_row_adds_to_a_few_ulp(shift):
+    # 5,003 rows: 625 slabs of 8, then a short slab of 3
+    rows = _tie_laden_rows(shift)
+    rows = np.concatenate([rows, rows[:3]])
+    by_row = LogMeanExpAccumulator(12)
+    by_slab = LogMeanExpAccumulator(12)
+    for row in rows:
+        by_row.add(row)
+    for start in range(0, len(rows), sparse._SLAB):
+        by_slab.add(rows[start : start + sparse._SLAB])
+    want = by_row.log_mean()
+    got = by_slab.log_mean()
+    np.testing.assert_array_equal(by_slab._max, by_row._max)
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.abs(want)))
+
+
+def test_one_row_slab_is_a_row_add_bitwise():
+    rows = _tie_laden_rows(700.0)[:500]
+    by_row = LogMeanExpAccumulator(12)
+    by_slab = LogMeanExpAccumulator(12)
+    for row in rows:
+        by_row.add(row)
+        by_slab.add(row[None, :])
+    np.testing.assert_array_equal(by_slab._max, by_row._max)
+    np.testing.assert_array_equal(by_slab._sum, by_row._sum)
+    np.testing.assert_array_equal(by_slab.log_mean(), by_row.log_mean())
+
+
+@pytest.mark.parametrize(
+    "bad, at", [(-math.inf, 0), (math.nan, 0), (math.nan, 5), (math.inf, 5)]
+)
+def test_slab_refuses_a_component_it_cannot_define(bad, at):
+    # -inf as a component's first value, or NaN or +inf anywhere, with finite
+    # values after it in the same slab and in later ones
+    slab = np.tile([1.0, 2.0], (8, 1))
+    slab[at, 0] = bad
+    acc = LogMeanExpAccumulator(2)
+    with np.errstate(invalid="ignore"):
+        acc.add(slab)
+        acc.add(slab[at + 1 :])
+    with pytest.raises(DomainError, match="log-mean undefined"):
+        acc.log_mean()
+
+
+def test_slab_takes_minus_inf_after_a_finite_value():
+    acc = LogMeanExpAccumulator(2)
+    acc.add(np.array([[0.0, 1.0], [-math.inf, 1.0]]))
+    np.testing.assert_allclose(acc.log_mean(), [-math.log(2.0), 1.0], rtol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan])
@@ -470,6 +569,25 @@ def test_in_place_updates_keep_every_bit(sigma):
         runs.append(np.array(seen))
     assert np.unique(runs[0][:, -1]).size > 10  # the chain moves
     np.testing.assert_array_equal(runs[0], runs[1])
+
+
+def test_one_draw_of_2p_exponentials_keeps_every_bit():
+    # the local-scale update draws e1 and e2 as the halves of one call; from
+    # the same state, the Philox stream gives the scales, and leaves the
+    # stream where, the written-out form's two calls of p do, at every sweep
+    data = simulate_sparse(3)
+    grid = np.asarray(GibbsConfig().lambda_grid)
+    s1 = data.y.sum(axis=1)
+    rng, twin = stream(16, "test", "two-draws"), stream(16, "test", "two-draws")
+    u2, lam = np.ones(s1.size), 1.0
+    for _ in range(500):
+        beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
+        twin.bit_generator.state = rng.bit_generator.state
+        expected = _written_out_local_scales(twin, beta, data.sigma, lam, u2)
+        u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
+        np.testing.assert_array_equal(u2, expected)
+        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+        lam = gibbs_update_global_scale(rng, beta, data.sigma, u2, grid)
 
 
 def test_global_scale_draw_gives_an_overflowing_point_no_weight():
