@@ -68,7 +68,8 @@ class ShrinkageFit:
 
 
 def _check_data(p: int, Z: float, sigma2: float) -> None:
-    if not (isinstance(p, (int, np.integer)) and p >= 1):
+    # a bool is an int, and would pass for p = 1
+    if not (isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 1):
         raise DomainError(f"p must be a positive integer, got {p!r}")
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
@@ -148,7 +149,8 @@ def kappa_moment12_batch(
     z = np.asarray(z_values, dtype=float)
     if z.ndim != 1:
         raise DomainError("z_values must be a 1-D array")
-    if np.any(~np.isfinite(z)) or np.any(z < 0.0):
+    # two reductions, no masks; a NaN fails both comparisons
+    if not (z.min(initial=0.0) >= 0.0 and math.isfinite(z.max(initial=0.0))):
         raise DomainError("z_values: every Z must be nonnegative and finite")
     _check_data(p, 0.0, 1.0)
     a_post = prior.a + 0.5 * p

@@ -156,12 +156,21 @@ def sure_integrand(prior: HIBParams, p: int, Z: Points) -> Points:
 
     Uses r = Z E(kappa^2|Z) - p g - (Z/2) g^2 with g = E(kappa|Z), both
     moments from one batch call; Z is a float (giving a float) or a 1-D array.
+    r is formed in place in the moments' own rows, with the operations of
+    ``z * g2 - p * g1 - 0.5 * z * g1 * g1`` in its order and one temporary.
     """
     _check_point(p, 0.0)
     z = np.asarray(Z, dtype=float)
-    g1, g2 = kappa_moment12_batch(prior, p, np.atleast_1d(z))
-    inner = z * g2 - p * g1 - 0.5 * z * g1 * g1
-    return float(inner[0]) if z.ndim == 0 else inner
+    zs = np.atleast_1d(z)
+    g1, g2 = kappa_moment12_batch(prior, p, zs)
+    half = np.multiply(0.5, zs)
+    half *= g1
+    half *= g1
+    g2 *= zs
+    g1 *= p
+    g2 -= g1
+    g2 -= half
+    return float(g2[0]) if z.ndim == 0 else g2
 
 
 def _point(tag: str, beta_norm: float, losses: np.ndarray) -> RiskPoint:
@@ -203,7 +212,10 @@ def risk_analytic(
         se = 2.0 * float(np.std(inner, ddof=1) / math.sqrt(n_mc))
     else:
         raise DomainError(f"method must be 'mc' or 'quadrature', got {method!r}")
-    return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=se, estimator_tag=_BAYES_TAG)
+    # float(): with a numpy-integer p, mse is an np.float64
+    return RiskPoint(
+        beta_norm=float(beta_norm), mse=float(mse), mc_std_err=se, estimator_tag=_BAYES_TAG
+    )
 
 
 def _poisson_log_weights(theta: float) -> tuple[int, np.ndarray]:

@@ -15,10 +15,12 @@ representation for the sign of ``x``, so that, for the parameter patterns
 used by the statistical modules, every term is positive and no cancellation
 occurs.  The scalar ``phi1``/``log_phi1`` and the vectorized
 ``log_phi1_batch`` both sum the series ``_plan`` returns.  The batch sorts
-its ``|x|`` and sums them in fixed blocks of neighbours, each block stopping
-as soon as its own largest element has converged, so its work follows each
-element's own term count rather than the largest one's; the series
-coefficients are built once per call and shared by every block.  It also
+its ``|x|`` and sums them in fixed blocks of neighbours.  A block's degree
+is the term count at which its own largest element has converged, so its
+work follows each element's own term count rather than the largest one's,
+and the block's polynomial is evaluated by Horner's rule, two array passes
+a term.
+The series ratios are built once per call and shared by every block.  It also
 takes a 1-D ``gamma``, one output row per value, as the posterior moments
 need phi1 at gamma, gamma + 1 and gamma + 2 for the same tilts: each
 sign's x are one ascending array of |x| for all rows, every block a slice
@@ -98,10 +100,20 @@ _LOG_RESCALE = 512.0 * math.log(2.0)
 _EXP_OVERFLOW = 709.782712893384  # log of the largest double
 
 # Elements per block of the batch series, chosen by timing risk curves on two
-# threads: a block's four working arrays (1 MiB) then stay in a 2 MiB L2
-# cache, while half as many elements per block cost more in per-call
-# overhead than they save.
+# threads: a block's working arrays then stay in a 2 MiB L2 cache, while
+# half as many elements per block cost more in per-call overhead than they
+# save.
 _BATCH_BLOCK = 32768
+
+# The |x| of a rescaled series block whose Horner sums lie below this are
+# summed again as a block of their own (see _series_row).  Below it,
+# log(sum) is negative and cancels against the j 512 log 2 added back for j
+# rescales: at a tilt of 0 in a block rescaled once, log phi1 = -1.7e-4
+# came out 2.4e-10 off, relatively, that way under a floor of 2^-960.  Above
+# it, that sum of logs is at least 355 and keeps its relative precision, and
+# the early terms, brought down to the last scale, lose under 2^-1074 each
+# to underflow.
+_HORNER_FLOOR = 1.0
 
 # Lowest crossover of the large-x expansion (see _crossover).  At y = 0,
 # over a, gamma - a in [0.05, 200], its bounds alone never put the crossover
@@ -561,41 +573,95 @@ def _tail_log(v: float, gamma: float, plan: _Plan) -> tuple[float, int]:
     raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
 
 
+def _tail_terms(v: float, plan: _Plan) -> int:
+    """Terms the plan's large-|x| expansion sums at |x| = v, as ``_tail_log`` counts them.
+
+    Returns the first s whose bound K_s v^-s is <= _TAIL_TOL, with the
+    powers of 1/v formed as ``_tail_log`` forms them; raises
+    ConvergenceError if the plan's coefficients run out first.  At a block's
+    smallest |x| this is the degree of its whole block.
+    """
+    inv, power, bounds = 1.0 / v, 1.0, plan.bounds
+    for s in range(1, len(bounds)):
+        power *= inv
+        if bounds[s] * power <= _TAIL_TOL:
+            return s
+    terms = len(plan.coefs) - 1
+    raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
+
+
 def _tail_row(absx: np.ndarray, out: np.ndarray, gamma: float, plan: _Plan) -> None:
     """:func:`_tail_log` at every ascending ``absx``, all at or above ``plan.x0``, into ``out``.
 
-    Sums in blocks of ``_BATCH_BLOCK``, which share the powers of 1/|x| and
-    one log|x|.  Each block sums until the bound of the term of its smallest
-    |x|, its largest, is <= _TAIL_TOL, and gets there within the plan's
-    coefficients.
+    Sums in blocks of ``_BATCH_BLOCK``.  Each block's degree S is the term
+    count of its smallest |x| (:func:`_tail_terms`), which bounds the count
+    of every larger one, and the block evaluates sum_s k_s |x|^-s, s <= S,
+    by Horner's rule in 1/|x|, two array passes a term.
     """
     width = min(_BATCH_BLOCK, absx.size)
-    buffers = np.empty((4, width))
+    buffers = np.empty((2, width))
+    coefs = plan.coefs
     for start in range(0, absx.size, _BATCH_BLOCK):
         size = min(_BATCH_BLOCK, absx.size - start)
-        inv, power, term, total = buffers[:, :size]
+        inv, acc = buffers[:, :size]
         xb = absx[start : start + size]
+        degree = _tail_terms(float(xb[0]), plan)
         np.divide(1.0, xb, out=inv)
-        power.fill(1.0)
-        total.fill(1.0)
-        s = 0
-        while True:
-            s += 1
-            if s == len(plan.coefs):
-                terms = len(plan.coefs) - 1
-                raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
-            power *= inv
-            np.multiply(power, plan.coefs[s], out=term)
-            total += term
-            if plan.bounds[s] * float(power[0]) <= _TAIL_TOL:
-                break
+        acc.fill(coefs[degree])
+        for s in range(degree - 1, -1, -1):
+            acc *= inv
+            acc += coefs[s]
         np.log(xb, out=inv)
-        np.log(total, out=total)
-        total += np.multiply(inv, plan.a - gamma, out=term)
-        total += plan.tail_log
+        np.log(acc, out=acc)
+        acc += np.multiply(inv, plan.a - gamma, out=inv)
+        acc += plan.tail_log
         if not plan.tilt:
-            total += xb
-        out[start : start + size] = total
+            acc += xb
+        out[start : start + size] = acc
+
+
+def _block_terms(
+    top: float, q_first: float, ratio: Callable[[int], float], max_terms: int
+) -> tuple[list[float], int]:
+    """Terms of a series block at its largest |x|, ``top``, and the block's rescale count.
+
+    Sums sum_n q(n) top^n/n!, with q(0) = ``q_first`` and q(n)/(q(n-1) n) =
+    ``ratio(n)``, term by term, and stops when the relative term stays below
+    ``DEFAULT_REL_TOL`` on 3 checks, 8 terms apart; it raises
+    ConvergenceError past ``max_terms`` terms.  Each time the partial sum
+    passes _SCALE_HI, it and the term are divided by 2^512.  Returns
+    ``(D, j)``: the terms D_0..D_N, all brought to the scale of the last of
+    the sum's j rescales, so that sum_n D_n u^n 2^(512 j) is the series at
+    |x| = u top.  Every term is nonnegative, so the relative term of ``top``
+    is its block's largest, and N is the count at which the whole block has
+    converged.
+    """
+    term = total = q_first
+    terms = [q_first]
+    marks = []  # indices of the terms at which the sum was rescaled
+    streak = 0
+    n = 0
+    while streak < 3:
+        if n == max_terms:
+            raise ConvergenceError("phi1 batch series did not converge", terms_used=n)
+        n += 1
+        term *= top * ratio(n)
+        total += term
+        # per-step growth can exceed 1e6 when x is huge, so rescale checks
+        # cannot be amortized the way the convergence checks are
+        if total > _SCALE_HI:
+            total /= _RESCALE
+            term /= _RESCALE
+            marks.append(n)
+        terms.append(term)
+        if n % 8 == 0:
+            streak = 0 if term / total > DEFAULT_REL_TOL else streak + 1
+    if marks:
+        shifts = np.zeros(len(terms), dtype=np.int64)
+        for mark in marks:
+            shifts[:mark] -= 512
+        terms = np.ldexp(terms, shifts).tolist()
+    return terms, len(marks)
 
 
 def _series_row(
@@ -610,71 +676,71 @@ def _series_row(
     per term index.
 
     The series needs more terms the larger |x| is, so the sorted |x| are
-    summed in blocks of ``_BATCH_BLOCK`` neighbours.  Every term is
-    nonnegative, so a term's share of its partial sum grows with |x|, and a
-    block stops when the relative term of its last, largest |x| stays below
-    ``DEFAULT_REL_TOL`` on 3 checks, 8 terms apart; it raises
-    ConvergenceError past ``max_terms`` terms.  Blocks of small |x| thus
-    leave after tens of terms instead of running as long as the largest, and
-    each block's working arrays stay in cache.  Partial sums are rescaled per
-    element when they pass _SCALE_HI, so the streaming accumulation is
-    stable.
+    summed in blocks of ``_BATCH_BLOCK`` neighbours.  A block's degree N and
+    coefficients D_n are the term count and the terms of its largest |x|,
+    summed by :func:`_block_terms`; the block then evaluates sum_n D_n u^n,
+    u = |x| / max|x|, by Horner's rule, two array passes a term.  Blocks of
+    small |x| thus stop after tens of terms instead of running as long as
+    the largest, and each block's two working arrays stay in cache.  If the
+    sum at max|x| was rescaled, the block's sums are those of the last
+    scale, and the |x| whose sums lie below _HORNER_FLOOR there are summed
+    again as a block of their own, with its own largest |x|; the largest,
+    where u = 1, never is.
     """
     a, inner = plan.a, plan.inner
-    q_first = q_prev = inner(0)
+    q_first = inner(0)
     if q_first <= 0.0:
         raise DomainError("phi1 batch requires positive series coefficients")
-    poch_ratio = 1.0
     ratios = [0.0]  # ratios[n] = q(n) / (q(n-1) n); index 0 is unused
+    poch_ratio, q_prev = 1.0, q_first
+
+    def ratio(n: int) -> float:
+        nonlocal poch_ratio, q_prev
+        if n == len(ratios):
+            poch_ratio *= (a + n - 1.0) / (gamma + n - 1.0)
+            if poch_ratio < _SCALE_LO:
+                # (a)_n/(gamma)_n underflows at large gamma (the risk moments
+                # from p ~ 1950 on); one power of two in both moves no ratio
+                poch_ratio *= _RESCALE
+                q_prev *= _RESCALE
+            q = poch_ratio * inner(n)
+            ratios.append(q / (q_prev * n))
+            q_prev = q
+        return ratios[n]
+
     width = min(_BATCH_BLOCK, absx.size)
-    buffers = np.empty((4, width))
-    for start in range(0, absx.size, _BATCH_BLOCK):
-        size = min(_BATCH_BLOCK, absx.size - start)
-        term, off, scratch, total = buffers[:, :size]
-        xb = absx[start : start + size]
-        total.fill(q_first)
-        term.fill(q_first)
-        off.fill(0.0)
-        streak = 0
-        rescaled = False
-        n = 0
-        while streak < 3:
-            if n == max_terms:
-                raise ConvergenceError("phi1 batch series did not converge", terms_used=n)
-            n += 1
-            if n == len(ratios):
-                poch_ratio *= (a + n - 1.0) / (gamma + n - 1.0)
-                if poch_ratio < _SCALE_LO:
-                    # (a)_n/(gamma)_n underflows at large gamma (the risk moments
-                    # from p ~ 1950 on); one power of two in both moves no ratio
-                    poch_ratio *= _RESCALE
-                    q_prev *= _RESCALE
-                q = poch_ratio * inner(n)
-                ratios.append(q / (q_prev * n))
-                q_prev = q
-            np.multiply(xb, ratios[n], out=scratch)
-            term *= scratch
-            total += term
-            # per-step growth can exceed 1e6 when x is huge, so rescale checks
-            # cannot be amortized the way the convergence checks are; every
-            # term grows with x, so until the block first rescales its
-            # largest partial sum is its last
-            if float(total.max() if rescaled else total[-1]) > _SCALE_HI:
-                rescaled = True
-                big = total > _SCALE_HI
-                total[big] /= _RESCALE
-                term[big] /= _RESCALE
-                off[big] += _LOG_RESCALE
-            if n % 8 == 0:
-                streak = 0 if float(term[-1]) / float(total[-1]) > DEFAULT_REL_TOL else streak + 1
-        if not np.all(total > 0.0):
+    buffers = np.empty((2, width))
+    # a work list, not recursion, so no closure cycle keeps a row's arrays alive
+    blocks = [(start, min(start + _BATCH_BLOCK, absx.size))
+              for start in range(0, absx.size, _BATCH_BLOCK)]
+    while blocks:
+        start, stop = blocks.pop()
+        u, acc = buffers[:, : stop - start]
+        xb = absx[start:stop]
+        top = float(xb[-1])
+        coefs, rescales = _block_terms(top, q_first, ratio, max_terms)
+        np.divide(xb, top or 1.0, out=u)  # a block of zeros has top 0
+        acc.fill(coefs[-1])
+        for d in coefs[-2::-1]:
+            acc *= u
+            acc += d
+        # every D_n >= 0, so acc ascends with u, and the top's, at u = 1, is
+        # at least the 1e280 / 2^512 of the last rescale: a block of the
+        # others sums again, with a smaller top
+        done = 0
+        if rescales and float(acc[0]) < _HORNER_FLOOR:
+            done = int(np.searchsorted(acc, _HORNER_FLOOR))
+            blocks.append((start, start + done))
+            u, acc, xb = u[done:], acc[done:], xb[done:]
+        if not float(acc[0]) > 0.0:
             raise DomainError("phi1 batch accumulated a non-positive partial sum")
-        np.log(total, out=total)
-        total += off
-        total += plan.log_pref
+        np.log(acc, out=acc)
+        if rescales:
+            acc += rescales * _LOG_RESCALE
+        acc += plan.log_pref
         if plan.tilt:
-            total += np.multiply(xb, -plan.tilt, out=scratch)
-        out[start : start + size] = total
+            acc += np.multiply(xb, -plan.tilt, out=u)
+        out[start + done : stop] = acc
 
 
 def _batch_sum(

@@ -30,7 +30,9 @@ of ``prior``: ``posterior`` neither defines ``_marginal_from_logs`` nor
 imports ``log_beta``.  And a member's normalizer has one home: the untilted
 series, whose x is a member's own tilt ``s``, is summed in
 ``prior.log_normalizer`` alone, and ``shrink`` and ``log_m_kernel`` reach
-that function for the prior's half of a kernel moment.
+that function for the prior's half of a kernel moment.  The batch's
+power-series rows have one summation, Horner's rule over the terms of each
+block's largest |x|: ``_series_row`` keeps no per-element rescale state.
 """
 
 import ast
@@ -155,6 +157,21 @@ def test_batch_rows_share_no_series():
     defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     for name in ("_row_groups", "_ROW_SPAN", "_series_rows", "_tail_logs"):
         assert name not in defined and not hasattr(specfun, name), name
+
+
+def test_batch_series_rows_are_summed_by_horner_alone():
+    # a block's degree and terms come from the scalar stop rule at its
+    # largest |x|, and the row is evaluated by Horner's rule; no per-element
+    # rescale state of the forward sum returns beside it as a second path
+    tree = ast.parse(MODULES["specfun"].read_text())
+    (row,) = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "_series_row"]
+    names = {node.id for node in ast.walk(row) if isinstance(node, ast.Name)}
+    for name in ("off", "rescaled", "big", "term", "total"):
+        assert name not in names, name
+    called = {node.func.id for node in ast.walk(row)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_block_terms" in called
 
 
 # parameter names through which a caller would set a tolerance or a budget

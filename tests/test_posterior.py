@@ -92,6 +92,29 @@ def test_an_overflowed_tilt_is_refused_by_name():
             call()
 
 
+def test_a_bool_count_is_refused():
+    # True is an int equal to 1; as a count of observations it is a mistake
+    z = np.array([0.5, 2.0])
+    for call in (lambda p: update(half_cauchy(), p, 2.0),
+                 lambda p: kappa_moment12_batch(half_cauchy(), p, z)):
+        for p in (True, False):
+            with pytest.raises(DomainError, match="p must be a positive integer"):
+                call(p)
+        call(1)
+        call(np.int64(1))
+
+
+def test_moment_batch_refuses_a_nan_inf_or_negative_z():
+    for bad in (math.nan, math.inf, -math.inf, -1e-300):
+        for where in (0, 2):
+            z = np.array([0.5, 2.0, 40.0])
+            z[where] = bad
+            with pytest.raises(DomainError, match="every Z must be nonnegative and finite"):
+                kappa_moment12_batch(half_cauchy(), 7, z)
+    g1, g2 = kappa_moment12_batch(half_cauchy(), 7, np.array([]))
+    assert g1.shape == g2.shape == (0,)
+
+
 def test_update_composes_exactly():
     # two-block updating must land on the same parameters bit for bit
     prior = HIBParams(0.5, 0.5, 4.0, 1.0)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from hibshrink import oracles, risk, specfun
+from hibshrink import posterior as posterior_module
 from hibshrink.errors import ConvergenceError, DomainError, NumericalWarning
 from hibshrink.oracles import risk_direct, sure_integrand_by_parts
 from hibshrink.posterior import kappa_moment, update
@@ -146,6 +147,30 @@ def test_sure_integrand_takes_a_float_or_an_array():
         one = sure_integrand(prior, p, zi)
         assert isinstance(one, float)
         assert abs(one - ri) <= 1e-12 * max(1.0, abs(one)), zi
+
+
+def test_sure_integrand_is_the_written_out_expression_bitwise():
+    # r(Z) is formed in place, in the order of the expression below, on the
+    # 200k sorted draws of a risk point
+    prior, p = half_cauchy(), 15
+    rng = stream(0, "risk-analytic", str(p), f"{6.0:.17g}")
+    z = np.sort(risk._draw_z(6.0, p, rng, 200_000)[1])
+    g1, g2 = posterior_module.kappa_moment12_batch(prior, p, z)
+    expected = z * g2 - p * g1 - 0.5 * z * g1 * g1
+    assert np.array_equal(sure_integrand(prior, p, z), expected)
+    (g,), (g_2,) = posterior_module.kappa_moment12_batch(prior, p, z[7:8])
+    one = float(z[7])
+    assert sure_integrand(prior, p, one) == one * g_2 - p * g - 0.5 * one * g * g
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="every Z must be nonnegative and finite"):
+            sure_integrand(prior, p, np.array([1.0, bad, 3.0]))
+
+
+def test_risk_point_mse_is_a_float_for_a_numpy_integer_p():
+    for method in ("mc", "quadrature"):
+        point = risk_analytic(half_cauchy(), np.int64(7), 1.0, n_mc=5_000, seed=3, method=method)
+        assert type(point.mse) is float and type(point.mc_std_err) is float, method
+        assert point == risk_analytic(half_cauchy(), 7, 1.0, n_mc=5_000, seed=3, method=method)
 
 
 def _adaptive_risk(prior: HIBParams, p: int, beta_norm: float) -> float:

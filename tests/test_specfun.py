@@ -618,32 +618,280 @@ def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
 
 # sha256 prefixes of scalar-gamma log_phi1_batch outputs over the mixed-sign
 # x of the test below and over their |x|, at four (alpha, gamma), in blocks
-# of 5 and of the default size, recorded from the implementation that summed
-# one gamma per call, with numpy 2.4 on x86-64 (whose log may round
-# differently elsewhere)
+# of 5 and of the default size, recorded from the rows summed by Horner's
+# rule, after test_horner_rows_match_the_forward_oracle had held them to the
+# forward sums, with numpy 2.4 on x86-64 (whose log may round differently
+# elsewhere)
 _SINGLE_GAMMA_DIGESTS = {
-    -3.0: "6ce9b9263648e455",
-    0.0: "0f00181fdac56a94",
-    0.25: "dd7d2f251cb90263",
-    0.75: "427a2bc498a7abfa",
-    0.9: "9dceef76d50e4182",
+    -3.0: "d5cf00141a62ca17",
+    0.0: "c7b2e7afff30f9ba",
+    0.25: "b00939b3f29bcd84",
+    0.75: "d1f62d5324fd511e",
+    0.9: "857e58a29872e7cf",
 }
+
+
+_DIGEST_PARAMS = ((0.5, 1.5), (0.5, 8.5), (1.0, 50.0), (2.5, 3.0))
+
+
+def _digest_xs(np):
+    """Mixed-sign x from 0 to 3e3, across the crossovers, and their |x|."""
+    mags = np.concatenate([np.linspace(0.0, 5.0, 11), np.geomspace(5.5, 3e3, 25),
+                           [16.0, 56.9, 126.1]])
+    return np.where(np.arange(mags.size) % 3 == 0, -mags, mags), mags
 
 
 @pytest.mark.parametrize("y", sorted(_SINGLE_GAMMA_DIGESTS))
 def test_single_gamma_batch_is_bitwise_unchanged(monkeypatch, y):
     np = pytest.importorskip("numpy")
-    mags = np.concatenate([np.linspace(0.0, 5.0, 11), np.geomspace(5.5, 3e3, 25),
-                           [16.0, 56.9, 126.1]])
-    xs = np.where(np.arange(mags.size) % 3 == 0, -mags, mags)
+    xs, mags = _digest_xs(np)
     digest = hashlib.sha256()
-    for alpha, gamma in ((0.5, 1.5), (0.5, 8.5), (1.0, 50.0), (2.5, 3.0)):
+    for alpha, gamma in _DIGEST_PARAMS:
         for block in (5, specfun._BATCH_BLOCK):
             with monkeypatch.context() as m:
                 m.setattr(specfun, "_BATCH_BLOCK", block)
                 digest.update(log_phi1_batch(alpha, 1.0, gamma, xs, y).tobytes())
                 digest.update(log_phi1_batch(alpha, 1.0, gamma, mags, y).tobytes())
     assert digest.hexdigest()[:16] == _SINGLE_GAMMA_DIGESTS[y]
+
+
+# ---- forward-summation oracle of the batch rows ------------------------------
+#
+# The batch rows once summed term by term, one array pass per operation: the
+# forward loops below, kept here as the oracle of the Horner rows that
+# replaced them.  Each records, under (kind, gamma, tilt, |x| that fixed the
+# count), the term count at which each of its blocks stopped.
+
+
+def _forward_tail_row(absx, out, gamma, plan, counts):
+    np = pytest.importorskip("numpy")
+    width = min(specfun._BATCH_BLOCK, absx.size)
+    buffers = np.empty((4, width))
+    for start in range(0, absx.size, specfun._BATCH_BLOCK):
+        size = min(specfun._BATCH_BLOCK, absx.size - start)
+        inv, power, term, total = buffers[:, :size]
+        xb = absx[start : start + size]
+        np.divide(1.0, xb, out=inv)
+        power.fill(1.0)
+        total.fill(1.0)
+        s = 0
+        while True:
+            s += 1
+            if s == len(plan.coefs):
+                raise ConvergenceError("oracle asymptotic series did not converge", terms_used=s)
+            power *= inv
+            np.multiply(power, plan.coefs[s], out=term)
+            total += term
+            if plan.bounds[s] * float(power[0]) <= specfun._TAIL_TOL:
+                break
+        counts[("tail", gamma, plan.tilt, float(xb[0]))] = s
+        np.log(xb, out=inv)
+        np.log(total, out=total)
+        total += np.multiply(inv, plan.a - gamma, out=term)
+        total += plan.tail_log
+        if not plan.tilt:
+            total += xb
+        out[start : start + size] = total
+
+
+def _forward_series_row(absx, out, gamma, plan, max_terms, counts):
+    np = pytest.importorskip("numpy")
+    a, inner = plan.a, plan.inner
+    q_first = q_prev = inner(0)
+    poch_ratio = 1.0
+    ratios = [0.0]
+    width = min(specfun._BATCH_BLOCK, absx.size)
+    buffers = np.empty((4, width))
+    for start in range(0, absx.size, specfun._BATCH_BLOCK):
+        size = min(specfun._BATCH_BLOCK, absx.size - start)
+        term, off, scratch, total = buffers[:, :size]
+        xb = absx[start : start + size]
+        total.fill(q_first)
+        term.fill(q_first)
+        off.fill(0.0)
+        streak = 0
+        rescaled = False
+        n = 0
+        while streak < 3:
+            if n == max_terms:
+                raise ConvergenceError("oracle series did not converge", terms_used=n)
+            n += 1
+            if n == len(ratios):
+                poch_ratio *= (a + n - 1.0) / (gamma + n - 1.0)
+                if poch_ratio < specfun._SCALE_LO:
+                    poch_ratio *= specfun._RESCALE
+                    q_prev *= specfun._RESCALE
+                q = poch_ratio * inner(n)
+                ratios.append(q / (q_prev * n))
+                q_prev = q
+            np.multiply(xb, ratios[n], out=scratch)
+            term *= scratch
+            total += term
+            if float(total.max() if rescaled else total[-1]) > specfun._SCALE_HI:
+                rescaled = True
+                big = total > specfun._SCALE_HI
+                total[big] /= specfun._RESCALE
+                term[big] /= specfun._RESCALE
+                off[big] += specfun._LOG_RESCALE
+            if n % 8 == 0:
+                relative = float(term[-1]) / float(total[-1])
+                streak = 0 if relative > specfun.DEFAULT_REL_TOL else streak + 1
+        counts[("series", gamma, plan.tilt, float(xb[-1]))] = n
+        np.log(total, out=total)
+        total += off
+        total += plan.log_pref
+        if plan.tilt:
+            total += np.multiply(xb, -plan.tilt, out=scratch)
+        out[start : start + size] = total
+
+
+def _oracle_log_phi1_batch(monkeypatch, alpha, gamma, x, y, counts):
+    """log_phi1_batch with its rows summed by the forward oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(specfun, "_series_row",
+                  lambda *args: _forward_series_row(*args, counts=counts))
+        m.setattr(specfun, "_tail_row", lambda *args: _forward_tail_row(*args, counts=counts))
+        return log_phi1_batch(alpha, 1.0, gamma, x, y)
+
+
+def _record_degrees(monkeypatch, degrees):
+    """Record each Horner block's degree in ``degrees``, keyed as the oracle keys
+    its term counts, for the rest of the test."""
+    series_row, tail_row = specfun._series_row, specfun._tail_row
+    block_terms, tail_terms = specfun._block_terms, specfun._tail_terms
+    row = []
+
+    def series(absx, out, gamma, plan, max_terms):
+        row[:] = [gamma, plan.tilt]
+        series_row(absx, out, gamma, plan, max_terms)
+
+    def tail(absx, out, gamma, plan):
+        row[:] = [gamma, plan.tilt]
+        tail_row(absx, out, gamma, plan)
+
+    def terms(top, *args):
+        coefs, rescales = block_terms(top, *args)
+        degrees[("series", *row, top)] = len(coefs) - 1
+        return coefs, rescales
+
+    def tail_degree(v, plan):
+        degree = tail_terms(v, plan)
+        degrees[("tail", *row, v)] = degree
+        return degree
+
+    monkeypatch.setattr(specfun, "_series_row", series)
+    monkeypatch.setattr(specfun, "_tail_row", tail)
+    monkeypatch.setattr(specfun, "_block_terms", terms)
+    monkeypatch.setattr(specfun, "_tail_terms", tail_degree)
+
+
+def _assert_matches_oracle(monkeypatch, alpha, gamma, x, y):
+    np = pytest.importorskip("numpy")
+    counts, degrees = {}, {}
+    expected = _oracle_log_phi1_batch(monkeypatch, alpha, gamma, x, y, counts)
+    with monkeypatch.context() as m:
+        _record_degrees(m, degrees)
+        got = log_phi1_batch(alpha, 1.0, gamma, x, y)
+    gap = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
+    assert float(gap.max(initial=0.0)) <= 1e-13, (alpha, gamma, y, float(gap.max()))
+    assert counts and {key: degrees.get(key) for key in counts} == counts, (alpha, gamma, y)
+
+
+@pytest.mark.parametrize("y", sorted(_SINGLE_GAMMA_DIGESTS))
+def test_horner_rows_match_the_forward_oracle(monkeypatch, y):
+    """On the inputs of the digest test above, in blocks of 5 and of the
+    default size, every batch value is within 1e-13 max(1, |log phi1|) of
+    the forward oracle, and every block's Horner degree is the oracle's term
+    count for that block."""
+    np = pytest.importorskip("numpy")
+    xs, mags = _digest_xs(np)
+    for alpha, gamma in _DIGEST_PARAMS:
+        for block in (5, specfun._BATCH_BLOCK):
+            with monkeypatch.context() as m:
+                m.setattr(specfun, "_BATCH_BLOCK", block)
+                for x in (xs, mags):
+                    _assert_matches_oracle(monkeypatch, alpha, gamma, x, y)
+
+
+def test_production_size_horner_rows_match_the_forward_oracle(monkeypatch):
+    """The same checks on the three rows of a p = 15 posterior moment over
+    200k sorted draws, several default blocks of series and of expansion."""
+    np = pytest.importorskip("numpy")
+    alpha, gammas, x = _production_rows(np)
+    for gamma in gammas:
+        _assert_matches_oracle(monkeypatch, alpha, gamma, x, 0.0)
+
+
+# (gamma, y) at which the power series of alpha = 1/2 runs to |x| in the
+# thousands before its crossover, with one to eight rescales of its sum
+_LARGE_TILT_CASES = [(1000.5, 0.0), (1000.5, -0.5), (1500.5, 0.0), (1500.5, -0.5),
+                     (8.5, 0.9), (200.5, 0.75)]
+
+
+def _large_tilt_xs(np, gamma, y):
+    """40 |x| of each sign from 0 up to just below its crossover."""
+    below = [math.nextafter(_x0(0.5, gamma, y, negative), 0.0) for negative in (False, True)]
+    return np.concatenate([np.linspace(0.0, below[0], 40), -np.linspace(0.0, below[1], 40)])
+
+
+@pytest.mark.parametrize("gamma, y", _LARGE_TILT_CASES)
+def test_large_tilt_series_rows_match_scalar_and_mpmath(monkeypatch, gamma, y):
+    """Power-series rows whose sums are rescaled one or more times, in
+    default blocks and in blocks of 5, against the scalar path, to
+    1e-11 max(1, |scalar|).  At gamma = 1500.5 the scalar is itself 5.6e-12
+    from mpmath just inside -x0, where log phi1 is -0.51, so the relative
+    form of that bound fails for any batch route.
+
+    Where the scalar power series costs milliseconds a point, mpmath checks
+    the |x| just below both crossovers at gamma = 1000.5 and at the two
+    small-gamma cases, to the bound 1e-12 max(1, |ref|) fixed before
+    running.  Just inside -x0 at gamma = 1500.5 the e^x tilt cancels a log
+    of the sum near 2698, whose ulp is 4.5e-13, and batch and scalar alike
+    are 1.0e-12 from mpmath there.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    np = pytest.importorskip("numpy")
+    xs = _large_tilt_xs(np, gamma, y)
+    if (gamma, y) == (1000.5, 0.0):
+        # a block whose smaller sums fall far below its largest one's rescales
+        mags = np.random.default_rng(27).uniform(0.0, 1800.0, 3000)
+        xs = np.concatenate([xs, np.where(np.arange(mags.size) % 2 == 0, mags, -mags)])
+    scalar = {float(x): log_phi1(0.5, 1.0, gamma, float(x), y) for x in xs[::25]}
+    scalar.update((float(x), log_phi1(0.5, 1.0, gamma, float(x), y)) for x in xs[:80])
+    for block in (5, specfun._BATCH_BLOCK):
+        monkeypatch.setattr(specfun, "_BATCH_BLOCK", block)
+        batch = dict(zip(xs.tolist(), log_phi1_batch(0.5, 1.0, gamma, xs, y).tolist()))
+        for x, expected in scalar.items():
+            assert abs(batch[x] - expected) <= 1e-11 * max(1.0, abs(expected)), (block, x)
+    if gamma == 1500.5:
+        return
+    for x in (float(xs[39]), float(xs[79])):
+        ref = _mpmath_log_phi1(mpmath, 0.5, gamma, x, y)
+        assert abs(batch[x] - ref) <= 1e-12 * max(1.0, abs(ref)), (x, batch[x] - ref)
+
+
+def test_rescaled_block_sums_its_low_values_again(monkeypatch):
+    """A block of |x| up to 1797 at gamma = 1000.5 and x < 0 rescales its
+    sum at its largest |x| four times.  The |x| whose Horner sums fall below
+    the floor are summed again as blocks of their own, each with its own
+    largest |x| and degree; the first block's degree is still the oracle's
+    term count, and every value matches the scalar path."""
+    np = pytest.importorskip("numpy")
+    mags = np.sort(np.random.default_rng(27).uniform(0.0, 1800.0, 3000))
+    x = -mags[mags < _x0(0.5, 1000.5, 0.0, True)][::-1]
+    counts, degrees = {}, {}
+    _oracle_log_phi1_batch(monkeypatch, 0.5, 1000.5, x, 0.0, counts)
+    _record_degrees(monkeypatch, degrees)
+    got = log_phi1_batch(0.5, 1.0, 1000.5, x, 0.0)
+    assert len(counts) == 1 and len(degrees) > 1
+    assert {key: degrees[key] for key in counts} == counts
+    for v, value in zip(x[::50].tolist(), got[::50].tolist()):
+        expected = log_phi1(0.5, 1.0, 1000.5, v, 0.0)
+        assert abs(value - expected) <= 1e-11 * max(1.0, abs(expected)), v
+    # the smallest |x|, whose log phi1 is near -2.5e-4, keep their relative
+    # precision: no log of a sum far below 1 cancels against the rescales
+    for v, value in zip(x[-5:].tolist(), got[-5:].tolist()):
+        assert rel_err(value, log_phi1(0.5, 1.0, 1000.5, v, 0.0)) < 1e-11, v
 
 
 # (alpha, gammas): the three series of a posterior moment, and four gammas
@@ -685,19 +933,25 @@ def test_log_phi1_batch_rows_match_single_gamma_calls(monkeypatch, y):
                 assert np.array_equal(row, ref), (block, alpha, gamma, y)
 
 
+def _production_rows(np):
+    """``(alpha, gammas, x)`` of a p = 15 posterior moment over 200k sorted
+    draws, as a risk point sums them."""
+    assert specfun._BATCH_BLOCK == 32768
+    prior = half_cauchy()
+    alpha, c = prior.b, prior.a + 7.5 + prior.b  # the b and a' + b of p = 15
+    # tilts Z/2 at |beta|^2 = 100, about half of them past each crossover
+    rng = np.random.default_rng(26)
+    x = np.sort(0.5 * rng.noncentral_chisquare(15, 100.0, 200_000))
+    return alpha, [c, c + 1.0, c + 2.0], x
+
+
 def test_production_size_rows_match_single_gamma_calls():
     """The three gammas of a posterior moment at p = 15 over 200k sorted
     draws, as a risk point sums them: several default blocks, with each
     row's large-|x| expansion spread over more than one of them; every row
     is its single-gamma call, bit for bit."""
     np = pytest.importorskip("numpy")
-    assert specfun._BATCH_BLOCK == 32768
-    prior = half_cauchy()
-    alpha, c = prior.b, prior.a + 7.5 + prior.b  # the b and a' + b of p = 15
-    gammas = [c, c + 1.0, c + 2.0]
-    # tilts Z/2 at |beta|^2 = 100, about half of them past each crossover
-    rng = np.random.default_rng(26)
-    x = np.sort(0.5 * rng.noncentral_chisquare(15, 100.0, 200_000))
+    alpha, gammas, x = _production_rows(np)
     for gamma in gammas:
         split = int(np.searchsorted(x, _x0(alpha, gamma, 0.0, False)))
         assert min(split, x.size - split) > specfun._BATCH_BLOCK, (gamma, split)
@@ -813,7 +1067,7 @@ def test_unsorted_x_is_summed_sorted_and_put_back(monkeypatch):
 
 def test_mixed_sign_ascending_batch_holds_only_its_arrays():
     # three rows of logs (4.58 MiB), the negated negatives (about half of
-    # the 1.53 MiB of x) and the block buffers (1.5 MiB), with no sorted
+    # the 1.53 MiB of x) and the block buffers (1.0 MiB), with no sorted
     # copy or sort order of x
     np = pytest.importorskip("numpy")
     x = np.sort(40.0 * np.random.default_rng(7).standard_normal(200_000))
@@ -840,7 +1094,7 @@ def test_ascending_x_holding_a_nan_is_refused():
 
 def test_ascending_moment_batch_holds_only_its_arrays():
     # three rows of logs (4.58 MiB), s_post (1.53 MiB) and the block
-    # buffers (1.75 MiB), with no sort order of s_post beside them
+    # buffers (1.25 MiB), with no sort order of s_post beside them
     np = pytest.importorskip("numpy")
     from hibshrink.posterior import kappa_moment12_batch
     from hibshrink.prior import half_cauchy
