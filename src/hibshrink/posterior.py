@@ -6,11 +6,16 @@ inside the same family: only the first power parameter and the exponential
 tilt move, via a_post = a + p/2 and s_post = s + Z/(2 sigma2) with Z = sum
 y_i^2.  Every posterior functional below reduces to ratios of the family's
 normalizing constant, hence to ratios of the two-variable confluent series,
-which are always evaluated as differences of logs so that correlated
-truncation error cancels.  The marginal likelihood is (2 pi sigma2)^(-p/2)
-times the kernel moment m_p(Z/sigma2), the normalizer ratio C(a', s')/C(a, s).
-The prior's half of that ratio is ``prior.log_normalizer``; this module sums
-only tilted series.
+which are evaluated as differences of logs so that correlated truncation
+error cancels.  Such a ratio keeps the rounding of logs near s', about
+one ulp of s'.  The batch E(kappa) at tau2 = 1 with s >= 0 avoids it:
+Kummer's contiguous relation gives it as a'/(c + s'(1 - rho)) from the
+ratio rho of the rows at c+1 and c+2, whose rounding enters only through
+s' rho, which tends to a'+1 as s' grows (see ``kappa_moment12_batch``).
+The marginal likelihood is (2 pi sigma2)^(-p/2) times the kernel moment
+m_p(Z/sigma2), the normalizer ratio C(a', s')/C(a, s).  The prior's half
+of that ratio is ``prior.log_normalizer``; this module sums only tilted
+series.
 
 sigma2 is treated as fixed throughout; callers may plug in an estimate.
 """
@@ -115,7 +120,8 @@ def kappa_moment(state: PosteriorState, n: int) -> float:
     E(kappa^n | y) = [(a')_n / (a'+b)_n] * phi1(b,1; a'+b+n; s', y)
                                          / phi1(b,1; a'+b; s', y).
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
+    # a bool is an int, and would pass for n = 1
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0):
         raise DomainError(f"moment order must be a nonnegative integer, got {n!r}")
     if n == 0:
         return 1.0
@@ -141,10 +147,20 @@ def kappa_moment12_batch(
     """First and second posterior kappa moments over many Z values at once.
 
     Used by the risk Monte Carlo, where hundreds of thousands of Z draws
-    share (prior, p) and differ only in the series tilt argument.  One
-    ``log_phi1_batch`` call sums the series at a'+b, a'+b+1 and a'+b+2 for
-    every tilt, and the two moments are formed in place in its last two
-    rows, which are returned.
+    share (prior, p) and differ only in the series tilt argument.  With
+    c = a'+b and M(g) the series at g, E(kappa) = a'/c M(c+1)/M(c) and
+    E(kappa^2) = rho E(kappa), where rho = (a'+1)/(c+1) M(c+2)/M(c+1).
+
+    At tau2 = 1 the series is Kummer's 1F1(b; g; s'), whose contiguous
+    relation (DLMF 13.3.2), (g+1) g M(g) = (g+1)(g+s') M(g+1)
+    - s'(g+1-b) M(g+2), gives E(kappa) = a'/(c + s'(1 - rho)) at g = c.
+    With s >= 0 every s' >= 0, and tilting only lowers rho below its
+    untilted (a'+1)/(c+1), so 1 - rho >= b/(c+1) and the denominator is a
+    sum of positive terms.  One ``log_phi1_batch`` call then sums the rows
+    at c+1 and c+2 alone.  Any other prior (tau2 != 1, or s < 0, where
+    1 - rho cancels as s' falls) sums the rows at c, c+1 and c+2 and takes
+    both moments as ratios to the row at c.  Either way the moments are
+    formed in place in the last two rows, which are returned.
     """
     z = np.asarray(z_values, dtype=float)
     if z.ndim != 1:
@@ -156,6 +172,17 @@ def kappa_moment12_batch(
     a_post = prior.a + 0.5 * p
     c = a_post + prior.b
     s_post = prior.s + 0.5 * z
+    if prior.y == 0.0 and prior.s >= 0.0:
+        g1, g2 = log_phi1_batch(prior.b, 1.0, (c + 1.0, c + 2.0), s_post, 0.0)
+        g2 -= g1
+        np.exp(g2, out=g2)
+        g2 *= (a_post + 1.0) / (c + 1.0)
+        np.subtract(1.0, g2, out=g1)
+        g1 *= s_post
+        g1 += c
+        np.divide(a_post, g1, out=g1)
+        g2 *= g1
+        return g1, g2
     logs = log_phi1_batch(prior.b, 1.0, (c, c + 1.0, c + 2.0), s_post, prior.y)
     log_den, g1, g2 = logs
     g1 -= log_den
@@ -224,7 +251,8 @@ def log_m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:
     prior normalizer, the unnormalized weight density with parameters
     (a + p_eff/2, b, tau2, s + Z/2).
     """
-    if not (isinstance(p_eff, (int, np.integer)) and p_eff >= 0):
+    # a bool is an int, and would pass for p_eff = 1
+    if not (isinstance(p_eff, (int, np.integer)) and not isinstance(p_eff, bool) and p_eff >= 0):
         raise DomainError(f"p_eff must be a nonnegative integer, got {p_eff!r}")
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")

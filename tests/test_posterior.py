@@ -104,6 +104,19 @@ def test_a_bool_count_is_refused():
         call(np.int64(1))
 
 
+def test_a_bool_moment_order_or_kernel_count_is_refused():
+    # True would give E(kappa) and p_eff = 1, False the order or count 0
+    state = update(half_cauchy(), 3, 2.0)
+    for flag in (True, False):
+        with pytest.raises(DomainError, match="moment order must be a nonnegative integer"):
+            kappa_moment(state, flag)
+        for call in (log_m_kernel, m_kernel):
+            with pytest.raises(DomainError, match="p_eff must be a nonnegative integer"):
+                call(half_cauchy(), flag, 2.0)
+    assert kappa_moment(state, np.int64(1)) == kappa_moment(state, 1)
+    assert log_m_kernel(half_cauchy(), np.int64(1), 2.0) == log_m_kernel(half_cauchy(), 1, 2.0)
+
+
 def test_moment_batch_refuses_a_nan_inf_or_negative_z():
     for bad in (math.nan, math.inf, -math.inf, -1e-300):
         for where in (0, 2):
@@ -218,24 +231,95 @@ def test_kappa_moment_batch_across_the_large_x_crossover_matches_scalar(monkeypa
             assert rel_err(m2, kappa_moment(st, 2)) <= 1e-9, (prior, zi)
 
 
+def test_moment_batch_sums_two_rows_only_at_tau2_one_and_a_nonnegative_tilt(monkeypatch):
+    # Kummer's contiguous relation gives E(kappa) from the rows at c+1 and
+    # c+2 when tau2 = 1 and every s' >= 0; any other prior keeps the three
+    # rows and their ratios to the row at c, bit for bit
+    rows = []
+    real = posterior_module.log_phi1_batch
+
+    def recording(alpha, beta, gamma, x, y):
+        rows.append(len(gamma))
+        return real(alpha, beta, gamma, x, y)
+
+    monkeypatch.setattr(posterior_module, "log_phi1_batch", recording)
+    p = 15
+    z = np.array([0.0, 0.5, 14.0, 60.0, 400.0, 1300.0, 2e4])
+    two_rows = (half_cauchy(), HIBParams(2.0, 0.05, 1.0, 3.0))
+    three_rows = (
+        HIBParams(0.5, 0.5, 4.0, 0.0), HIBParams(0.5, 0.5, 0.25, 0.0),
+        HIBParams(0.5, 0.5, 1.0, -500.0),
+    )
+    for prior in two_rows + three_rows:
+        rows.clear()
+        g1, g2 = kappa_moment12_batch(prior, p, z)
+        assert rows == [2 if prior in two_rows else 3], prior
+        if prior in two_rows:
+            continue
+        a_post = prior.a + 0.5 * p
+        c = a_post + prior.b
+        logs = specfun.log_phi1_batch(
+            prior.b, 1.0, (c, c + 1.0, c + 2.0), prior.s + 0.5 * z, prior.y
+        )
+        m1 = np.exp(logs[1] - logs[0]) * (a_post / c)
+        m2 = np.exp(logs[2] - logs[0]) * (a_post * (a_post + 1.0) / (c * (c + 1.0)))
+        assert np.array_equal(g1, m1) and np.array_equal(g2, m2), prior
+
+
+def test_two_row_moment_batch_matches_mpmath():
+    # at tau2 = 1 each moment is a ratio of Kummer functions 1F1(b; g; s')
+    # with a 40-digit reference; E(kappa) no longer carries the ulp of
+    # log phi1 near s' that a difference of logs does.  The grid and the
+    # bounds were fixed before the run.
+    mpmath = pytest.importorskip("mpmath")
+    z = np.array([0.0, 0.5, 3.0, 30.0, 300.0, 3e3, 3e4, 2e5, 6e5, 2e6])
+
+    def reference(a_post, b, s_post):
+        c = a_post + b
+        with mpmath.workdps(40):
+            m0, m1, m2 = (mpmath.hyp1f1(b, c + n, s_post) for n in (0, 1, 2))
+            g1 = mpmath.mpf(a_post) / c * m1 / m0
+            return g1, g1 * (a_post + 1) / (c + 1) * m2 / m1
+
+    grid = itertools.product(
+        (0.05, 0.5, 2.0, 50.0), (0.05, 0.5, 2.0, 50.0), (0.0, 3.0), (1, 3, 15, 2000)
+    )
+    for a, b, s, p in grid:
+        g1, g2 = kappa_moment12_batch(HIBParams(a, b, 1.0, s), p, z)
+        for zi, m1, m2 in zip(z.tolist(), g1.tolist(), g2.tolist()):
+            s_post = s + 0.5 * zi
+            ref1, ref2 = reference(a + 0.5 * p, b, s_post)
+            case = (a, b, s, p, zi)
+            assert rel_err(m1, float(ref1)) <= 1e-12, case
+            assert rel_err(m2, float(ref2)) <= max(1e-13, 8 * 2.0**-52 * s_post), case
+    z = np.geomspace(2e5, 2e6, 12)
+    for p in (10, 15):
+        g1, _ = kappa_moment12_batch(half_cauchy(), p, z)
+        for zi, m1 in zip(z.tolist(), g1.tolist()):
+            ref1, _ = reference(0.5 + 0.5 * p, 0.5, 0.5 * zi)
+            assert rel_err(m1, float(ref1)) <= 1e-13, (p, zi)
+
+
 def test_kappa_moment_batch_peak_memory_stays_at_seven_draw_arrays():
     # the risk Monte Carlo holds several of these calls at once, one per
     # thread; summing three series in one call must not cost more than the
     # seven float arrays of n_mc that three separate calls peaked at
     # (10.68 MiB), with s_post, the three rows of logs and the sort order
-    # of s_post among them
+    # of s_post among them.  At tau2 = 1 and s >= 0 the call sums two rows,
+    # so five such arrays (7.63 MiB) bound it.
     p, n = 15, 200_000
     rng = np.random.default_rng(12)
     u = 6.0 + rng.standard_normal(n)
     z = u * u + rng.chisquare(p - 1, n)
-    kappa_moment12_batch(half_cauchy(), p, z[:1000])
-    tracemalloc.start()
-    try:
-        kappa_moment12_batch(half_cauchy(), p, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10.7 * 2**20, peak / 2**20
+    for prior, bound_mib in ((HIBParams(0.5, 0.5, 4.0, 0.0), 10.7), (half_cauchy(), 7.7)):
+        kappa_moment12_batch(prior, p, z[:1000])
+        tracemalloc.start()
+        try:
+            kappa_moment12_batch(prior, p, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, (prior, peak / 2**20)
 
 
 def test_tau2_four_moment_work_stops_growing_with_the_tilt(monkeypatch):

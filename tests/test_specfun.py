@@ -1093,24 +1093,26 @@ def test_ascending_x_holding_a_nan_is_refused():
 
 
 def test_ascending_moment_batch_holds_only_its_arrays():
-    # three rows of logs (4.58 MiB), s_post (1.53 MiB) and the block
-    # buffers (1.25 MiB), with no sort order of s_post beside them
+    # the rows of logs (three at tau2 = 4, 4.58 MiB; two at tau2 = 1 and
+    # s >= 0, 3.05 MiB), s_post (1.53 MiB) and the block buffers (1.25 MiB),
+    # with no sort order of s_post beside them
     np = pytest.importorskip("numpy")
     from hibshrink.posterior import kappa_moment12_batch
-    from hibshrink.prior import half_cauchy
+    from hibshrink.prior import HIBParams
 
     p, n = 15, 200_000
     rng = np.random.default_rng(12)
     u = 6.0 + rng.standard_normal(n)
     z = np.sort(u * u + rng.chisquare(p - 1, n))
-    kappa_moment12_batch(half_cauchy(), p, z[:1000])
-    tracemalloc.start()
-    try:
-        kappa_moment12_batch(half_cauchy(), p, z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8.6 * 2**20, peak / 2**20
+    for prior, bound_mib in ((HIBParams(0.5, 0.5, 4.0, 0.0), 8.6), (half_cauchy(), 5.9)):
+        kappa_moment12_batch(prior, p, z[:1000])
+        tracemalloc.start()
+        try:
+            kappa_moment12_batch(prior, p, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, (prior, peak / 2**20)
 
 
 def test_log_phi1_batch_gamma_shapes():
