@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and its count rule:
+:func:`check_count` reads every integer count, and no other module does."""
+
+import numbers
 
 __all__ = [
     "HibshrinkError",
@@ -6,6 +9,7 @@ __all__ = [
     "ConvergenceError",
     "AccuracyError",
     "NumericalWarning",
+    "check_count",
 ]
 
 
@@ -42,3 +46,15 @@ class AccuracyError(HibshrinkError, RuntimeError):
 
 class NumericalWarning(UserWarning):
     """Non-fatal numerical condition (near-boundary argument, degenerate case)."""
+
+
+def check_count(name: str, value: object, minimum: int) -> int:
+    """``value`` as an ``int``: a Python or numpy integer >= ``minimum``.
+
+    A ``bool``, which would pass for 1 or 0, a float or a smaller value
+    raises ``DomainError`` naming ``name`` and the minimum.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(minimum)
+    raise DomainError(f"{name} must be {kind or f'an integer >= {minimum}'}, got {value!r}")

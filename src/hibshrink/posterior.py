@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .prior import HIBParams, _log_normalizer_from_series, log_normalizer
 from .specfun import log_phi1, log_phi1_batch, pochhammer
 
@@ -72,10 +72,9 @@ class ShrinkageFit:
     log_marginal: float
 
 
-def _check_data(p: int, Z: float, sigma2: float) -> None:
-    # a bool is an int, and would pass for p = 1
-    if not (isinstance(p, (int, np.integer)) and not isinstance(p, bool) and p >= 1):
-        raise DomainError(f"p must be a positive integer, got {p!r}")
+def _check_data(p: int, Z: float, sigma2: float) -> int:
+    """``p`` as an ``int``, once p, Z and sigma2 pass their checks."""
+    p = check_count("p", p, 1)
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     if not (math.isfinite(sigma2) and sigma2 > 0.0):
@@ -83,6 +82,7 @@ def _check_data(p: int, Z: float, sigma2: float) -> None:
     # as floats, so a numpy scalar overflows to inf without a warning
     if not math.isfinite(float(Z) / float(sigma2)):
         raise DomainError(f"the tilt Z/sigma2 must be finite, got Z = {Z}, sigma2 = {sigma2}")
+    return p
 
 
 def _as_data_vector(y) -> np.ndarray:
@@ -96,12 +96,12 @@ def _as_data_vector(y) -> np.ndarray:
 
 def update(prior: HIBParams, p: int, Z: float, sigma2: float = 1.0) -> PosteriorState:
     """Condition on p observations with squared norm Z at noise level sigma2."""
-    _check_data(p, Z, sigma2)
+    p = _check_data(p, Z, sigma2)
     return PosteriorState(
         prior=prior,
         a_post=prior.a + 0.5 * p,
         s_post=prior.s + 0.5 * Z / sigma2,
-        p=int(p),
+        p=p,
         Z=float(Z),
         sigma2=float(sigma2),
     )
@@ -120,16 +120,14 @@ def kappa_moment(state: PosteriorState, n: int) -> float:
     E(kappa^n | y) = [(a')_n / (a'+b)_n] * phi1(b,1; a'+b+n; s', y)
                                          / phi1(b,1; a'+b; s', y).
     """
-    # a bool is an int, and would pass for n = 1
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0):
-        raise DomainError(f"moment order must be a nonnegative integer, got {n!r}")
+    n = check_count("moment order", n, 0)
     if n == 0:
         return 1.0
     pr = state.prior
     c = state.a_post + pr.b
     log_num = log_phi1(pr.b, 1.0, c + n, state.s_post, pr.y)
     log_den = log_phi1(pr.b, 1.0, c, state.s_post, pr.y)
-    return _moment_from_logs(state, int(n), log_num, log_den)
+    return _moment_from_logs(state, n, log_num, log_den)
 
 
 def _moment_from_logs(state: PosteriorState, n: int, log_num: float, log_den: float) -> float:
@@ -168,7 +166,7 @@ def kappa_moment12_batch(
     # two reductions, no masks; a NaN fails both comparisons
     if not (z.min(initial=0.0) >= 0.0 and math.isfinite(z.max(initial=0.0))):
         raise DomainError("z_values: every Z must be nonnegative and finite")
-    _check_data(p, 0.0, 1.0)
+    p = _check_data(p, 0.0, 1.0)
     a_post = prior.a + 0.5 * p
     c = a_post + prior.b
     s_post = prior.s + 0.5 * z
@@ -251,9 +249,7 @@ def log_m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:
     prior normalizer, the unnormalized weight density with parameters
     (a + p_eff/2, b, tau2, s + Z/2).
     """
-    # a bool is an int, and would pass for p_eff = 1
-    if not (isinstance(p_eff, (int, np.integer)) and not isinstance(p_eff, bool) and p_eff >= 0):
-        raise DomainError(f"p_eff must be a nonnegative integer, got {p_eff!r}")
+    p_eff = check_count("p_eff", p_eff, 0)
     if not (math.isfinite(Z) and Z >= 0.0):
         raise DomainError(f"Z must be nonnegative and finite, got {Z}")
     a_tilted = prior.a + 0.5 * p_eff

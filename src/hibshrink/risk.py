@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalWarning
+from .errors import ConvergenceError, DomainError, NumericalWarning, check_count
 from .posterior import kappa_moment12_batch
 from .prior import HIBParams, Points
 from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
@@ -62,8 +62,8 @@ class RiskCurveSpec:
     comparators: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.p, int) and self.p >= 3):
-            raise DomainError(f"p must be an integer >= 3, got {self.p!r}")
+        # the counts are stored as ints, so a numpy input leaves no numpy scalar
+        object.__setattr__(self, "p", check_count("p", self.p, 3))
         if len(self.beta_norms) == 0:
             raise DomainError("beta_norms grid must be nonempty")
         grid = list(self.beta_norms)
@@ -71,7 +71,8 @@ class RiskCurveSpec:
             raise DomainError("beta_norms must be nonnegative and finite")
         if grid != sorted(grid):
             raise DomainError("beta_norms must be ascending")
-        _check_draws(self.n_mc, self.seed)
+        object.__setattr__(self, "n_mc", _check_draws(self.n_mc, self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         unknown = set(self.comparators) - set(COMPARATOR_TAGS)
         if unknown:
             raise DomainError(f"unknown comparators: {sorted(unknown)}")
@@ -87,18 +88,19 @@ class RiskPoint:
     estimator_tag: str
 
 
-def _check_draws(n_mc: int, seed: int) -> None:
-    """Monte Carlo size and RNG seed accepted by every simulated risk."""
-    if not (isinstance(n_mc, int) and n_mc >= 2):
-        raise DomainError(f"n_mc must be an integer >= 2, got {n_mc!r}")
+def _check_draws(n_mc: int, seed: int) -> int:
+    """``n_mc`` as an ``int``, once it and the RNG seed pass every simulated risk's checks."""
+    n_mc = check_count("n_mc", n_mc, 2)
     check_seed(seed)
+    return n_mc
 
 
-def _check_point(p: int, beta_norm: float) -> None:
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise DomainError(f"p must be an integer >= 2, got {p!r}")
+def _check_point(p: int, beta_norm: float, minimum: int = 2) -> int:
+    """``p`` as an ``int``, once it (at least ``minimum``) and beta_norm pass their checks."""
+    p = check_count("p", p, minimum)
     if not (math.isfinite(beta_norm) and beta_norm >= 0.0):
         raise DomainError(f"beta_norm must be nonnegative and finite, got {beta_norm}")
+    return p
 
 
 def _check_square(beta_norm: float) -> None:
@@ -147,7 +149,7 @@ def _squared_errors(keep: np.ndarray, shrunk: np.ndarray, y1: np.ndarray, v: np.
 
 def sample_z(beta_norm: float, p: int, rng: np.random.Generator) -> float:
     """One draw of the squared data norm given the mean norm."""
-    _check_point(p, beta_norm)
+    p = _check_point(p, beta_norm)
     return float(_draw_z(beta_norm, p, rng, 1)[1][0])
 
 
@@ -159,7 +161,7 @@ def sure_integrand(prior: HIBParams, p: int, Z: Points) -> Points:
     r is formed in place in the moments' own rows, with the operations of
     ``z * g2 - p * g1 - 0.5 * z * g1 * g1`` in its order and one temporary.
     """
-    _check_point(p, 0.0)
+    p = _check_point(p, 0.0)
     z = np.asarray(Z, dtype=float)
     zs = np.atleast_1d(z)
     g1, g2 = kappa_moment12_batch(prior, p, zs)
@@ -199,8 +201,8 @@ def risk_analytic(
     fixed 128-node Gauss-Legendre rule in sqrt(Z), and reports zero
     standard error.
     """
-    _check_point(p, beta_norm)
-    _check_draws(n_mc, seed)
+    p = _check_point(p, beta_norm)
+    n_mc = _check_draws(n_mc, seed)
     if method == "quadrature":
         mse, se = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm), 0.0
     elif method == "mc":
@@ -212,10 +214,7 @@ def risk_analytic(
         se = 2.0 * float(np.std(inner, ddof=1) / math.sqrt(n_mc))
     else:
         raise DomainError(f"method must be 'mc' or 'quadrature', got {method!r}")
-    # float(): with a numpy-integer p, mse is an np.float64
-    return RiskPoint(
-        beta_norm=float(beta_norm), mse=float(mse), mc_std_err=se, estimator_tag=_BAYES_TAG
-    )
+    return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=se, estimator_tag=_BAYES_TAG)
 
 
 def _poisson_log_weights(theta: float) -> tuple[int, np.ndarray]:
@@ -324,10 +323,10 @@ def simulate_estimator_risk(
     draw is formed without cancellation, so it stays accurate at any norm."""
     if tag not in COMPARATOR_TAGS:
         raise DomainError(f"tag must be one of {COMPARATOR_TAGS}, got {tag!r}")
+    p = _check_point(p, beta_norm)
     if tag != "mle" and p < 3:
         raise DomainError("James-Stein comparators require p >= 3")
-    _check_point(p, beta_norm)
-    _check_draws(n_mc, seed)
+    n_mc = _check_draws(n_mc, seed)
     rng = stream(seed, "risk-sim", tag, str(p), f"{beta_norm:.17g}")
     y1, z, v = _draw_z(beta_norm, p, rng, n_mc)
     factor = _shrink_factor(tag, z, p)
@@ -343,9 +342,7 @@ def js_risk(p: int, beta_norm: float) -> float:
     The Poisson mean is |beta|^2/2; the sum runs over a 12-sigma window
     around it, far past any 1e-12 tail mass.
     """
-    if not (isinstance(p, (int, np.integer)) and p >= 3):
-        raise DomainError(f"p must be an integer >= 3, got {p!r}")
-    _check_point(p, beta_norm)
+    p = _check_point(p, beta_norm, 3)
     theta = 0.5 * beta_norm * beta_norm
     if theta == 0.0:
         return p - (p - 2.0)

@@ -29,8 +29,9 @@ one forked helper process: the chain runs the three updates and pipes each
 retained u^2 to it in blocks of 64 sweeps.  Whenever the helper falls two
 u^2 blocks behind, the chain evaluates the next block's rows itself and
 pipes the rows instead, which the helper only adds, in the same slabs.
-With one worker, no ``fork`` start method, or another thread alive, the
-same block function runs inline; the profile has the same bits either way.
+With one worker, no ``fork`` start method, another thread alive, or a
+pipe or fork that fails, the same block function runs inline; the profile
+has the same bits either way.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, HibshrinkError
+from .errors import DomainError, HibshrinkError, check_count
 from .prior import density_lambda, half_cauchy
 from .streams import check_seed, stream, worker_count
 
@@ -74,13 +75,11 @@ _CANONICAL_NULLS = 45
 _GRID_MAX = 10.0
 _ROW_BLOCK = 64  # retained sweeps per message to the likelihood helper
 _SLAB = 8  # retained sweeps per likelihood evaluation; 4 ran 4% fewer sweeps a second
-_SHARE_BACKLOG = 2  # u^2 blocks sent, not yet summed, when the chain does a block's rows
+# u^2 blocks sent, not yet summed, when the chain does a block's rows.  Sharing stays:
+# on 2 CPUs beside the benchmark's gauge process the helper is near-critical, and a build
+# without it lost 9 of 12 alternated gibbs-profile pairs (median 32.2k -> 30.4k sweeps/s).
+_SHARE_BACKLOG = 2
 _U2, _ROWS = 0.0, 1.0  # leading tag of a message: u^2 or likelihood rows follow
-
-
-def _is_int(value: object) -> bool:
-    """An ``int`` and not a ``bool``, which would pass for 1 or 0."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,7 @@ class SparseDataset:
         y = np.asarray(self.y, dtype=float)
         if beta.ndim != 1 or beta.size < 1:
             raise DomainError("beta_true must be a 1-D vector")
-        if not (_is_int(self.n_rep) and self.n_rep >= 1):
-            raise DomainError(f"n_rep must be a positive integer, got {self.n_rep!r}")
+        object.__setattr__(self, "n_rep", check_count("n_rep", self.n_rep, 1))
         if y.shape != (beta.size, self.n_rep):
             raise DomainError(
                 f"y must have shape {(beta.size, self.n_rep)}, got {y.shape}"
@@ -131,11 +129,11 @@ class GibbsConfig:
     lambda_grid: tuple[float, ...] = field(default_factory=_default_grid)
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n_iter) and self.n_iter >= 1):
-            raise DomainError(f"n_iter must be a positive integer, got {self.n_iter!r}")
-        if not (_is_int(self.burn_in) and 0 <= self.burn_in < self.n_iter):
+        object.__setattr__(self, "n_iter", check_count("n_iter", self.n_iter, 1))
+        object.__setattr__(self, "burn_in", check_count("burn_in", self.burn_in, 0))
+        if self.burn_in >= self.n_iter:
             raise DomainError("burn_in must satisfy 0 <= burn_in < n_iter")
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
         grid = np.asarray(self.lambda_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise DomainError("lambda_grid must hold at least two points")
@@ -559,8 +557,13 @@ class _HelperRows:
             target=_serve_rows,
             args=(child_end, self._conn, rows, self._taken, size, p),
         )
-        self._proc.start()
-        child_end.close()
+        try:
+            self._proc.start()
+        except OSError:  # no helper: ``_row_sink`` sums the rows inline
+            self._conn.close()
+            raise
+        finally:
+            child_end.close()
 
     def __enter__(self) -> _HelperRows:
         return self
@@ -604,6 +607,7 @@ def _row_sink(rows: _LikelihoodRows, size: int, p: int) -> _InlineRows | _Helper
 
     A fork copies only the calling thread, so any other live thread could
     leave a lock held in the child; with one thread alive there is none.
+    A pipe or fork that fails (``OSError``, such as EAGAIN) sums the rows inline.
     """
     import multiprocessing  # here, so that commands which run no chain skip it
 
@@ -612,7 +616,10 @@ def _row_sink(rows: _LikelihoodRows, size: int, p: int) -> _InlineRows | _Helper
         and "fork" in multiprocessing.get_all_start_methods()
         and threading.active_count() == 1
     ):
-        return _HelperRows(multiprocessing.get_context("fork"), rows, size, p)
+        try:
+            return _HelperRows(multiprocessing.get_context("fork"), rows, size, p)
+        except OSError:
+            pass
     return _InlineRows(rows, size)
 
 
@@ -623,10 +630,10 @@ def horseshoe_gibbs(data: SparseDataset, config: GibbsConfig) -> ProfileResult:
     grid constants are built once per chain.  The chain runs the three
     updates and hands every retained u^2, in blocks of 64 sweeps, to where
     the rows are summed: a forked helper process when ``worker_count()`` is
-    at least 2, the ``fork`` start method exists and no other thread is
-    alive, otherwise the same block function inline.  While the helper is
-    two u^2 blocks behind, the chain evaluates each block's rows itself and
-    hands over the rows.  Either way each row and the accumulator see the
+    at least 2, the ``fork`` start method exists, no other thread is alive
+    and the fork succeeds, otherwise the same block function inline.  While
+    the helper is two u^2 blocks behind, the chain evaluates each block's
+    rows itself and hands over the rows.  Either way each row and the accumulator see the
     same arithmetic in the same order, so the profile keeps its bits, and no
     process outlives the call.
     """

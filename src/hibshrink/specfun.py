@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalWarning
+from .errors import ConvergenceError, DomainError, NumericalWarning, check_count
 
 __all__ = [
     "Phi1Args",
@@ -175,10 +175,8 @@ class SeriesResult:
 
 def pochhammer(c: float, n: int) -> float:
     """Rising factorial ``c (c+1) ... (c+n-1)``; equals 1 when ``n == 0``."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"pochhammer requires a nonnegative integer n, got {n}")
     out = 1.0
-    for k in range(int(n)):
+    for k in range(check_count("n", n, 0)):
         out *= c + k
     return out
 
@@ -573,29 +571,12 @@ def _tail_log(v: float, gamma: float, plan: _Plan) -> tuple[float, int]:
     raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
 
 
-def _tail_terms(v: float, plan: _Plan) -> int:
-    """Terms the plan's large-|x| expansion sums at |x| = v, as ``_tail_log`` counts them.
-
-    Returns the first s whose bound K_s v^-s is <= _TAIL_TOL, with the
-    powers of 1/v formed as ``_tail_log`` forms them; raises
-    ConvergenceError if the plan's coefficients run out first.  At a block's
-    smallest |x| this is the degree of its whole block.
-    """
-    inv, power, bounds = 1.0 / v, 1.0, plan.bounds
-    for s in range(1, len(bounds)):
-        power *= inv
-        if bounds[s] * power <= _TAIL_TOL:
-            return s
-    terms = len(plan.coefs) - 1
-    raise ConvergenceError("phi1 asymptotic series did not converge", terms_used=terms)
-
-
 def _tail_row(absx: np.ndarray, out: np.ndarray, gamma: float, plan: _Plan) -> None:
     """:func:`_tail_log` at every ascending ``absx``, all at or above ``plan.x0``, into ``out``.
 
     Sums in blocks of ``_BATCH_BLOCK``.  Each block's degree S is the term
-    count of its smallest |x| (:func:`_tail_terms`), which bounds the count
-    of every larger one, and the block evaluates sum_s k_s |x|^-s, s <= S,
+    count that :func:`_tail_log` reports at its smallest |x|, which bounds
+    the count of every larger one, and the block evaluates sum_s k_s |x|^-s, s <= S,
     by Horner's rule in 1/|x|, two array passes a term.
     """
     width = min(_BATCH_BLOCK, absx.size)
@@ -605,7 +586,7 @@ def _tail_row(absx: np.ndarray, out: np.ndarray, gamma: float, plan: _Plan) -> N
         size = min(_BATCH_BLOCK, absx.size - start)
         inv, acc = buffers[:, :size]
         xb = absx[start : start + size]
-        degree = _tail_terms(float(xb[0]), plan)
+        degree = _tail_log(float(xb[0]), gamma, plan)[1]
         np.divide(1.0, xb, out=inv)
         acc.fill(coefs[degree])
         for s in range(degree - 1, -1, -1):

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 __all__ = ["stream", "check_seed", "label_hash", "worker_count"]
 
@@ -39,9 +39,10 @@ def label_hash(*labels: object) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """Return ``seed``, an int in [0, 2^64); any other value, a ``bool`` included,
-    raises ``DomainError``."""
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and 0 <= seed <= _MASK64):
+    """``seed`` as an ``int`` in [0, 2^64), read by the package's count rule;
+    any other value, a ``bool`` included, raises ``DomainError``."""
+    seed = check_count("seed", seed, 0)
+    if seed > _MASK64:
         raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return seed
 

@@ -53,8 +53,8 @@ def test_density_grid_spans_count_points_and_one_normalizer(tmp_path):
 
 def test_risk_curve_batch_spans_are_one_per_bayes_point(tmp_path):
     # keeps the base of specfun.batch.ns_per_x: every Bayes point evaluates
-    # its n_mc draws in exactly one log_phi1_batch call, which sums all three
-    # of its series
+    # its n_mc draws in exactly one log_phi1_batch call, which sums all of
+    # its series: two at tau2 = 1, as for this half-Cauchy curve, else three
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:

@@ -33,6 +33,12 @@ series, whose x is a member's own tilt ``s``, is summed in
 that function for the prior's half of a kernel moment.  The batch's
 power-series rows have one summation, Horner's rule over the terms of each
 block's largest |x|: ``_series_row`` keeps no per-element rescale state.
+The large-|x| expansion has one degree rule, that of the scalar
+``_tail_log``: ``_tail_row`` takes each block's degree from it, and no
+``_tail_terms`` returns beside it.  And an integer count has one home,
+``errors.check_count``: no other production module calls ``isinstance``
+with ``int``, ``np.integer`` or ``numbers.Integral``, and ``sparse``
+defines no ``_is_int``.
 """
 
 import ast
@@ -172,6 +178,38 @@ def test_batch_series_rows_are_summed_by_horner_alone():
     called = {node.func.id for node in ast.walk(row)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert "_block_terms" in called
+
+
+def test_the_tail_expansion_has_one_degree_rule():
+    # a block of the batch takes its degree from the scalar sum at its
+    # smallest |x|; no second loop over the same bounds returns beside it
+    tree = ast.parse(MODULES["specfun"].read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_tail_terms" not in functions and not hasattr(specfun, "_tail_terms")
+    called = {node.func.id for node in ast.walk(functions["_tail_row"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_tail_log" in called
+
+
+# the types an integer-count test names: int, np.integer, numbers.Integral
+COUNT_TYPES = {"int", "integer", "Integral"}
+
+
+def test_the_count_rule_has_one_home():
+    for name, path in MODULES.items():
+        if name == "errors":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance"):
+                continue
+            types = node.args[1]
+            for kind in types.elts if isinstance(types, ast.Tuple) else [types]:
+                named = kind.id if isinstance(kind, ast.Name) else getattr(kind, "attr", "")
+                assert named not in COUNT_TYPES, (name, node.lineno, named)
+    tree = ast.parse(MODULES["sparse"].read_text())
+    assert "_is_int" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not hasattr(sparse, "_is_int")
+    assert "check_count" not in hibshrink.__all__
 
 
 # parameter names through which a caller would set a tolerance or a budget

@@ -2,8 +2,10 @@
 for means / local scales / global scale, streaming log-mean-exp profile
 accumulation, and the overlay densities."""
 
+import errno
 import math
 import multiprocessing
+import multiprocessing.context
 import os
 import threading
 import warnings
@@ -11,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hibshrink import sparse
+from hibshrink import cli, sparse
 from hibshrink.errors import DomainError, HibshrinkError
 from hibshrink.quadrature import integrate_unit
 from hibshrink.sparse import (
@@ -900,3 +902,39 @@ def test_other_live_thread_keeps_the_rows_inline(monkeypatch, helpers_started):
         other.join(timeout=10)
     assert not other.is_alive()
     assert helpers_started == []
+
+
+@needs_fork
+@pytest.mark.parametrize("failing", ["start", "Pipe"])
+def test_a_failed_fork_sums_the_rows_inline(failing, monkeypatch, tmp_path):
+    # EAGAIN from the helper's fork once escaped cli.main as a traceback
+    data = simulate_sparse(4)
+    cfg = GibbsConfig(n_iter=3_000, burn_in=1_000, seed=0)
+    monkeypatch.setenv("HIBSHRINK_THREADS", "1")
+    inline = horseshoe_gibbs(data, cfg)
+
+    pipes = []
+    real_pipe = multiprocessing.context.BaseContext.Pipe
+
+    def recorded_pipe(self, *args):
+        pipes.extend(ends := real_pipe(self, *args))
+        return ends
+
+    def refuse(*args):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    if failing == "start":
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pipe", recorded_pipe)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", refuse)
+    else:
+        monkeypatch.setattr(multiprocessing.context.BaseContext, "Pipe", refuse)
+    monkeypatch.setenv("HIBSHRINK_THREADS", "2")
+    shared = horseshoe_gibbs(data, cfg)
+    np.testing.assert_array_equal(shared.profile, inline.profile)
+    assert multiprocessing.active_children() == []
+    assert len(pipes) == (2 if failing == "start" else 0)
+    assert all(end.closed for end in pipes)
+    argv = ["marglik-profile", "--iters", "300", "--burn-in", "100",
+            "--out", str(tmp_path / "profile.csv")]
+    assert cli.main(argv) == 0
+    assert multiprocessing.active_children() == []

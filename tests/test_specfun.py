@@ -758,7 +758,7 @@ def _record_degrees(monkeypatch, degrees):
     """Record each Horner block's degree in ``degrees``, keyed as the oracle keys
     its term counts, for the rest of the test."""
     series_row, tail_row = specfun._series_row, specfun._tail_row
-    block_terms, tail_terms = specfun._block_terms, specfun._tail_terms
+    block_terms, tail_log = specfun._block_terms, specfun._tail_log
     row = []
 
     def series(absx, out, gamma, plan, max_terms):
@@ -774,15 +774,15 @@ def _record_degrees(monkeypatch, degrees):
         degrees[("series", *row, top)] = len(coefs) - 1
         return coefs, rescales
 
-    def tail_degree(v, plan):
-        degree = tail_terms(v, plan)
+    def tail_degree(v, gamma, plan):
+        log_abs, degree = tail_log(v, gamma, plan)
         degrees[("tail", *row, v)] = degree
-        return degree
+        return log_abs, degree
 
     monkeypatch.setattr(specfun, "_series_row", series)
     monkeypatch.setattr(specfun, "_tail_row", tail)
     monkeypatch.setattr(specfun, "_block_terms", terms)
-    monkeypatch.setattr(specfun, "_tail_terms", tail_degree)
+    monkeypatch.setattr(specfun, "_tail_log", tail_degree)
 
 
 def _assert_matches_oracle(monkeypatch, alpha, gamma, x, y):
