@@ -16,10 +16,13 @@ densities on the same grid show what a half-Cauchy prior and an
 inverse-gamma-induced prior on lambda would weight: the latter vanishes near
 zero, which is the distortion the profile makes visible.
 
-The likelihood rows of a block are evaluated, and added to the profile, in
-slabs of 8 retained sweeps: one rank-1 product, one add and divide pass,
-one product over the means and one log per (row, lambda) for the
-log-determinants, one stacked matrix-vector product, and one log-mean-exp
+A chain builds its sweep once: the three updates overwrite work arrays
+allocated with it, and beta^2 serves both scale updates, while every
+draw keeps the bits of the public updates.  The likelihood rows of a
+block are evaluated, and added to the profile, in slabs of 8 retained
+sweeps: one rank-2 product for 1 + n lambda^2 u^2, one product over the
+means and one log per (row, lambda) for the log-determinants, one
+reciprocal pass, one stacked matrix-vector product, and one log-mean-exp
 update cover a slab, so the per-call overhead is paid once a slab while
 each row keeps the bits of its one-row evaluation.
 
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import signal
+import stat
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -76,8 +81,9 @@ _GRID_MAX = 10.0
 _ROW_BLOCK = 64  # retained sweeps per message to the likelihood helper
 _SLAB = 8  # retained sweeps per likelihood evaluation; 4 ran 4% fewer sweeps a second
 # u^2 blocks sent, not yet summed, when the chain does a block's rows.  Sharing stays:
-# on 2 CPUs beside the benchmark's gauge process the helper is near-critical, and a build
-# without it lost 9 of 12 alternated gibbs-profile pairs (median 32.2k -> 30.4k sweeps/s).
+# on 2 CPUs beside the benchmark's gauge process the helper is near-critical, and with
+# the allocation-free sweep and rank-2 rows a build without it still lost 4 of 5
+# alternated gibbs-profile pairs (median 39.4k -> 36.6k sweeps/s).
 _SHARE_BACKLOG = 2
 _U2, _ROWS = 0.0, 1.0  # leading tag of a message: u^2 or likelihood rows follow
 
@@ -101,18 +107,25 @@ class SparseDataset:
             raise DomainError(
                 f"y must have shape {(beta.size, self.n_rep)}, got {y.shape}"
             )
-        if not (
-            isinstance(self.sigma, numbers.Real)
-            and not isinstance(self.sigma, bool)
-            and math.isfinite(self.sigma)
-            and self.sigma > 0.0
-        ):
-            raise DomainError(f"sigma must be positive, got {self.sigma!r}")
+        _check_sigma(self.sigma)
         if np.any(~np.isfinite(beta)) or np.any(~np.isfinite(y)):
             raise DomainError("dataset values must be finite")
         # keep the validated float arrays, not the caller's lists or int arrays
         object.__setattr__(self, "beta_true", beta)
         object.__setattr__(self, "y", y)
+
+
+def _check_sigma(sigma: float) -> None:
+    """Refuse a sigma that is not a positive real, or whose square is 0 or inf."""
+    if not (
+        isinstance(sigma, numbers.Real)
+        and not isinstance(sigma, bool)
+        and sigma > 0.0
+        and 0.0 < float(sigma) * float(sigma) < math.inf
+    ):
+        raise DomainError(
+            f"sigma must be positive, with sigma^2 positive and finite, got {sigma!r}"
+        )
 
 
 def _default_grid() -> tuple[float, ...]:
@@ -243,26 +256,29 @@ class _LikelihoodRows:
     sum_i [ -(n/2) log(2 pi sigma^2) - (1/2) log(1 + n lambda^2 u_i^2)
             - (s2_i - lambda^2 u_i^2 s1_i^2 / (1 + n lambda^2 u_i^2))
               / (2 sigma^2) ].
-    With b_i = n lambda^2 u_i^2 and d_i = 1 + b_i the u-dependent part is
-    sum_i s1_i^2/(2 n sigma^2) b_i/d_i - (1/2) sum_i log d_i, a dot
-    product and a log-determinant over the means; the rest is a constant
-    fixed at construction.
+    With weights w_i = s1_i^2/(2 n sigma^2) and d_i = 1 + n lambda^2 u_i^2,
+    the quadratic part is sum_i w_i (1 - 1/d_i), so the u-dependent part is
+    -sum_i w_i / d_i - (1/2) sum_i log d_i, a dot product and a
+    log-determinant over the means; the rest, sum_i w_i included, is a
+    constant fixed at construction.
 
     One call evaluates a slab of up to ``_SLAB`` retained u^2 vectors in a
     (slab * p, grid size) layout, row r's (p, grid size) matrix at rows
-    r*p to (r+1)*p: b is one rank-1 matrix product of the slab's u^2 column
-    with the n lambda^2 row, then one add and divide pass covers the slab.
+    r*p to (r+1)*p: d is one rank-2 matrix product of the slab's
+    (slab * p, 2) columns [u^2, 1] with the (2, grid size) rows
+    [n lambda^2, 1], which BLAS forms as u^2 n lambda^2 rounded, plus 1.
     The log-determinant term is (1/2) log prod_i d_i: one product over the
     p axis, then one log per (row, lambda) rather than per entry.  A row
     whose product passes the float range (many large u_i^2) takes, alone,
-    (1/2) sum_i log d_i as a matrix-vector product instead.  The weights of
-    b/d take one stacked ``matmul`` over the slab's (p, grid size)
-    matrices, which makes each row's matrix-vector product the BLAS call a
-    one-row slab makes.  So a row has the same bits wherever it sits in a
-    slab, for any grid size; one matrix-vector product over the
-    (p, slab * grid size) view would not, since BLAS sums the last few
-    entries of its output apart.  The work arrays are allocated once and
-    overwritten by every call, and so are the returned rows.
+    (1/2) sum_i log d_i as a matrix-vector product instead.  Then one
+    in-place reciprocal turns d into 1/d, and the weights take one stacked
+    ``matmul`` over the slab's (p, grid size) matrices, which makes each
+    row's matrix-vector product the BLAS call a one-row slab makes.  So a
+    row has the same bits wherever it sits in a slab, for any grid size;
+    one matrix-vector product over the (p, slab * grid size) view would
+    not, since BLAS sums the last few entries of its output apart.  The
+    work arrays are allocated once and overwritten by every call, and so
+    are the returned rows.
     """
 
     def __init__(
@@ -272,37 +288,39 @@ class _LikelihoodRows:
         s2 = (data.y * data.y).sum(axis=1)
         sigma2 = sigma * sigma
         p, g = s1.size, lam2.size
-        self._n_lam2 = (data.n_rep * lam2).reshape(1, g)
-        self._quad_weights = (0.5 * s1 * s1 / (sigma2 * data.n_rep)).reshape(1, p)
+        quad_weights = 0.5 * s1 * s1 / (sigma2 * data.n_rep)
+        self._quad_weights = quad_weights.reshape(1, p)
         self._logdet_weights = np.full((1, p), 0.5)
-        self._const = -0.5 * float(s2.sum()) / sigma2 - (
+        self._const = float(quad_weights.sum()) - 0.5 * float(s2.sum()) / sigma2 - (
             0.5 * data.n_rep * math.log(2.0 * math.pi * sigma2) * p
         )
-        self._b = np.empty((_SLAB * p, g))
-        self._denom = np.empty((_SLAB * p, g))
+        self._n_lam2 = np.ones((2, g))  # rows [n lambda^2, 1]
+        self._n_lam2[0] = data.n_rep * lam2
+        self._u2 = np.ones((_SLAB * p, 2))  # columns [u^2, 1]; each call writes u^2
+        self._d = np.empty((_SLAB * p, g))
         self._rows = np.empty((_SLAB, 1, g))
         self._logdet = np.empty((_SLAB, 1, g))
 
     def __call__(self, u2: np.ndarray) -> np.ndarray:
         """The rows of a (k, p) slab of u^2, k <= ``_SLAB``, as (k, grid size)."""
         k, p = u2.shape
-        g = self._n_lam2.size
-        b = np.dot(u2.reshape(k * p, 1), self._n_lam2, out=self._b[: k * p])
-        denom = np.add(b, 1.0, out=self._denom[: k * p])
-        b /= denom
-        denom = denom.reshape(k, p, g)
+        g = self._n_lam2.shape[1]
+        columns = self._u2[: k * p]
+        columns[:, 0] = u2.reshape(k * p)
+        d = np.dot(columns, self._n_lam2, out=self._d[: k * p]).reshape(k, p, g)
         logdet = self._logdet[:k]
         with np.errstate(over="ignore"):
-            np.multiply.reduce(denom, axis=1, out=logdet.reshape(k, g))
+            np.multiply.reduce(d, axis=1, out=logdet.reshape(k, g))
         np.log(logdet, out=logdet)
         logdet *= 0.5
         if not np.isfinite(logdet).all():  # a product passed the float range
             for r in np.flatnonzero(~np.isfinite(logdet).all(axis=(1, 2))):
-                np.log(denom[r], out=denom[r])
-                np.matmul(self._logdet_weights, denom[r : r + 1], out=logdet[r : r + 1])
-        rows = np.matmul(self._quad_weights, b.reshape(k, p, g), out=self._rows[:k])
+                logs = np.log(d[r : r + 1])
+                np.matmul(self._logdet_weights, logs, out=logdet[r : r + 1])
+        np.reciprocal(d, out=d)
+        rows = np.matmul(self._quad_weights, d, out=self._rows[:k])
+        np.subtract(self._const, rows, out=rows)
         rows -= logdet
-        rows += self._const
         return rows.reshape(k, g)
 
 
@@ -312,11 +330,18 @@ def conditional_log_likelihood(
     """Log p(y | lambda, sigma, u^2) with all means integrated out."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"lam must be positive and finite, got {lam}")
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    _check_sigma(sigma)
     u2 = np.asarray(u2, dtype=float)
     if u2.shape != (data.beta_true.size,) or np.any(u2 <= 0.0) or np.any(~np.isfinite(u2)):
         raise DomainError("u2 must be a positive vector, one entry per mean")
+    # the rows form n lambda^2 u^2 as these products; past the float range they are NaN
+    n_lam2 = data.n_rep * (float(lam) * float(lam))
+    if not math.isfinite(n_lam2):
+        raise DomainError(f"lam must keep n_rep * lam^2 finite, got lam = {lam}")
+    if not math.isfinite(n_lam2 * float(u2.max())):
+        raise DomainError(
+            f"u2 must keep n_rep * lam^2 * max(u2) finite, got max(u2) = {u2.max()}"
+        )
     rows = _LikelihoodRows(data, sigma, np.array([lam * lam]))
     return float(rows(u2.reshape(1, -1))[0, 0])
 
@@ -335,17 +360,7 @@ def gibbs_update_means(
     mean variance s1 / sigma^2, and the draw mean + sqrt(variance) z; each
     operation runs in place, in that order.
     """
-    sigma2 = sigma * sigma
-    variance = np.multiply(lam * lam * sigma2, u2)
-    np.reciprocal(variance, out=variance)
-    variance += n_rep / sigma2
-    np.reciprocal(variance, out=variance)
-    beta = np.multiply(variance, s1)
-    beta /= sigma2
-    np.sqrt(variance, out=variance)
-    variance *= rng.standard_normal(s1.size)
-    beta += variance
-    return beta
+    return _Sweep(s1.size, sigma).means(rng, s1, n_rep, lam, u2)
 
 
 def gibbs_update_local_scales(
@@ -363,17 +378,7 @@ def gibbs_update_local_scales(
     / e2, each operation in place, in that order.  e1 and e2 are the two
     halves of one draw of 2p exponentials, the values two draws of p give.
     """
-    p = u2.size
-    e = rng.standard_exponential(2 * p)
-    rate = np.reciprocal(u2)
-    rate += 1.0
-    rate /= e[:p]
-    np.reciprocal(rate, out=rate)
-    spread = np.multiply(beta, beta)
-    spread /= 2.0 * lam * lam * sigma * sigma
-    rate += spread
-    rate /= e[p:]
-    return rate
+    return _Sweep(u2.size, sigma).local_scales(rng, beta, lam, u2)
 
 
 def gibbs_update_global_scale(
@@ -419,9 +424,19 @@ class _GlobalScaleDraw:
     def __call__(
         self, rng: np.random.Generator, beta: np.ndarray, sigma: float, u2: np.ndarray
     ) -> float:
+        beta2 = np.multiply(beta, beta, out=self._terms)
+        return self.from_squares(rng, beta2, sigma * sigma, u2)
+
+    def from_squares(
+        self, rng: np.random.Generator, beta2: np.ndarray, sigma2: float, u2: np.ndarray
+    ) -> float:
+        """The draw given beta^2; sigma^2 = 1 skips the product sigma^2 u^2."""
         # the ufunc methods behind np.sum, ndarray.max and np.cumsum: same bits, fewer calls
-        terms = np.multiply(beta, beta, out=self._terms)
-        terms /= np.multiply(sigma * sigma, u2, out=self._scales)
+        if sigma2 == 1.0:
+            terms = np.divide(beta2, u2, out=self._terms)
+        else:
+            scales = np.multiply(sigma2, u2, out=self._scales)
+            terms = np.divide(beta2, scales, out=self._terms)
         s_stat = float(np.add.reduce(terms))
         if not math.isfinite(s_stat):
             raise HibshrinkError(f"non-finite global-scale statistic in sampler: {s_stat}")
@@ -435,6 +450,89 @@ class _GlobalScaleDraw:
         cdf = np.add.accumulate(np.exp(logw, out=logw), out=self._cdf)
         draw = rng.random() * cdf[-1]
         return float(self._grid[int(cdf.searchsorted(draw))])
+
+
+class _Sweep:
+    """The mean and local-scale updates with every work array built once.
+
+    The public ``gibbs_update_means`` and ``gibbs_update_local_scales`` are
+    one-off calls of these methods, and a chain builds one sweep, with its
+    ``_GlobalScaleDraw``, and calls it once a sweep.  The variance, beta
+    (which ``means`` returns), the p normals, the 2p exponentials, beta^2
+    and the spread are overwritten by every sweep; ``local_scales`` writes
+    u^2 into two buffers in turn, so the u^2 it returns holds until the
+    call after next.  beta^2 is formed once and serves the local-scale and
+    global-scale updates.  Each operation runs in place, in the order the
+    public updates give, except that at sigma^2 = 1 the divide by sigma^2
+    and the product sigma^2 u^2 are skipped: both are exact there, so no
+    bit changes.
+    """
+
+    def __init__(self, p: int, sigma: float, lambda_grid: np.ndarray | None = None) -> None:
+        self._sigma = sigma
+        self._sigma2 = sigma * sigma
+        self._variance = np.empty(p)
+        self._beta = np.empty(p)
+        self._normals = np.empty(p)
+        self._exponentials = np.empty(2 * p)
+        self._e1, self._e2 = self._exponentials[:p], self._exponentials[p:]
+        self._beta2 = np.empty(p)
+        self._spread = np.empty(p)
+        self._u2 = (np.empty(p), np.empty(p))
+        self._next_u2 = 0
+        if lambda_grid is not None:
+            self._draw_global_scale = _GlobalScaleDraw(lambda_grid, p)
+
+    def means(
+        self,
+        rng: np.random.Generator,
+        s1: np.ndarray,
+        n_rep: int,
+        lam: float,
+        u2: np.ndarray,
+    ) -> np.ndarray:
+        """``gibbs_update_means`` into the sweep's arrays."""
+        sigma2 = self._sigma2
+        variance = np.multiply(lam * lam * sigma2, u2, out=self._variance)
+        np.reciprocal(variance, out=variance)
+        variance += n_rep / sigma2
+        np.reciprocal(variance, out=variance)
+        beta = np.multiply(variance, s1, out=self._beta)
+        if sigma2 != 1.0:
+            beta /= sigma2
+        np.sqrt(variance, out=variance)
+        variance *= rng.standard_normal(out=self._normals)
+        beta += variance
+        return beta
+
+    def local_scales(
+        self, rng: np.random.Generator, beta: np.ndarray, lam: float, u2: np.ndarray
+    ) -> np.ndarray:
+        """``gibbs_update_local_scales`` into the sweep's arrays; beta^2 is kept."""
+        rng.standard_exponential(out=self._exponentials)
+        rate = np.reciprocal(u2, out=self._u2[self._next_u2])
+        self._next_u2 ^= 1
+        rate += 1.0
+        rate /= self._e1
+        np.reciprocal(rate, out=rate)
+        beta2 = np.multiply(beta, beta, out=self._beta2)
+        sigma = self._sigma
+        rate += np.divide(beta2, 2.0 * lam * lam * sigma * sigma, out=self._spread)
+        rate /= self._e2
+        return rate
+
+    def __call__(
+        self,
+        rng: np.random.Generator,
+        s1: np.ndarray,
+        n_rep: int,
+        lam: float,
+        u2: np.ndarray,
+    ) -> tuple[float, np.ndarray]:
+        """One sweep from (lambda, u^2): the next lambda and u^2."""
+        beta = self.means(rng, s1, n_rep, lam, u2)
+        u2 = self.local_scales(rng, beta, lam, u2)
+        return self._draw_global_scale.from_squares(rng, self._beta2, self._sigma2, u2), u2
 
 
 def _slabs(block: np.ndarray) -> Iterator[np.ndarray]:
@@ -557,9 +655,15 @@ class _HelperRows:
             target=_serve_rows,
             args=(child_end, self._conn, rows, self._taken, size, p),
         )
+        pipes = _open_pipes()
         try:
             self._proc.start()
         except OSError:  # no helper: ``_row_sink`` sums the rows inline
+            # a fork that fails leaves open the two pipes the standard library
+            # made for it; with one thread alive, no other pipe appeared since
+            if pipes is not None:
+                for fd in _open_pipes() - pipes:
+                    os.close(fd)
             self._conn.close()
             raise
         finally:
@@ -602,6 +706,24 @@ class _HelperRows:
         return reply
 
 
+def _open_pipes() -> set[int] | None:
+    """The pipe descriptors this process holds, or None where it cannot list them."""
+    for fd_dir in ("/proc/self/fd", "/dev/fd"):
+        try:
+            names = os.listdir(fd_dir)
+        except OSError:
+            continue
+        pipes = set()
+        for fd in map(int, names):
+            try:
+                if stat.S_ISFIFO(os.fstat(fd).st_mode):
+                    pipes.add(fd)
+            except OSError:  # the descriptor that listed the directory, closed since
+                pass
+        return pipes
+    return None
+
+
 def _row_sink(rows: _LikelihoodRows, size: int, p: int) -> _InlineRows | _HelperRows:
     """One helper process when two workers are granted and forking is safe.
 
@@ -626,16 +748,17 @@ def _row_sink(rows: _LikelihoodRows, size: int, p: int) -> _InlineRows | _Helper
 def horseshoe_gibbs(data: SparseDataset, config: GibbsConfig) -> ProfileResult:
     """Run the sampler and average conditional likelihoods over the grid.
 
-    The likelihood-row evaluator, its slab buffers and the global-scale
-    grid constants are built once per chain.  The chain runs the three
-    updates and hands every retained u^2, in blocks of 64 sweeps, to where
-    the rows are summed: a forked helper process when ``worker_count()`` is
-    at least 2, the ``fork`` start method exists, no other thread is alive
-    and the fork succeeds, otherwise the same block function inline.  While
-    the helper is two u^2 blocks behind, the chain evaluates each block's
-    rows itself and hands over the rows.  Either way each row and the accumulator see the
-    same arithmetic in the same order, so the profile keeps its bits, and no
-    process outlives the call.
+    The likelihood-row evaluator, its slab buffers and the sweep, with its
+    work arrays and global-scale grid constants, are built once per chain.
+    The chain runs the three updates and hands every retained u^2, in
+    blocks of 64 sweeps, to where the rows are summed: a forked helper
+    process when ``worker_count()`` is at least 2, the ``fork`` start method
+    exists, no other thread is alive and the fork succeeds, otherwise the
+    same block function inline.  While the helper is two u^2 blocks behind,
+    the chain evaluates each block's rows itself and hands over the rows.
+    Either way each row and the accumulator see the same arithmetic in the
+    same order, so the profile keeps its bits, and no process outlives the
+    call.
     """
     grid = np.asarray(config.lambda_grid, dtype=float)
     s1 = data.y.sum(axis=1)
@@ -644,15 +767,13 @@ def horseshoe_gibbs(data: SparseDataset, config: GibbsConfig) -> ProfileResult:
 
     u2 = np.ones(p)
     lam = 1.0
-    draw_global_scale = _GlobalScaleDraw(grid, p)
+    sweep = _Sweep(p, data.sigma, grid)
     block = np.empty((_ROW_BLOCK, p))
     filled = 0
     with _row_sink(_LikelihoodRows(data, data.sigma, grid * grid), grid.size, p) as sink:
-        for sweep in range(config.n_iter):
-            beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
-            u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
-            lam = draw_global_scale(rng, beta, data.sigma, u2)
-            if sweep >= config.burn_in:
+        for index in range(config.n_iter):
+            lam, u2 = sweep(rng, s1, data.n_rep, lam, u2)
+            if index >= config.burn_in:
                 block[filled] = u2
                 filled += 1
                 if filled == _ROW_BLOCK:

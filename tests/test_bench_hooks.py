@@ -3,12 +3,16 @@
 ``bench/tracer.py`` wraps functions by name in the namespaces of the
 modules that call them.  A rename in ``src/`` would leave a hook missing and
 turn every traced benchmark run into a failed operation, so the hook table
-is checked here against the package as it stands.
+is checked here against the package as it stands, and a traced profile run
+must write the bytes an untraced one does.
 """
 
 import importlib.util
+import multiprocessing
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from hibshrink import cli, posterior, specfun
 
@@ -78,3 +82,27 @@ def test_risk_curve_batch_spans_are_one_per_bayes_point(tmp_path):
     assert sorted(per_point) == sorted(span[0] for span in points)
     assert set(per_point.values()) == {1}
     assert [span[5] for span in batch] == [2000] * 3
+
+
+@pytest.mark.parametrize("threads", [
+    "1",
+    pytest.param("2", marks=pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")),
+])
+def test_traced_profile_writes_the_untraced_bytes(threads, tmp_path, monkeypatch):
+    # the gibbs-profile workload runs traced: its hooks must all be found, and
+    # must change no byte of the profile, at one worker or with the helper
+    monkeypatch.setenv("HIBSHRINK_THREADS", threads)
+    argv = ["marglik-profile", "--seed", "3", "--data-seed", "2", "--iters", "600",
+            "--burn-in", "100", "--out"]
+    assert cli.main(argv + [str(tmp_path / "plain.csv")]) == 0
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(argv + [str(tmp_path / "traced.csv")])
+        missing = list(tracer.missing)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert missing == []
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()

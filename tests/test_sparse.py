@@ -207,6 +207,28 @@ def test_cll_matches_per_row_quadrature():
     assert abs(got - expected) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "lam, sigma, u2_value, name",
+    [
+        (1e160, 1.0, 1.0, "lam"),  # lam^2 overflows: a silent NaN once
+        (10.0, 1.0, 1e307, "u2"),  # n lam^2 u^2 overflows: NaN
+        (1.0, 1e200, 1.0, "sigma"),  # sigma^2 overflows: -inf, though the value is finite
+        (1.0, 1e-200, 1.0, "sigma"),  # sigma^2 underflows to 0: a ZeroDivisionError
+    ],
+    ids=["lam2-overflow", "u2-overflow", "sigma2-inf", "sigma2-zero"],
+)
+def test_cll_refuses_arguments_out_of_the_float_range(lam, sigma, u2_value, name):
+    data = simulate_sparse(0)
+    with pytest.raises(DomainError, match=f"^{name} must"):
+        conditional_log_likelihood(data, lam, sigma, np.full(50, u2_value))
+
+
+@pytest.mark.parametrize("sigma", [1e200, 1e-200, np.float64(1e200)])
+def test_dataset_refuses_a_sigma_whose_square_is_zero_or_inf(sigma):
+    with pytest.raises(DomainError, match="sigma must be positive, with sigma\\^2"):
+        SparseDataset(np.zeros(3), np.zeros((3, 2)), 2, sigma)
+
+
 def _reference_rows(data, sigma, lam2, u2):
     # the per-row formula, summed over rows, with no hoisting or buffer reuse
     s1 = data.y.sum(axis=1)
@@ -236,24 +258,25 @@ def test_likelihood_rows_match_per_row_formula(sigma):
 
 def _one_row(data, sigma, lam2, u2, logdet="product"):
     # one retained sweep's row, by the operations of a one-row evaluation:
-    # half the log of the product of the 1 + n lam^2 u_i^2 over the means, or
-    # where that product overflows (or with logdet="sum"), half the sum of
-    # their logs
+    # d = 1 + n lam^2 u_i^2 as the rank-2 product [u^2, 1] [n lam^2, 1]^T;
+    # half the log of the product of the d over the means, or where that
+    # product overflows (or with logdet="sum"), half the sum of their logs;
+    # and the weights w_i times 1/d taken from a constant that holds sum w
     s1 = data.y.sum(axis=1)
     s2 = (data.y * data.y).sum(axis=1)
     sigma2 = sigma * sigma
-    b = np.multiply.outer(u2, data.n_rep * lam2)
-    denom = b + 1.0
-    b /= denom
+    d = np.dot(np.stack([u2, np.ones_like(u2)], axis=1),
+               np.stack([data.n_rep * lam2, np.ones_like(lam2)]))
     with np.errstate(over="ignore"):
-        half_logdet = 0.5 * np.log(np.multiply.reduce(denom, axis=0))
+        half_logdet = 0.5 * np.log(np.multiply.reduce(d, axis=0))
     if logdet == "sum" or not np.isfinite(half_logdet).all():
-        half_logdet = np.dot(np.full(s1.size, 0.5), np.log(denom))
-    row = np.dot(0.5 * s1 * s1 / (sigma2 * data.n_rep), b)
-    row -= half_logdet
-    row += -0.5 * float(s2.sum()) / sigma2 - (
+        half_logdet = np.dot(np.full(s1.size, 0.5), np.log(d))
+    weights = 0.5 * s1 * s1 / (sigma2 * data.n_rep)
+    const = float(weights.sum()) - 0.5 * float(s2.sum()) / sigma2 - (
         0.5 * data.n_rep * math.log(2.0 * math.pi * sigma2) * s1.size
     )
+    row = const - np.dot(weights, 1.0 / d)
+    row -= half_logdet
     return row
 
 
@@ -577,19 +600,66 @@ def test_one_draw_of_2p_exponentials_keeps_every_bit():
     # the local-scale update draws e1 and e2 as the halves of one call; from
     # the same state, the Philox stream gives the scales, and leaves the
     # stream where, the written-out form's two calls of p do, at every sweep
+    # a chain's sweep object, drawing into the same 2p buffer every sweep, too
     data = simulate_sparse(3)
     grid = np.asarray(GibbsConfig().lambda_grid)
     s1 = data.y.sum(axis=1)
-    rng, twin = stream(16, "test", "two-draws"), stream(16, "test", "two-draws")
-    u2, lam = np.ones(s1.size), 1.0
-    for _ in range(500):
-        beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
-        twin.bit_generator.state = rng.bit_generator.state
-        expected = _written_out_local_scales(twin, beta, data.sigma, lam, u2)
-        u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
-        np.testing.assert_array_equal(u2, expected)
-        assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
-        lam = gibbs_update_global_scale(rng, beta, data.sigma, u2, grid)
+    sweep = sparse._Sweep(s1.size, data.sigma)
+    for local in (
+        lambda rng, beta, lam, u2: gibbs_update_local_scales(rng, beta, data.sigma, lam, u2),
+        sweep.local_scales,
+    ):
+        rng, twin = stream(16, "test", "two-draws"), stream(16, "test", "two-draws")
+        u2, lam = np.ones(s1.size), 1.0
+        for _ in range(500):
+            beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
+            twin.bit_generator.state = rng.bit_generator.state
+            expected = _written_out_local_scales(twin, beta, data.sigma, lam, u2)
+            u2 = local(rng, beta, lam, u2)
+            np.testing.assert_array_equal(u2, expected)
+            assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+            lam = gibbs_update_global_scale(rng, beta, data.sigma, u2, grid)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.7])
+def test_sweep_object_keeps_every_bit(sigma):
+    # a chain's sweep reuses its work arrays and two u^2 buffers, forms
+    # beta^2 once for the local and global updates, and skips the sigma^2
+    # steps at sigma = 1; from one stream, the written-out formulas, the
+    # public updates and the sweep give the same beta, u^2 and lambda at
+    # every sweep, and leave the stream at the same place
+    data = simulate_sparse(3)
+    grid = np.asarray(GibbsConfig().lambda_grid)
+    s1 = data.y.sum(axis=1)
+    sweep = sparse._Sweep(s1.size, sigma, grid)
+
+    def written_out(rng, lam, u2):
+        beta = _written_out_means(rng, s1, data.n_rep, sigma, lam, u2)
+        u2 = _written_out_local_scales(rng, beta, sigma, lam, u2)
+        return beta, u2, _written_out_global_scale(rng, beta, sigma, u2, grid)
+
+    def public(rng, lam, u2):
+        beta = gibbs_update_means(rng, s1, data.n_rep, sigma, lam, u2)
+        u2 = gibbs_update_local_scales(rng, beta, sigma, lam, u2)
+        return beta, u2, gibbs_update_global_scale(rng, beta, sigma, u2, grid)
+
+    def chain(rng, lam, u2):
+        lam, u2 = sweep(rng, s1, data.n_rep, lam, u2)
+        return sweep._beta, u2, lam
+
+    runs, ends = [], []
+    for update in (written_out, public, chain):
+        rng = stream(17, "test", "sweep")
+        u2, lam, seen = np.ones(s1.size), 1.0, []
+        for _ in range(2_000):
+            beta, u2, lam = update(rng, lam, u2)
+            seen.append(np.concatenate([beta, u2, [lam]]))
+        runs.append(np.array(seen))
+        ends.append(rng.bit_generator.random_raw(4))
+    assert np.unique(runs[0][:, -1]).size > 10  # the chain moves
+    for run, end in zip(runs[1:], ends[1:]):
+        np.testing.assert_array_equal(run, runs[0])
+        np.testing.assert_array_equal(end, ends[0])
 
 
 def test_global_scale_draw_gives_an_overflowing_point_no_weight():
@@ -815,15 +885,15 @@ def test_chain_exception_propagates_and_ends_the_helper(
 ):
     boom = _Boom("mid-chain")
     calls = []
-    real = sparse.gibbs_update_local_scales
+    real = sparse._Sweep.__call__
 
-    def failing(*args):
+    def failing(self, *args):
         calls.append(None)
         if len(calls) == 900:  # past burn-in, so blocks have gone out
             raise boom
-        return real(*args)
+        return real(self, *args)
 
-    monkeypatch.setattr(sparse, "gibbs_update_local_scales", failing)
+    monkeypatch.setattr(sparse._Sweep, "__call__", failing)
     monkeypatch.setenv("HIBSHRINK_THREADS", threads)
     with pytest.raises(_Boom) as excinfo:
         horseshoe_gibbs(simulate_sparse(0), SMALL_CFG)
@@ -876,6 +946,41 @@ def test_rows_keep_their_bits_whoever_evaluates_them(
     assert len(helpers_started) == 1
     assert len(calls) == chain_rows
     np.testing.assert_array_equal(shared.profile, inline.profile)
+
+
+def test_retained_blocks_hold_copies_of_each_sweeps_u2(monkeypatch):
+    # the sweep writes u^2 into its two buffers in turn; each retained block
+    # must hold every sweep's own u^2, so its rows are the rows of copies
+    data = simulate_sparse(0)
+    grid = np.asarray(SMALL_CFG.lambda_grid)
+    s1 = data.y.sum(axis=1)
+    rng = stream(SMALL_CFG.seed, "horseshoe-gibbs")
+    u2, lam, copies = np.ones(50), 1.0, []
+    for index in range(SMALL_CFG.n_iter):
+        beta = gibbs_update_means(rng, s1, data.n_rep, data.sigma, lam, u2)
+        u2 = gibbs_update_local_scales(rng, beta, data.sigma, lam, u2)
+        lam = gibbs_update_global_scale(rng, beta, data.sigma, u2, grid)
+        if index >= SMALL_CFG.burn_in:
+            copies.append(u2.copy())
+    copies = np.array(copies)
+
+    sent = []
+    real_send = sparse._InlineRows.send
+
+    def recording(self, block):
+        sent.append(block.copy())
+        real_send(self, block)
+
+    monkeypatch.setattr(sparse._InlineRows, "send", recording)
+    monkeypatch.setenv("HIBSHRINK_THREADS", "1")
+    result = horseshoe_gibbs(data, SMALL_CFG)
+    np.testing.assert_array_equal(np.concatenate(sent), copies)
+    rows = _LikelihoodRows(data, data.sigma, grid * grid)
+    acc = LogMeanExpAccumulator(grid.size)
+    for start in range(0, len(copies), sparse._ROW_BLOCK):
+        sparse._add_rows(rows, acc, copies[start : start + sparse._ROW_BLOCK])
+    log_mean = acc.log_mean()
+    np.testing.assert_array_equal(result.profile, np.exp(log_mean - log_mean.max()))
 
 
 def test_one_cpu_in_the_affinity_set_starts_no_helper(monkeypatch, helpers_started):
@@ -937,4 +1042,31 @@ def test_a_failed_fork_sums_the_rows_inline(failing, monkeypatch, tmp_path):
     argv = ["marglik-profile", "--iters", "300", "--burn-in", "100",
             "--out", str(tmp_path / "profile.csv")]
     assert cli.main(argv) == 0
+    assert multiprocessing.active_children() == []
+
+
+FD_DIR = next((d for d in ("/proc/self/fd", "/dev/fd") if os.path.isdir(d)), None)
+
+
+@needs_fork
+@pytest.mark.skipif(FD_DIR is None, reason="no listing of open descriptors")
+def test_failed_forks_leave_no_descriptor_open(monkeypatch, helpers_started):
+    # the standard library opens two pipes before os.fork, and a fork that
+    # raised once left all four descriptors open, chain after chain
+    data = simulate_sparse(4)
+    cfg = GibbsConfig(n_iter=3_000, burn_in=1_000, seed=0)
+    monkeypatch.setenv("HIBSHRINK_THREADS", "1")
+    inline = horseshoe_gibbs(data, cfg)
+
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setenv("HIBSHRINK_THREADS", "2")
+    before = len(os.listdir(FD_DIR))
+    for _ in range(3):
+        shared = horseshoe_gibbs(data, cfg)
+        np.testing.assert_array_equal(shared.profile, inline.profile)
+    assert len(os.listdir(FD_DIR)) == before
+    assert len(helpers_started) == 3  # each chain tried its fork
     assert multiprocessing.active_children() == []
