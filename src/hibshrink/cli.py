@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .errors import AccuracyError, ConvergenceError, DomainError, HibshrinkError
+from .errors import AccuracyError, ConvergenceError, DomainError, HibshrinkError, check_real
 from .posterior import shrink
 from .prior import (
     HIBParams,
@@ -99,7 +98,8 @@ def _parse_grid(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise DomainError(f"could not parse grid {text!r}") from exc
-    if count < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+    lo, hi = check_real("grid lo", lo), check_real("grid hi", hi)
+    if count < 1 or hi < lo:
         raise DomainError(f"invalid grid {text!r}")
     return _linspace(lo, hi, count, f"grid {text!r}")
 
@@ -195,7 +195,7 @@ def _cmd_risk_curve(args: argparse.Namespace) -> int:
     ) if args.compare else frozenset()
     spec = RiskCurveSpec(
         p=args.p,
-        beta_norms=tuple(float(v) for v in _parse_grid(args.grid)),
+        beta_norms=tuple(_parse_grid(args.grid)),
         n_mc=args.mc,
         seed=args.seed,
         prior=_parse_prior(args.prior),

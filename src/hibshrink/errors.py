@@ -1,6 +1,8 @@
-"""Exception and warning types shared across the package, and its count rule:
-:func:`check_count` reads every integer count, and no other module does."""
+"""Exception and warning types shared across the package, its count rule and
+its real rule: :func:`check_count` reads every integer count, and
+:func:`check_real` every scalar real argument, and no other module does."""
 
+import math
 import numbers
 
 __all__ = [
@@ -10,6 +12,7 @@ __all__ = [
     "AccuracyError",
     "NumericalWarning",
     "check_count",
+    "check_real",
 ]
 
 
@@ -58,3 +61,39 @@ def check_count(name: str, value: object, minimum: int) -> int:
         return int(value)
     kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(minimum)
     raise DomainError(f"{name} must be {kind or f'an integer >= {minimum}'}, got {value!r}")
+
+
+# the intervals a real argument may be confined to: lower and upper bound,
+# whether the lower bound belongs to it, and the words a refusal names it by
+_INTERVALS = {
+    "finite": (-math.inf, math.inf, False, "be finite"),
+    "nonnegative": (0.0, math.inf, True, "be nonnegative and finite"),
+    "positive": (0.0, math.inf, False, "be positive and finite"),
+    "unit": (0.0, 1.0, False, "lie strictly inside (0, 1)"),
+}
+
+
+def check_real(name: str, value: object, interval: str = "finite") -> float:
+    """``value`` as a ``float``: a Python or numpy real, an ``int`` or a
+    ``Fraction`` too, that is finite and lies in ``interval``, one of
+    "finite", "nonnegative", "positive" or "unit" (the open (0, 1)).
+
+    A ``bool``, which would pass for 1.0 or 0.0, a ``str``, ``None``, NaN,
+    +-inf, a value outside the interval, or an integer past the float range
+    raises ``DomainError`` naming ``name`` and the interval.  A numpy scalar
+    becomes a ``float`` here, so no float32 or float64 scalar reaches the
+    arithmetic after it.
+    """
+    low, high, closed, words = _INTERVALS[interval]
+    if type(value) is float:
+        x = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.nan
+    else:
+        x = math.nan
+    if low < x < high or (closed and x == low):
+        return x
+    raise DomainError(f"{name} must {words}, got {value!r}")

@@ -26,7 +26,7 @@ import functools
 import math
 from collections.abc import Callable
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_count
 from .posterior import kappa_moment, kappa_moment12_batch, update
 from .prior import HIBParams
 from .quadrature import _posterior_kernel_integral
@@ -174,8 +174,8 @@ def risk_direct(
     ((1-k) e - k |beta|)^2 + (1-k)^2 V with k the posterior mean shrinkage
     weight, a sum of squares that cancels at no norm.
     """
-    _check_point(p, beta_norm)
-    _check_draws(n_mc, seed)
+    p, beta_norm = _check_point(p, beta_norm)
+    n_mc = _check_draws(n_mc, seed)
     rng = stream(seed, "risk-direct", str(p), f"{beta_norm:.17g}")
     y1, z, v = _draw_z(beta_norm, p, rng, n_mc)
     g1, _ = kappa_moment12_batch(prior, p, z)
@@ -210,8 +210,8 @@ def sure_integrand_by_parts(prior: HIBParams, p: int, Z: float) -> float:
     bracket expectation computed by quadrature, so the two functions are
     independent evaluations of the same quantity.
     """
-    _check_point(p, 0.0)
-    state = update(prior, p, Z, 1.0)
+    state = update(prior, check_count("p", p, 2), Z, 1.0)
+    p, Z = state.p, state.Z
     g = kappa_moment(state, 1)
     bracket = _posterior_bracket_expectation(prior, state.a_post, state.s_post)
     lead = (p + Z + 4.0) * g - (p + 2.0) - bracket

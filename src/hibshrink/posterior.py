@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_count
+from .errors import DomainError, check_count, check_real
 from .prior import HIBParams, _log_normalizer_from_series, log_normalizer
 from .specfun import log_phi1, log_phi1_batch, pochhammer
 
@@ -72,17 +72,14 @@ class ShrinkageFit:
     log_marginal: float
 
 
-def _check_data(p: int, Z: float, sigma2: float) -> int:
-    """``p`` as an ``int``, once p, Z and sigma2 pass their checks."""
+def _check_data(p: int, Z: float, sigma2: float) -> tuple[int, float, float]:
+    """``(p, Z, sigma2)`` as an ``int`` and two ``float``s, by the count and
+    real rules of ``errors``, once the tilt Z/sigma2 is finite too."""
     p = check_count("p", p, 1)
-    if not (math.isfinite(Z) and Z >= 0.0):
-        raise DomainError(f"Z must be nonnegative and finite, got {Z}")
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
-        raise DomainError(f"sigma2 must be positive and finite, got {sigma2}")
-    # as floats, so a numpy scalar overflows to inf without a warning
-    if not math.isfinite(float(Z) / float(sigma2)):
+    Z, sigma2 = check_real("Z", Z, "nonnegative"), check_real("sigma2", sigma2, "positive")
+    if not math.isfinite(Z / sigma2):
         raise DomainError(f"the tilt Z/sigma2 must be finite, got Z = {Z}, sigma2 = {sigma2}")
-    return p
+    return p, Z, sigma2
 
 
 def _as_data_vector(y) -> np.ndarray:
@@ -96,14 +93,14 @@ def _as_data_vector(y) -> np.ndarray:
 
 def update(prior: HIBParams, p: int, Z: float, sigma2: float = 1.0) -> PosteriorState:
     """Condition on p observations with squared norm Z at noise level sigma2."""
-    p = _check_data(p, Z, sigma2)
+    p, Z, sigma2 = _check_data(p, Z, sigma2)
     return PosteriorState(
         prior=prior,
         a_post=prior.a + 0.5 * p,
         s_post=prior.s + 0.5 * Z / sigma2,
         p=p,
-        Z=float(Z),
-        sigma2=float(sigma2),
+        Z=Z,
+        sigma2=sigma2,
     )
 
 
@@ -166,7 +163,7 @@ def kappa_moment12_batch(
     # two reductions, no masks; a NaN fails both comparisons
     if not (z.min(initial=0.0) >= 0.0 and math.isfinite(z.max(initial=0.0))):
         raise DomainError("z_values: every Z must be nonnegative and finite")
-    p = _check_data(p, 0.0, 1.0)
+    p = check_count("p", p, 1)
     a_post = prior.a + 0.5 * p
     c = a_post + prior.b
     s_post = prior.s + 0.5 * z
@@ -199,8 +196,7 @@ def marginal_log_likelihood(y: np.ndarray, sigma2: float, prior: HIBParams) -> f
     moment m_p(Z/sigma2), since y | kappa ~ N(0, (sigma2/kappa) I).
     """
     y = _as_data_vector(y)
-    p, Z = y.size, float(y @ y)
-    _check_data(p, Z, sigma2)
+    p, Z, sigma2 = _check_data(y.size, float(y @ y), sigma2)
     return -0.5 * p * math.log(2.0 * math.pi * sigma2) + log_m_kernel(prior, p, Z / sigma2)
 
 
@@ -220,9 +216,9 @@ def shrink(y: np.ndarray, sigma2: float, prior: HIBParams) -> ShrinkageFit:
     kappa_bar = _moment_from_logs(state, 1, log_num, log_den)
     return ShrinkageFit(
         post_mean=(1.0 - kappa_bar) * y,
-        post_var_scalar=(1.0 - kappa_bar) * sigma2,
+        post_var_scalar=(1.0 - kappa_bar) * state.sigma2,
         kappa_bar=kappa_bar,
-        log_marginal=-0.5 * state.p * math.log(2.0 * math.pi * sigma2)
+        log_marginal=-0.5 * state.p * math.log(2.0 * math.pi * state.sigma2)
         + _log_m_from_series(pr, state.a_post, state.s_post, log_den),
     )
 
@@ -233,8 +229,7 @@ def mgf_kappa(state: PosteriorState, t: float) -> float:
     Tilting by t shifts the series argument: M(t) = e^t phi1(..., s'-t, y)
     / phi1(..., s', y).
     """
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
+    t = check_real("t", t)
     pr = state.prior
     c = state.a_post + pr.b
     log_num = log_phi1(pr.b, 1.0, c, state.s_post - t, pr.y)
@@ -250,8 +245,7 @@ def log_m_kernel(prior: HIBParams, p_eff: int, Z: float) -> float:
     (a + p_eff/2, b, tau2, s + Z/2).
     """
     p_eff = check_count("p_eff", p_eff, 0)
-    if not (math.isfinite(Z) and Z >= 0.0):
-        raise DomainError(f"Z must be nonnegative and finite, got {Z}")
+    Z = check_real("Z", Z, "nonnegative")
     a_tilted = prior.a + 0.5 * p_eff
     s_tilted = prior.s + 0.5 * Z
     log_tilted = log_phi1(prior.b, 1.0, a_tilted + prior.b, s_tilted, prior.y)

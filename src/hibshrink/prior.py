@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
 from .specfun import log_beta, log_phi1
 
@@ -59,12 +59,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HIBParams:
-    """Hyperparameters of one family member.
+    """Hyperparameters of one family member, each stored as the ``float``
+    that ``errors.check_real`` returns for it.
 
-    a: tail-weight parameter (larger a, thinner lambda tails).
-    b: origin-mass parameter (smaller b, more mass near lambda = 0).
-    tau2: global scale tau^2 of the underlying half-Cauchy-type scale.
-    s: exponential tilt in kappa; any real number.
+    a: tail-weight parameter (larger a, thinner lambda tails); positive.
+    b: origin-mass parameter (smaller b, more mass near lambda = 0); positive.
+    tau2: global scale tau^2 of the underlying half-Cauchy-type scale; positive.
+    s: exponential tilt in kappa; any finite real number.
     """
 
     a: float
@@ -73,12 +74,9 @@ class HIBParams:
     s: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "tau2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value}")
-        if not math.isfinite(self.s):
-            raise DomainError(f"s must be finite, got {self.s}")
+        for name, interval in (("a", "positive"), ("b", "positive"),
+                               ("tau2", "positive"), ("s", "finite")):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), interval))
         # every series of the member takes y = 1 - 1/tau2, which phi1 needs
         # finite and below 1: 1/tau2 overflows below tau2 ~ 5.6e-309, and y
         # rounds to 1 above tau2 ~ 1.8e16
@@ -108,11 +106,6 @@ def log_normalizer(prior: HIBParams) -> float:
     """Natural log of the normalizing constant C of the kappa density."""
     log_series = log_phi1(prior.b, 1.0, prior.a + prior.b, prior.s, prior.y)
     return _log_normalizer_from_series(prior.a, prior.b, prior.s, log_series)
-
-
-def _check_kappa(kappa: float) -> None:
-    if not 0.0 < kappa < 1.0:
-        raise DomainError(f"kappa must lie strictly inside (0, 1), got {kappa}")
 
 
 # a density's argument and result: one float, or a 1-D array of them
@@ -262,7 +255,7 @@ def double_half_cauchy_kappa_kernel(kappa: float) -> float:
     Equal to ln((1-kappa)/kappa) / (1-2 kappa) * kappa^(-1/2) (1-kappa)^(-1/2),
     symmetric about 1/2, where its removable singularity evaluates to 4.
     """
-    _check_kappa(kappa)
+    kappa = check_real("kappa", kappa, "unit")
     e = kappa - 0.5
     if abs(e) < 1e-6:
         ratio = 2.0 + (8.0 / 3.0) * e * e
@@ -279,8 +272,7 @@ _DHC_LOG_NORM = 2.0 * math.log(0.5 * math.pi)
 def double_half_cauchy_log_density(lam: float) -> float:
     """Log of the normalized mixture density of lambda on (0, infinity); past
     lam ~ 1.34e154, where lam^2 overflows, the kernel is taken in log space."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lam must be positive and finite, got {lam}")
+    lam = check_real("lam", lam, "positive")
     kernel = _dhc_lambda_kernel(lam)
     if kernel == 0.0:
         log_lam = math.log(lam)
@@ -299,8 +291,6 @@ def hyperbolic_secant_density(psi: float) -> float:
     p(psi) = (1/pi) / (e^(psi/2) + e^(-psi/2)), evaluated through the
     decaying exponential only so large |psi| cannot overflow.
     """
-    if not math.isfinite(psi):
-        raise DomainError(f"psi must be finite, got {psi}")
-    h = 0.5 * abs(psi)
+    h = 0.5 * abs(check_real("psi", psi))
     edown = math.exp(-h)
     return edown / (math.pi * (1.0 + edown * edown))

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, check_count, check_real
 
 __all__ = ["QuadResult", "integrate_unit", "integrate_unit_result", "oracle_hib_moment"]
 
@@ -182,8 +182,7 @@ def integrate_unit_result(
     b_exp < 1: it lets the rule probe the right endpoint without the rounding
     noise of forming kappa = 1 - v and recovering v inside ``f``.
     """
-    if not (a_exp > 0.0 and b_exp > 0.0):
-        raise DomainError("endpoint exponents must be positive for integrability")
+    a_exp, b_exp = check_real("a_exp", a_exp, "positive"), check_real("b_exp", b_exp, "positive")
     value = 0.0
     bound = 0.0
     evals = 0
@@ -342,8 +341,8 @@ def oracle_hib_moment(prior, n: int, p: int, Z: float) -> float:
     Both integrals go through :func:`integrate_unit`, so no series code is
     involved anywhere on this route.
     """
-    if n < 0 or p < 0 or Z < 0.0:
-        raise DomainError("oracle_hib_moment requires n, p, Z nonnegative")
+    n, p = check_count("moment order", n, 0), check_count("p", p, 0)
+    Z = check_real("Z", Z, "nonnegative")
     a_post = prior.a + 0.5 * p
     s_post = prior.s + 0.5 * Z
     log_den, den = _posterior_kernel_integral(prior, a_post, s_post)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalWarning, check_count
+from .errors import ConvergenceError, DomainError, NumericalWarning, check_count, check_real
 from .posterior import kappa_moment12_batch
 from .prior import HIBParams, Points
 from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
@@ -62,15 +62,15 @@ class RiskCurveSpec:
     comparators: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        # the counts are stored as ints, so a numpy input leaves no numpy scalar
+        # the counts are stored as ints and the norms as floats, so a numpy
+        # input leaves no numpy scalar
         object.__setattr__(self, "p", check_count("p", self.p, 3))
         if len(self.beta_norms) == 0:
             raise DomainError("beta_norms grid must be nonempty")
-        grid = list(self.beta_norms)
-        if any(not (math.isfinite(v) and v >= 0.0) for v in grid):
-            raise DomainError("beta_norms must be nonnegative and finite")
-        if grid != sorted(grid):
+        grid = tuple(check_real("beta_norms", v, "nonnegative") for v in self.beta_norms)
+        if list(grid) != sorted(grid):
             raise DomainError("beta_norms must be ascending")
+        object.__setattr__(self, "beta_norms", grid)
         object.__setattr__(self, "n_mc", _check_draws(self.n_mc, self.seed))
         object.__setattr__(self, "seed", check_seed(self.seed))
         unknown = set(self.comparators) - set(COMPARATOR_TAGS)
@@ -95,19 +95,17 @@ def _check_draws(n_mc: int, seed: int) -> int:
     return n_mc
 
 
-def _check_point(p: int, beta_norm: float, minimum: int = 2) -> int:
-    """``p`` as an ``int``, once it (at least ``minimum``) and beta_norm pass their checks."""
-    p = check_count("p", p, minimum)
-    if not (math.isfinite(beta_norm) and beta_norm >= 0.0):
-        raise DomainError(f"beta_norm must be nonnegative and finite, got {beta_norm}")
-    return p
+def _check_point(p: int, beta_norm: float, minimum: int = 2) -> tuple[int, float]:
+    """``(p, beta_norm)`` as an ``int`` (at least ``minimum``) and a nonnegative
+    ``float``, by the count and real rules of ``errors``."""
+    return check_count("p", p, minimum), check_real("beta_norm", beta_norm, "nonnegative")
 
 
 def _check_square(beta_norm: float) -> None:
     """Refuse a norm at which 4 |beta|^2 overflows: the Gauss window's 8 theta
     is the largest multiple of |beta|^2 that any risk route forms."""
-    norm = float(beta_norm)  # a float product overflows to inf; ** would raise
-    if not math.isfinite(4.0 * norm * norm):
+    # a float product overflows to inf; ** would raise
+    if not math.isfinite(4.0 * beta_norm * beta_norm):
         raise DomainError(f"beta_norm = {beta_norm:g} is too large: 4 beta_norm^2 overflows")
 
 
@@ -149,7 +147,7 @@ def _squared_errors(keep: np.ndarray, shrunk: np.ndarray, y1: np.ndarray, v: np.
 
 def sample_z(beta_norm: float, p: int, rng: np.random.Generator) -> float:
     """One draw of the squared data norm given the mean norm."""
-    p = _check_point(p, beta_norm)
+    p, beta_norm = _check_point(p, beta_norm)
     return float(_draw_z(beta_norm, p, rng, 1)[1][0])
 
 
@@ -161,7 +159,7 @@ def sure_integrand(prior: HIBParams, p: int, Z: Points) -> Points:
     r is formed in place in the moments' own rows, with the operations of
     ``z * g2 - p * g1 - 0.5 * z * g1 * g1`` in its order and one temporary.
     """
-    p = _check_point(p, 0.0)
+    p = check_count("p", p, 2)
     z = np.asarray(Z, dtype=float)
     zs = np.atleast_1d(z)
     g1, g2 = kappa_moment12_batch(prior, p, zs)
@@ -178,7 +176,7 @@ def sure_integrand(prior: HIBParams, p: int, Z: Points) -> Points:
 def _point(tag: str, beta_norm: float, losses: np.ndarray) -> RiskPoint:
     mse = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / math.sqrt(losses.size))
-    return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=se, estimator_tag=tag)
+    return RiskPoint(beta_norm=beta_norm, mse=mse, mc_std_err=se, estimator_tag=tag)
 
 
 def risk_analytic(
@@ -201,7 +199,7 @@ def risk_analytic(
     fixed 128-node Gauss-Legendre rule in sqrt(Z), and reports zero
     standard error.
     """
-    p = _check_point(p, beta_norm)
+    p, beta_norm = _check_point(p, beta_norm)
     n_mc = _check_draws(n_mc, seed)
     if method == "quadrature":
         mse, se = p + 2.0 * _expect_integrand_quadrature(prior, p, beta_norm), 0.0
@@ -214,7 +212,7 @@ def risk_analytic(
         se = 2.0 * float(np.std(inner, ddof=1) / math.sqrt(n_mc))
     else:
         raise DomainError(f"method must be 'mc' or 'quadrature', got {method!r}")
-    return RiskPoint(beta_norm=float(beta_norm), mse=mse, mc_std_err=se, estimator_tag=_BAYES_TAG)
+    return RiskPoint(beta_norm=beta_norm, mse=mse, mc_std_err=se, estimator_tag=_BAYES_TAG)
 
 
 def _poisson_log_weights(theta: float) -> tuple[int, np.ndarray]:
@@ -323,7 +321,7 @@ def simulate_estimator_risk(
     draw is formed without cancellation, so it stays accurate at any norm."""
     if tag not in COMPARATOR_TAGS:
         raise DomainError(f"tag must be one of {COMPARATOR_TAGS}, got {tag!r}")
-    p = _check_point(p, beta_norm)
+    p, beta_norm = _check_point(p, beta_norm)
     if tag != "mle" and p < 3:
         raise DomainError("James-Stein comparators require p >= 3")
     n_mc = _check_draws(n_mc, seed)
@@ -342,7 +340,7 @@ def js_risk(p: int, beta_norm: float) -> float:
     The Poisson mean is |beta|^2/2; the sum runs over a 12-sigma window
     around it, far past any 1e-12 tail mass.
     """
-    p = _check_point(p, beta_norm, 3)
+    p, beta_norm = _check_point(p, beta_norm, 3)
     theta = 0.5 * beta_norm * beta_norm
     if theta == 0.0:
         return p - (p - 2.0)

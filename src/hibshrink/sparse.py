@@ -40,7 +40,6 @@ has the same bits either way.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import signal
 import stat
@@ -51,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, HibshrinkError, check_count
+from .errors import DomainError, HibshrinkError, check_count, check_real
 from .prior import density_lambda, half_cauchy
 from .streams import check_seed, stream, worker_count
 
@@ -107,7 +106,7 @@ class SparseDataset:
             raise DomainError(
                 f"y must have shape {(beta.size, self.n_rep)}, got {y.shape}"
             )
-        _check_sigma(self.sigma)
+        object.__setattr__(self, "sigma", _check_sigma(self.sigma))
         if np.any(~np.isfinite(beta)) or np.any(~np.isfinite(y)):
             raise DomainError("dataset values must be finite")
         # keep the validated float arrays, not the caller's lists or int arrays
@@ -115,17 +114,15 @@ class SparseDataset:
         object.__setattr__(self, "y", y)
 
 
-def _check_sigma(sigma: float) -> None:
-    """Refuse a sigma that is not a positive real, or whose square is 0 or inf."""
-    if not (
-        isinstance(sigma, numbers.Real)
-        and not isinstance(sigma, bool)
-        and sigma > 0.0
-        and 0.0 < float(sigma) * float(sigma) < math.inf
-    ):
+def _check_sigma(sigma: float) -> float:
+    """``sigma`` as a positive ``float`` by the real rule of ``errors``, once
+    its square is neither 0 nor inf."""
+    sigma = check_real("sigma", sigma, "positive")
+    if not 0.0 < sigma * sigma < math.inf:
         raise DomainError(
             f"sigma must be positive, with sigma^2 positive and finite, got {sigma!r}"
         )
+    return sigma
 
 
 def _default_grid() -> tuple[float, ...]:
@@ -328,14 +325,12 @@ def conditional_log_likelihood(
     data: SparseDataset, lam: float, sigma: float, u2: np.ndarray
 ) -> float:
     """Log p(y | lambda, sigma, u^2) with all means integrated out."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lam must be positive and finite, got {lam}")
-    _check_sigma(sigma)
+    lam, sigma = check_real("lam", lam, "positive"), _check_sigma(sigma)
     u2 = np.asarray(u2, dtype=float)
     if u2.shape != (data.beta_true.size,) or np.any(u2 <= 0.0) or np.any(~np.isfinite(u2)):
         raise DomainError("u2 must be a positive vector, one entry per mean")
     # the rows form n lambda^2 u^2 as these products; past the float range they are NaN
-    n_lam2 = data.n_rep * (float(lam) * float(lam))
+    n_lam2 = data.n_rep * (lam * lam)
     if not math.isfinite(n_lam2):
         raise DomainError(f"lam must keep n_rep * lam^2 finite, got lam = {lam}")
     if not math.isfinite(n_lam2 * float(u2.max())):
@@ -801,8 +796,6 @@ def ig_induced_density(lam: float) -> float:
     Equals sqrt(2/pi) lambda^(-2) exp(-1/(2 lambda^2)); the essential zero
     at the origin is what biases such priors away from small scales.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError(f"lam must be positive and finite, got {lam}")
-    lam = float(lam)  # a numpy scalar would warn where -0.5 / lam2 passes the float range
+    lam = check_real("lam", lam, "positive")
     lam2 = lam * lam  # 0 only where the exponential underflowed long before
     return 0.0 if lam2 == 0.0 else math.sqrt(2.0 / math.pi) * math.exp(-0.5 / lam2) / lam2

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalWarning, check_count
+from .errors import ConvergenceError, DomainError, NumericalWarning, check_count, check_real
 
 __all__ = [
     "Phi1Args",
@@ -138,10 +138,11 @@ _STIRLING_MIN = 64.0
 
 @dataclass(frozen=True)
 class Phi1Args:
-    """Arguments of a phi1 evaluation.
+    """Arguments of a phi1 evaluation, each stored as the ``float`` that
+    ``errors.check_real`` returns for it.
 
-    ``alpha``, ``beta``, ``gamma`` must be positive; ``x`` is unrestricted and
-    ``y`` must satisfy ``y < 1`` (checked at evaluation time).  The term
+    ``alpha``, ``beta``, ``gamma`` must be positive and finite; ``x`` and
+    ``y`` finite, and ``y < 1`` (checked at evaluation time).  The term
     budget follows from ``x`` (see ``_check_y``).
     """
 
@@ -152,16 +153,9 @@ class Phi1Args:
     y: float
 
     def __post_init__(self) -> None:
-        # numpy scalars become floats here, once: _crossover lets a bound
-        # overflow to inf by design, which a numpy scalar reports as a warning
-        for name in ("alpha", "beta", "gamma", "x", "y"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value}")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError("x and y must be finite")
+        for name, interval in (("alpha", "positive"), ("beta", "positive"),
+                               ("gamma", "positive"), ("x", "finite"), ("y", "finite")):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), interval))
 
 
 @dataclass(frozen=True)
@@ -175,6 +169,7 @@ class SeriesResult:
 
 def pochhammer(c: float, n: int) -> float:
     """Rising factorial ``c (c+1) ... (c+n-1)``; equals 1 when ``n == 0``."""
+    c = check_real("c", c)
     out = 1.0
     for k in range(check_count("n", n, 0)):
         out *= c + k
@@ -183,8 +178,7 @@ def pochhammer(c: float, n: int) -> float:
 
 def log_beta(a: float, b: float) -> float:
     """Natural log of the beta function for positive ``a`` and ``b``."""
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DomainError(f"log_beta requires positive finite arguments, got ({a}, {b})")
+    a, b = check_real("a", a, "positive"), check_real("b", b, "positive")
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
@@ -791,21 +785,16 @@ def log_phi1_batch(
     negative ``x`` are present (always true for the posterior patterns,
     where gamma - alpha is the posterior shape a').
     """
-    alpha, beta, y = float(alpha), float(beta), float(y)  # as in Phi1Args
-    gammas = np.asarray(gamma, dtype=float)
-    if gammas.ndim > 1:
+    alpha, beta = check_real("alpha", alpha, "positive"), check_real("beta", beta, "positive")
+    y = check_real("y", y)
+    ndim = np.ndim(gamma)
+    if ndim > 1:
         raise DomainError("log_phi1_batch takes a scalar or 1-D gamma")
-    rows = gammas.ravel().tolist()
-    if not (
-        0.0 < alpha < math.inf
-        and 0.0 < beta < math.inf
-        and all(0.0 < g < math.inf for g in rows)
-    ):
-        raise DomainError("log_phi1_batch requires positive finite alpha, beta, gamma")
+    rows = [check_real("gamma", g, "positive") for g in (gamma if ndim else (gamma,))]
     x = np.asarray(x, dtype=float)
     xabs = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))  # no |x| array
-    if not (math.isfinite(xabs) and math.isfinite(y)):
-        raise DomainError("x and y must be finite")
+    if not math.isfinite(xabs):
+        raise DomainError("every x must be finite")
     max_terms = _check_y(y, xabs)
     flat = x.ravel()
     # tested before out exists, so its n-byte mask never adds to the peak

@@ -38,7 +38,10 @@ The large-|x| expansion has one degree rule, that of the scalar
 ``_tail_terms`` returns beside it.  And an integer count has one home,
 ``errors.check_count``: no other production module calls ``isinstance``
 with ``int``, ``np.integer`` or ``numbers.Integral``, and ``sparse``
-defines no ``_is_int``.
+defines no ``_is_int``.  A scalar real argument has one home too,
+``errors.check_real``: no other production module imports ``numbers`` or
+names ``Real``, and no function there passes one of its own parameters to
+``math.isfinite``.
 """
 
 import ast
@@ -212,6 +215,41 @@ def test_the_count_rule_has_one_home():
     assert "check_count" not in hibshrink.__all__
 
 
+def _parameters(node: ast.FunctionDef | ast.Lambda) -> set[str]:
+    """Names of every parameter of a function, method or lambda."""
+    args = node.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return {arg.arg for arg in params if arg}
+
+
+def test_the_real_rule_has_one_home():
+    # no production function reads a scalar real argument by hand: none passes
+    # one of its own parameters to math.isfinite, and none names numbers.Real
+    for name, path in MODULES.items():
+        if name == "errors":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "Real", (name, node.lineno)
+            elif isinstance(node, ast.Name):
+                assert node.id != "Real", (name, node.lineno)
+            elif isinstance(node, ast.alias):
+                assert node.name != "numbers", (name, "import numbers")
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            params = _parameters(node)
+            for call in ast.walk(node):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "isfinite"
+                        and getattr(call.func.value, "id", "") == "math"):
+                    continue
+                for arg in call.args:
+                    assert not (isinstance(arg, ast.Name) and arg.id in params), (
+                        name, getattr(node, "name", "lambda"), call.lineno, arg.id)
+    assert "check_real" not in hibshrink.__all__
+
+
 # parameter names through which a caller would set a tolerance or a budget
 SETTING_NAMES = {"cfg", "abs_tol", "rel_tol", "max_depth"}
 
@@ -223,9 +261,7 @@ def test_no_caller_sets_how_an_integral_is_taken():
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                args = node.args
-                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
-                taken = {arg.arg for arg in params if arg}
+                taken = _parameters(node)
             elif isinstance(node, ast.ClassDef):
                 taken = {
                     item.target.id
