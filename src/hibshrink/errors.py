@@ -1,9 +1,11 @@
-"""Exception and warning types shared across the package, its count rule and
-its real rule: :func:`check_count` reads every integer count, and
-:func:`check_real` every scalar real argument, and no other module does."""
+"""Exception and warning types shared across the package, and its count, real
+and real-array rules: :func:`check_count`, :func:`check_real` and
+:func:`check_reals` read every count, scalar real and real array argument."""
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "HibshrinkError",
@@ -13,6 +15,7 @@ __all__ = [
     "NumericalWarning",
     "check_count",
     "check_real",
+    "check_reals",
 ]
 
 
@@ -97,3 +100,24 @@ def check_real(name: str, value: object, interval: str = "finite") -> float:
     if low < x < high or (closed and x == low):
         return x
     raise DomainError(f"{name} must {words}, got {value!r}")
+
+
+def check_reals(name: str, values: object, interval: str = "finite") -> np.ndarray:
+    """``values``, an integer or float array or a sequence numpy reads as one,
+    as float64 (a float64 array is not copied) once every entry is finite and
+    in ``interval``, as for :func:`check_real`.  A ``bool``, string, complex or
+    object dtype, or a minimum or maximum that is NaN, +-inf or outside the
+    convex interval, raises ``DomainError`` naming ``name``; no mask is built."""
+    low, high, closed, words = _INTERVALS[interval]
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must {words}, got values of dtype {array.dtype}")
+    array = array.astype(float, copy=False)
+    if array.size:
+        # a NaN is the minimum and the maximum, and fails both comparisons
+        least, most = array.min(), array.max()
+        if not (low < least or (closed and least == low)):
+            raise DomainError(f"{name} must {words}, got minimum {float(least)!r}")
+        if not most < high:
+            raise DomainError(f"{name} must {words}, got maximum {float(most)!r}")
+    return array

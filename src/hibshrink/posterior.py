@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_real
+from .errors import DomainError, check_count, check_real, check_reals
 from .prior import HIBParams, _log_normalizer_from_series, log_normalizer
 from .specfun import log_phi1, log_phi1_batch, pochhammer
 
@@ -83,11 +83,9 @@ def _check_data(p: int, Z: float, sigma2: float) -> tuple[int, float, float]:
 
 
 def _as_data_vector(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
+    y = check_reals("y", y)
     if y.ndim != 1 or y.size < 1:
         raise DomainError("y must be a 1-D vector of length >= 1")
-    if np.any(~np.isfinite(y)):
-        raise DomainError("y must be finite")
     return y
 
 
@@ -155,14 +153,12 @@ def kappa_moment12_batch(
     at c+1 and c+2 alone.  Any other prior (tau2 != 1, or s < 0, where
     1 - rho cancels as s' falls) sums the rows at c, c+1 and c+2 and takes
     both moments as ratios to the row at c.  Either way the moments are
-    formed in place in the last two rows, which are returned.
+    formed in place in the last two rows, which are returned.  ``z_values``
+    is read by ``errors.check_reals``: two reductions, no mask, float64 uncopied.
     """
-    z = np.asarray(z_values, dtype=float)
+    z = check_reals("z_values: every Z", z_values, "nonnegative")
     if z.ndim != 1:
         raise DomainError("z_values must be a 1-D array")
-    # two reductions, no masks; a NaN fails both comparisons
-    if not (z.min(initial=0.0) >= 0.0 and math.isfinite(z.max(initial=0.0))):
-        raise DomainError("z_values: every Z must be nonnegative and finite")
     p = check_count("p", p, 1)
     a_post = prior.a + 0.5 * p
     c = a_post + prior.b

@@ -21,8 +21,8 @@ density that the half-Cauchy induces on psi = ln lambda^2.
 The family densities (kappa, lambda^2, lambda, and the log forms of the
 first two) are numpy expressions over a 1-D grid of points; a float is a
 one-point grid, so floats and arrays share every operation, and a float
-returns a float.  Each call checks every point against the density's
-domain, then computes the normalizer C once, so a grid costs one series
+returns a float.  Each call reads its grid by the real-array rule of
+``errors``, then computes the normalizer C once, so a grid costs one series
 evaluation, not one per point.  The linear forms are the exponentials of
 the log forms, and a point whose log density passes the float range raises
 DomainError there; the lambda density takes its limit at lambda = 0 through
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_real
+from .errors import DomainError, check_real, check_reals
 from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
 from .specfun import log_beta, log_phi1
 
@@ -112,19 +112,12 @@ def log_normalizer(prior: HIBParams) -> float:
 Points = float | np.ndarray
 
 
-def _grid(values: Points, inside, domain: str) -> np.ndarray:
-    """``values`` as a 1-D float array, a float as a one-point grid.
-
-    ``inside`` maps the grid to the mask of its points in the density's
-    domain; the first point outside it raises DomainError.  Each density
-    checks its grid so before it computes the normalizer.
-    """
-    grid = np.atleast_1d(np.asarray(values, dtype=float))
+def _grid(values: Points, name: str, interval: str) -> np.ndarray:
+    """``values`` as a 1-D grid in ``interval`` by the real-array rule of ``errors``,
+    a float as a one-point grid; each density checks it before the normalizer."""
+    grid = np.atleast_1d(check_reals(name, values, interval))
     if grid.ndim != 1:
         raise DomainError(f"density grid must be 1-D, got shape {grid.shape}")
-    ok = inside(grid)
-    if not ok.all():
-        raise DomainError(f"{domain}, got {grid[np.argmin(ok)]}")
     return grid
 
 
@@ -145,6 +138,17 @@ def _log_lambda2(prior: HIBParams, lambda2: np.ndarray, log_c: float) -> np.ndar
     )
 
 
+def _log_kappa(prior: HIBParams, kappa: np.ndarray) -> np.ndarray:
+    inv_tau2 = 1.0 / prior.tau2
+    return (
+        (prior.a - 1.0) * np.log(kappa)
+        + (prior.b - 1.0) * np.log1p(-kappa)
+        - np.log(inv_tau2 + (1.0 - inv_tau2) * kappa)
+        - prior.s * kappa
+        - log_normalizer(prior)
+    )
+
+
 def log_density_kappa(prior: HIBParams, kappa: Points) -> Points:
     """Log of the normalized shrinkage-weight density.
 
@@ -152,37 +156,27 @@ def log_density_kappa(prior: HIBParams, kappa: Points) -> Points:
     the whole grid, with the normalizer computed once per call, and one
     point outside (0, 1) raises DomainError.
     """
-    grid = _grid(kappa, lambda k: (0.0 < k) & (k < 1.0), "kappa must lie strictly inside (0, 1)")
-    inv_tau2 = 1.0 / prior.tau2
-    logs = (
-        (prior.a - 1.0) * np.log(grid)
-        + (prior.b - 1.0) * np.log1p(-grid)
-        - np.log(inv_tau2 + (1.0 - inv_tau2) * grid)
-        - prior.s * grid
-        - log_normalizer(prior)
-    )
-    return _shaped(kappa, logs)
+    return _shaped(kappa, _log_kappa(prior, _grid(kappa, "kappa", "unit")))
 
 
-def _exp_in_range(values: Points, logs: Points, name: str, log_form: str) -> np.ndarray:
-    """exp(logs) over the grid ``values``; the first point whose log density
+def _exp_in_range(grid: np.ndarray, logs: np.ndarray, name: str, log_form: str) -> np.ndarray:
+    """exp(logs) over the checked ``grid``; the first point whose log density
     passes the float range raises DomainError, pointing to ``log_form``."""
     with np.errstate(over="ignore"):
         out = np.exp(logs)
     over = np.isinf(out)
     if over.any():
-        at = np.atleast_1d(np.asarray(values, dtype=float))[np.argmax(over)]
-        raise DomainError(
-            f"the density at {name} = {at} passes the float range; use {log_form} instead"
-        )
+        raise DomainError(f"the density at {name} = {grid[np.argmax(over)]} passes the float "
+                          f"range; use {log_form} instead")
     return out
 
 
 def density_kappa(prior: HIBParams, kappa: Points) -> Points:
     """Normalized density of the shrinkage weight kappa on (0, 1): the
     exponential of ``log_density_kappa`` over the same float or 1-D array."""
-    logs = log_density_kappa(prior, kappa)
-    return _shaped(kappa, _exp_in_range(kappa, logs, "kappa", "log_density_kappa"))
+    grid = _grid(kappa, "kappa", "unit")
+    logs = _log_kappa(prior, grid)
+    return _shaped(kappa, _exp_in_range(grid, logs, "kappa", "log_density_kappa"))
 
 
 def log_density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
@@ -194,24 +188,16 @@ def log_density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
     ``lambda2`` is a float or a 1-D array, evaluated like the kappa grid
     of ``log_density_kappa``.
     """
-    grid = _grid(
-        lambda2, lambda v: (0.0 < v) & (v < math.inf), "lambda2 must be positive and finite"
-    )
+    grid = _grid(lambda2, "lambda2", "positive")
     return _shaped(lambda2, _log_lambda2(prior, grid, log_normalizer(prior)))
 
 
 def density_lambda2(prior: HIBParams, lambda2: Points) -> Points:
     """Normalized density of lambda^2 on (0, infinity): the exponential of
     ``log_density_lambda2`` over the same float or 1-D array."""
-    logs = log_density_lambda2(prior, lambda2)
-    return _shaped(lambda2, _exp_in_range(lambda2, logs, "lambda2", "log_density_lambda2"))
-
-
-def _scale_inside(lam: np.ndarray) -> np.ndarray:
-    """lam = 0, or lam > 0 whose square neither underflows to 0 nor overflows."""
-    with np.errstate(over="ignore", under="ignore"):
-        square = lam * lam
-    return (lam == 0.0) | ((lam > 0.0) & (square > 0.0) & (square < math.inf))
+    grid = _grid(lambda2, "lambda2", "positive")
+    logs = _log_lambda2(prior, grid, log_normalizer(prior))
+    return _shaped(lambda2, _exp_in_range(grid, logs, "lambda2", "log_density_lambda2"))
 
 
 def density_lambda(prior: HIBParams, lam: Points) -> Points:
@@ -222,11 +208,13 @@ def density_lambda(prior: HIBParams, lam: Points) -> Points:
     or a 1-D array, evaluated like the grid of ``log_density_kappa``; its
     zeros take the limit, and no log of 0 is taken.
     """
-    grid = _grid(lam, _scale_inside, "lam must be nonnegative and finite, with lam^2 > 0 finite")
-    log_c = log_normalizer(prior)
+    grid = _grid(lam, "lam", "nonnegative")
     origin = grid == 0.0
     scale = np.where(origin, 1.0, grid)  # 1 stands in for 0 until the limit replaces it
-    logs = _log_lambda2(prior, scale * scale, log_c) + np.log(2.0 * scale)
+    with np.errstate(over="ignore", under="ignore"):
+        square = check_reals("lam^2", scale * scale, "positive")  # neither 0 nor inf
+    log_c = log_normalizer(prior)
+    logs = _log_lambda2(prior, square, log_c) + np.log(2.0 * scale)
     logs[origin] = 0.0  # the limit replaces it below
     out = _exp_in_range(grid, logs, "lam", "log_density_lambda2(lam^2) + log(2 lam)")
     if origin.any():

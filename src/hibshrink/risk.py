@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalWarning, check_count, check_real
+from .errors import (ConvergenceError, DomainError, NumericalWarning, check_count, check_real,
+                     check_reals)
 from .posterior import kappa_moment12_batch
 from .prior import HIBParams, Points
 from .quadrature import integrate_unit  # noqa: F401  uncalled; bench/tracer.py hooks this name
@@ -62,8 +63,8 @@ class RiskCurveSpec:
     comparators: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        # the counts are stored as ints and the norms as floats, so a numpy
-        # input leaves no numpy scalar
+        # the counts are stored as ints, the norms as floats and the comparators
+        # as a frozenset, so a numpy input leaves no numpy scalar and the spec hashes
         object.__setattr__(self, "p", check_count("p", self.p, 3))
         if len(self.beta_norms) == 0:
             raise DomainError("beta_norms grid must be nonempty")
@@ -73,9 +74,10 @@ class RiskCurveSpec:
         object.__setattr__(self, "beta_norms", grid)
         object.__setattr__(self, "n_mc", _check_draws(self.n_mc, self.seed))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        unknown = set(self.comparators) - set(COMPARATOR_TAGS)
-        if unknown:
-            raise DomainError(f"unknown comparators: {sorted(unknown)}")
+        tags = self.comparators  # a str is refused, not read as the set of its letters
+        if isinstance(tags, str) or not set(tags) <= set(COMPARATOR_TAGS):
+            raise DomainError(f"comparators must be a set of {COMPARATOR_TAGS}, got {tags!r}")
+        object.__setattr__(self, "comparators", frozenset(tags))
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ def sure_integrand(prior: HIBParams, p: int, Z: Points) -> Points:
     ``z * g2 - p * g1 - 0.5 * z * g1 * g1`` in its order and one temporary.
     """
     p = check_count("p", p, 2)
-    z = np.asarray(Z, dtype=float)
+    z = check_reals("Z: every Z", Z, "nonnegative")
     zs = np.atleast_1d(z)
     g1, g2 = kappa_moment12_batch(prior, p, zs)
     half = np.multiply(0.5, zs)
@@ -357,7 +359,7 @@ def js_risk(p: int, beta_norm: float) -> float:
 
 def _scaled(tag: str, y: np.ndarray) -> np.ndarray:
     """y times the comparator's shrink factor at its own squared norm."""
-    y = np.asarray(y, dtype=float)
+    y = check_reals("y", y)
     if tag != "mle" and (y.ndim != 1 or y.size < 3):
         raise DomainError("James-Stein estimators require a vector of length >= 3")
     z = float(np.vdot(y, y))

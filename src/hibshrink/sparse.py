@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, HibshrinkError, check_count, check_real
+from .errors import DomainError, HibshrinkError, check_count, check_real, check_reals
 from .prior import density_lambda, half_cauchy
 from .streams import check_seed, stream, worker_count
 
@@ -89,7 +89,8 @@ _U2, _ROWS = 0.0, 1.0  # leading tag of a message: u^2 or likelihood rows follow
 
 @dataclass(frozen=True)
 class SparseDataset:
-    """Replicated observations around a sparse mean vector."""
+    """Replicated observations around a sparse mean vector: ``beta_true`` and
+    ``y`` are stored as ``errors.check_reals`` returns them, float64 arrays."""
 
     beta_true: np.ndarray
     y: np.ndarray
@@ -97,8 +98,7 @@ class SparseDataset:
     sigma: float
 
     def __post_init__(self) -> None:
-        beta = np.asarray(self.beta_true, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        beta, y = check_reals("beta_true", self.beta_true), check_reals("y", self.y)
         if beta.ndim != 1 or beta.size < 1:
             raise DomainError("beta_true must be a 1-D vector")
         object.__setattr__(self, "n_rep", check_count("n_rep", self.n_rep, 1))
@@ -107,8 +107,6 @@ class SparseDataset:
                 f"y must have shape {(beta.size, self.n_rep)}, got {y.shape}"
             )
         object.__setattr__(self, "sigma", _check_sigma(self.sigma))
-        if np.any(~np.isfinite(beta)) or np.any(~np.isfinite(y)):
-            raise DomainError("dataset values must be finite")
         # keep the validated float arrays, not the caller's lists or int arrays
         object.__setattr__(self, "beta_true", beta)
         object.__setattr__(self, "y", y)
@@ -144,18 +142,17 @@ class GibbsConfig:
         if self.burn_in >= self.n_iter:
             raise DomainError("burn_in must satisfy 0 <= burn_in < n_iter")
         object.__setattr__(self, "seed", check_seed(self.seed))
-        grid = np.asarray(self.lambda_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
+        if np.ndim(self.lambda_grid) != 1 or len(self.lambda_grid) < 2:
             raise DomainError("lambda_grid must hold at least two points")
-        if not np.isfinite(grid).all():
-            raise DomainError(f"lambda_grid must be finite, got {grid[~np.isfinite(grid)][0]}")
-        if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-            raise DomainError("lambda_grid must be ascending and positive")
+        grid = tuple(check_real("lambda_grid", lam, "positive") for lam in self.lambda_grid)
+        if any(lo >= hi for lo, hi in zip(grid, grid[1:])):
+            raise DomainError("lambda_grid must be ascending")
         if grid[-1] != _GRID_MAX:
             raise DomainError(f"lambda_grid must be truncated at {_GRID_MAX}")
         # the global-scale draw divides by lambda^2
         if grid[0] * grid[0] == 0.0:
             raise DomainError(f"lambda_grid point {grid[0]} has lambda^2 = 0")
+        object.__setattr__(self, "lambda_grid", grid)
 
 
 @dataclass(frozen=True)
@@ -326,8 +323,8 @@ def conditional_log_likelihood(
 ) -> float:
     """Log p(y | lambda, sigma, u^2) with all means integrated out."""
     lam, sigma = check_real("lam", lam, "positive"), _check_sigma(sigma)
-    u2 = np.asarray(u2, dtype=float)
-    if u2.shape != (data.beta_true.size,) or np.any(u2 <= 0.0) or np.any(~np.isfinite(u2)):
+    u2 = check_reals("u2", u2, "positive")
+    if u2.shape != (data.beta_true.size,):
         raise DomainError("u2 must be a positive vector, one entry per mean")
     # the rows form n lambda^2 u^2 as these products; past the float range they are NaN
     n_lam2 = data.n_rep * (lam * lam)
@@ -755,7 +752,7 @@ def horseshoe_gibbs(data: SparseDataset, config: GibbsConfig) -> ProfileResult:
     same order, so the profile keeps its bits, and no process outlives the
     call.
     """
-    grid = np.asarray(config.lambda_grid, dtype=float)
+    grid = np.array(config.lambda_grid)
     s1 = data.y.sum(axis=1)
     p = data.beta_true.size
     rng = stream(config.seed, "horseshoe-gibbs")

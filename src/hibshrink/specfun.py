@@ -65,7 +65,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericalWarning, check_count, check_real
+from .errors import (ConvergenceError, DomainError, NumericalWarning, check_count, check_real,
+                     check_reals)
 
 __all__ = [
     "Phi1Args",
@@ -791,10 +792,8 @@ def log_phi1_batch(
     if ndim > 1:
         raise DomainError("log_phi1_batch takes a scalar or 1-D gamma")
     rows = [check_real("gamma", g, "positive") for g in (gamma if ndim else (gamma,))]
-    x = np.asarray(x, dtype=float)
+    x = check_reals("x", x)
     xabs = max(float(x.max(initial=0.0)), -float(x.min(initial=0.0)))  # no |x| array
-    if not math.isfinite(xabs):
-        raise DomainError("every x must be finite")
     max_terms = _check_y(y, xabs)
     flat = x.ravel()
     # tested before out exists, so its n-byte mask never adds to the peak

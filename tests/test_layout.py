@@ -41,7 +41,11 @@ with ``int``, ``np.integer`` or ``numbers.Integral``, and ``sparse``
 defines no ``_is_int``.  A scalar real argument has one home too,
 ``errors.check_real``: no other production module imports ``numbers`` or
 names ``Real``, and no function there passes one of its own parameters to
-``math.isfinite``.
+``math.isfinite``.  And a real array argument has one home,
+``errors.check_reals``: no other production function passes one of its own
+parameters, or a field of ``self``, to ``np.asarray`` or ``np.array`` with
+``dtype=float``, except ``LogMeanExpAccumulator.add``.  The README's module
+table has one row per module of the package.
 """
 
 import ast
@@ -248,6 +252,62 @@ def test_the_real_rule_has_one_home():
                     assert not (isinstance(arg, ast.Name) and arg.id in params), (
                         name, getattr(node, "name", "lambda"), call.lineno, arg.id)
     assert "check_real" not in hibshrink.__all__
+
+
+# functions that read a real array by hand on purpose, with the reason: an
+# accumulator's rows may hold +-inf or NaN, which it keeps for ``log_mean``
+ARRAY_RULE_EXEMPT = {("sparse", "LogMeanExpAccumulator.add")}
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function and method under ``node``."""
+    for child in node.body:
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            name = f"{prefix}{child.name}"
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, f"{name}.")
+
+
+def _reads_floats(call: ast.AST) -> bool:
+    """Whether ``call`` is ``np.asarray`` or ``np.array`` with ``dtype=float``."""
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("asarray", "array")
+            and getattr(call.func.value, "id", "") == "np"):
+        return False
+    dtypes = [kw.value for kw in call.keywords if kw.arg == "dtype"] + call.args[1:2]
+    return any(getattr(dtype, "id", "") == "float" for dtype in dtypes)
+
+
+def test_the_array_rule_has_one_home():
+    # no production function reads a real array argument by hand: none passes
+    # one of its own parameters, or a field of self set from one, to
+    # np.asarray or np.array with dtype=float
+    exempt_seen = set()
+    for name, path in MODULES.items():
+        if name == "errors":
+            continue
+        for qualname, function in _functions(ast.parse(path.read_text(), filename=str(path))):
+            params = _parameters(function)
+            for call in ast.walk(function):
+                if not (_reads_floats(call) and call.args):
+                    continue
+                arg = call.args[0]
+                by_hand = (isinstance(arg, ast.Name) and arg.id in params) or (
+                    isinstance(arg, ast.Attribute) and getattr(arg.value, "id", "") == "self")
+                if by_hand and (name, qualname) in ARRAY_RULE_EXEMPT:
+                    exempt_seen.add((name, qualname))
+                    continue
+                assert not by_hand, (name, qualname, call.lineno)
+    assert exempt_seen == ARRAY_RULE_EXEMPT
+    assert "check_reals" not in hibshrink.__all__
+
+
+def test_the_readme_lists_every_module_once():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)`\s*\|", table, re.MULTILINE)
+    assert sorted(rows) == sorted(set(MODULES) - {"__init__", "__main__"})
 
 
 # parameter names through which a caller would set a tolerance or a budget
