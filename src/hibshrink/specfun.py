@@ -43,13 +43,18 @@ to at most 1/2, so they cannot cancel (see ``_crossover``); where no such
 take the expansion at the same x0, each with its own accumulator, and each
 x0 is derived once per process.
 
-Below x0, each inner 2F1 takes some 27.6/(1 - y) terms.  A plan reads them,
-in ascending n, from its own ``_InnerSeries``, with no cache across calls:
-a sum estimated at fewer than ``_BLOCK_MIN_TERMS`` terms sums each on its
-own by ``_hyp2f1_series``, and a longer one fills chunks of n at once by
-``_hyp2f1_block``, a 2-D array evaluator (n by rows, the series' terms by
-columns) whose ratios, running products, running sums and stop rule are the
-scalar loop's, so that every value is the same, bit for bit.
+Below x0, each inner 2F1 takes some 27.6/(1 - y) terms as a series.  A plan
+reads them, in ascending n, from its own ``_InnerSeries``, with no cache
+across calls: a sum estimated at fewer than ``_BLOCK_MIN_TERMS`` terms sums
+each on its own by ``_hyp2f1_series``, and a longer one fills chunks of n at
+once.  In the x' >= 0 form with beta = 1, which every HIB family call has,
+inner(n) = 2F1(1, alpha + n; gamma + n; y) = 1 + y (alpha + n)/(gamma + n)
+inner(n + 1) exactly, so a chunk is one series at its top n and
+``_hyp2f1_recurrence`` down from there, which shrinks the seed's error at
+every step.  Any other chunk is a ``_hyp2f1_block``, a 2-D array evaluator
+(n by rows, the series' terms by columns) whose ratios, running products,
+running sums and stop rule are the scalar loop's, so that every value is
+the per-n series', bit for bit.
 
 No caller sets how a series is summed: every series stops at the relative
 tolerance ``DEFAULT_REL_TOL``, within a term budget that follows from its
@@ -140,15 +145,15 @@ _NO_TERMS = array("d")
 
 # A plan whose outer sum is estimated at fewer terms than this (see _plan)
 # sums each inner 2F1 on its own, by _hyp2f1_series; a longer one fills
-# chunks of them at once by _hyp2f1_block.  Two reasons keep short sums per n.
-# At x = 0 the sum reads inner(0) alone, where a one-row block took 57 us
-# against 21 us per n.  And the prior normalizers' ~25-term sums, which the
-# block would take 2-4x faster, run at every density point of the exact-fits
-# benchmark, whose driver keeps a record of every finished job: with the
-# block on them its runs finished nearly twice the jobs, and its peak RSS
-# rose past the benchmark's 15% bound though the library's own memory did
-# not grow.  Short sums can move to the block once the driver drops those
-# records.
+# chunks of them at once (see _InnerSeries).  Two reasons keep short sums
+# per n.  At x = 0 the sum reads inner(0) alone, where a one-row block took
+# 57 us against 21 us per n.  And the prior normalizers' ~25-term sums,
+# which the block would take 2-4x faster, run at every density point of the
+# exact-fits benchmark, whose driver keeps a record of every finished job:
+# with the block on them its runs finished nearly twice the jobs, and its
+# peak RSS rose past the benchmark's 15% bound though the library's own
+# memory did not grow.  Short sums can leave the per-n call once the driver
+# drops those records.
 _BLOCK_MIN_TERMS = 64
 
 # Widest column block of _hyp2f1_block, in series terms, and the most
@@ -320,17 +325,45 @@ def _hyp2f1_block(
     return values, terms
 
 
+def _hyp2f1_recurrence(alpha: float, gamma: float, y: float, lo: int, top: int,
+                       seed: float) -> list[float]:
+    """F(n) = 2F1(1, alpha + n; gamma + n; y) for n = lo, ..., top, ascending,
+    from ``seed``, the value at n = top.
+
+    Runs the exact relation F(n) = 1 + y (alpha + n)/(gamma + n) F(n + 1),
+    which is the series of F(n) with its first term split off, downward.
+    Every term of F is positive for y in [0, 1), so each step multiplies a
+    relative error of F(n + 1) by (F(n) - 1)/F(n) < 1 and adds its own few
+    roundings: the seed's truncation error shrinks as n falls, and the
+    roundings of all steps add up to a few times F(n) ulps at most.
+    """
+    f = seed
+    values = [f]
+    for n in range(top - 1, lo - 1, -1):
+        f = 1.0 + (alpha + n) / (gamma + n) * y * f
+        values.append(f)
+    values.reverse()
+    return values
+
+
 class _InnerSeries:
     """The inner 2F1 values of a plan, inner(n) = 2F1(beta, alpha + shift n;
     gamma + n; y), read by calling it with n = 0, 1, ... in ascending order.
 
     A plan whose outer sum is estimated at fewer than ``_BLOCK_MIN_TERMS``
     terms sums each inner(n) on its own, by :func:`_hyp2f1_series`.  A
-    longer one fills ``chunk`` values at once by :func:`_hyp2f1_block`,
-    first the estimate and then twice the last chunk each time a sum reads
-    past it.  Both give the same bits.  A value the block could not converge
-    is summed again on its own when it is read, which raises the scalar's
-    ConvergenceError; one computed ahead and never read raises nothing.
+    longer one fills ``chunk`` values at once, first the estimate and then
+    twice the last chunk each time a sum reads past it.  In the x' >= 0
+    form with beta = 1, the form of every HIB family call, a chunk is one
+    :func:`_hyp2f1_series` at its top n and :func:`_hyp2f1_recurrence` down
+    from there, which leaves the series' truncation error in that one seed;
+    any other chunk is a :func:`_hyp2f1_block`, the per-n series bit for
+    bit.  A value left unset, because the block could not converge it or
+    its chunk's seed did not converge, is summed on its own when it is
+    read, which raises the per-n ConvergenceError where that series does not
+    converge; one computed ahead and never read raises nothing.  For
+    gamma > alpha a lower n needs fewer terms than the seed's, so no value
+    below a converged seed would have raised.
     """
 
     __slots__ = ("beta", "alpha", "shift", "gamma", "y", "max_terms", "chunk", "values")
@@ -357,10 +390,23 @@ class _InnerSeries:
 
     def _fill(self, n: int) -> None:
         while n >= len(self.values):
-            ns = np.arange(len(self.values), len(self.values) + self.chunk)
-            values, terms = _hyp2f1_block(self.beta, self.alpha + self.shift * ns,
-                                          self.gamma + ns, self.y, self.max_terms)
-            self.values += [v if t else None for v, t in zip(values.tolist(), terms.tolist())]
+            lo = len(self.values)
+            top = lo + self.chunk - 1
+            if self.shift and self.beta == 1.0:
+                try:
+                    seed = _hyp2f1_series(1.0, self.alpha + top, self.gamma + top, self.y,
+                                          self.max_terms)[0]
+                except ConvergenceError:
+                    self.values += [None] * self.chunk
+                else:
+                    self.values += _hyp2f1_recurrence(self.alpha, self.gamma, self.y, lo, top,
+                                                      seed)
+            else:
+                ns = np.arange(lo, top + 1)
+                values, terms = _hyp2f1_block(self.beta, self.alpha + self.shift * ns,
+                                              self.gamma + ns, self.y, self.max_terms)
+                self.values += [v if t else None
+                                for v, t in zip(values.tolist(), terms.tolist())]
             self.chunk *= 2
 
 

@@ -587,50 +587,63 @@ def test_each_crossover_is_derived_once(monkeypatch):
 
 
 def _count_inner_evaluations(monkeypatch):
-    """Record the 2F1 arguments of every inner evaluation for the rest of the
-    test: those summed one by one by _hyp2f1_series in the first list
-    returned, and each row of a _hyp2f1_block in the second."""
-    single, block = [], []
-    series, rows = specfun._hyp2f1_series, specfun._hyp2f1_block
+    """Record the 2F1 arguments (a, b, c, z) of every inner evaluation for
+    the rest of the test, in three lists: the series summed one by one by
+    _hyp2f1_series (a recurrence's seeds among them), each step of a
+    _hyp2f1_recurrence below its seed, and each row of a _hyp2f1_block."""
+    single, steps, block = [], [], []
+    series = specfun._hyp2f1_series
+    recurrence, rows = specfun._hyp2f1_recurrence, specfun._hyp2f1_block
 
-    def counting_series(*args):
-        single.append(args)
-        return series(*args)
+    def counting_series(a, b, c, z, max_terms):
+        single.append((a, b, c, z))
+        return series(a, b, c, z, max_terms)
+
+    def counting_recurrence(alpha, gamma, y, lo, top, seed):
+        steps.extend((1.0, alpha + n, gamma + n, y) for n in range(lo, top))
+        return recurrence(alpha, gamma, y, lo, top, seed)
 
     def counting_block(a, b, c, z, max_terms):
-        block.extend((a, bn, cn, z, max_terms) for bn, cn in zip(b.tolist(), c.tolist()))
+        block.extend((a, bn, cn, z) for bn, cn in zip(b.tolist(), c.tolist()))
         return rows(a, b, c, z, max_terms)
 
     monkeypatch.setattr(specfun, "_hyp2f1_series", counting_series)
+    monkeypatch.setattr(specfun, "_hyp2f1_recurrence", counting_recurrence)
     monkeypatch.setattr(specfun, "_hyp2f1_block", counting_block)
-    return single, block
+    return single, steps, block
 
 
 def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
-    # every inner 2F1 is evaluated at most once per gamma and term index, by
-    # either evaluator, however many blocks and rows reach that index; these
-    # rows reach |x| = 800, so their inner values all come from the block
+    # every inner 2F1 is evaluated at most once per gamma and term index, as
+    # a seed, a recurrence step or a block row, however many blocks and rows
+    # reach that index; these rows reach |x| = 800, so every sum is long: the
+    # x >= 0 values come from a few seeds and their recurrences, and the
+    # x < 0 values from the block
     np = pytest.importorskip("numpy")
     xs = _spread_xs(np)
-    single, block = _count_inner_evaluations(monkeypatch)
+    single, steps, block = _count_inner_evaluations(monkeypatch)
     whole = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
-    assert block and not single
-    whole_calls = len(block)
-    block.clear()
+    assert steps and block and len(single) <= 3
+    whole_calls = len(single) + len(steps) + len(block)
+    for calls in (single, steps, block):
+        calls.clear()
     monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
     blocked = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
-    assert 0 < len(single) + len(block) <= whole_calls
+    assert 0 < len(single) + len(steps) + len(block) <= whole_calls
     assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
     # gammas with distinct fractional parts give each (gamma, n) its own
     # 2F1 arguments in both forms of the series; one sign of x per call,
     # since both signs start from the same 2F1 at n = 0
     gammas = [1.5, 2.25, 3.125]
-    for part in (xs[xs >= 0.0], xs[xs < 0.0]):
-        single.clear()
-        block.clear()
+    for negative, part in ((False, xs[xs >= 0.0]), (True, xs[xs < 0.0])):
+        for calls in (single, steps, block):
+            calls.clear()
         rows = log_phi1_batch(0.5, 1.0, gammas, part, 0.6)
-        calls = single + block
-        assert block and not single
+        calls = single + steps + block
+        if negative:
+            assert block and not steps and not single
+        else:
+            assert steps and not block and len(single) <= 3 * len(gammas)
         assert len(set(calls)) == len(calls)
         for gamma, row in zip(gammas, rows):
             assert np.allclose(row, log_phi1_batch(0.5, 1.0, gamma, part, 0.6), rtol=1e-12, atol=0.0)
@@ -641,13 +654,15 @@ def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
 # of 5 and of the default size, recorded from the rows summed by Horner's
 # rule, after test_horner_rows_match_the_forward_oracle had held them to the
 # forward sums, with numpy 2.4 on x86-64 (whose log may round differently
-# elsewhere)
+# elsewhere).  The y != 0 digests were recorded again once long x' >= 0
+# sums read their inner 2F1 from the recurrence, after the largest error
+# against mpmath of the values that moved had fallen at every y
 _SINGLE_GAMMA_DIGESTS = {
-    -3.0: "d5cf00141a62ca17",
+    -3.0: "c4356903d85625ab",
     0.0: "c7b2e7afff30f9ba",
-    0.25: "b00939b3f29bcd84",
-    0.75: "d1f62d5324fd511e",
-    0.9: "857e58a29872e7cf",
+    0.25: "83e1505cda154576",
+    0.75: "84055c35bcf24667",
+    0.9: "10b7411e419f0772",
 }
 
 
@@ -683,10 +698,12 @@ _EXACT_FIT_PRIORS = tuple(HIBParams(a, b, tau2, s) for a in (0.5, 1.0) for b in 
 # marginal, then the posterior mean's bytes) of every exact-fits prior at
 # p in {5, 50} and ||y||^2 in {10, 100, 500, 2000}, then scalar log_phi1 at
 # the mixed-sign x of the digest test above, at its four (alpha, gamma) and
-# y in {-3, 0.25, 0.75, 0.9}; recorded while every inner 2F1 was still
-# summed one at a time by _hyp2f1_series, with numpy 2.4 on x86-64 (whose
-# log may round differently elsewhere)
-_SCALAR_DIGEST = "7303570a98d74efa"
+# y in {-3, 0.25, 0.75, 0.9}; recorded once long x' >= 0 sums read their
+# inner 2F1 from the recurrence, after the largest error against mpmath of
+# the log_phi1 values that moved (those of the fits included) had fallen at
+# every y, with numpy 2.4 on x86-64 (whose log may round differently
+# elsewhere)
+_SCALAR_DIGEST = "9b73236d2ced28ee"
 
 
 def test_scalar_path_is_bitwise_unchanged():
@@ -798,10 +815,31 @@ def test_inner_values_past_the_budget_raise_when_read_and_only_then():
     assert got.value.terms_used == want.value.terms_used == budget
 
 
+def test_unit_beta_values_past_a_failed_seed_raise_when_read_and_only_then():
+    # the beta = 1 twin of the test above: the chunk's seed, at n = 63,
+    # does not converge within the budget, so the chunk is left unset and
+    # every value is summed on its own when read; inner(0) converges, and
+    # inner(63) raises the scalar's text and terms_used, when it is read
+    need = [specfun._hyp2f1_series(1.0, 0.5 + n, 8.5 + n, 0.9, 10**5)[1] for n in (0, 63)]
+    budget = (need[0] + need[1]) // 2
+    assert need[0] < budget < need[1] and budget >= specfun._BLOCK_MIN_TERMS
+    inner = specfun._InnerSeries(1.0, 0.5, 1, 8.5, 0.9, budget, 64.0)
+    assert inner(0) == specfun._hyp2f1_series(1.0, 0.5, 8.5, 0.9, budget)[0]
+    assert inner.values == [None] * 64
+    assert inner(1) == specfun._hyp2f1_series(1.0, 1.5, 9.5, 0.9, budget)[0]
+    with pytest.raises(ConvergenceError) as want:
+        specfun._hyp2f1_series(1.0, 63.5, 71.5, 0.9, budget)
+    with pytest.raises(ConvergenceError) as got:
+        inner(63)
+    assert str(got.value) == str(want.value)
+    assert got.value.terms_used == want.value.terms_used == budget
+
+
 def test_inner_values_near_y_one_keep_the_capped_error():
     # at y = 0.99995 every inner 2F1 needs ~5.5e5 terms against the capped
-    # budget of 50,000: the sum of |x| = 60 reads inner(0) from a block of
-    # 130 and raises the scalar's error for it, as the per-n call did
+    # budget of 50,000: the sum of |x| = 60 fills a chunk of 130, whose
+    # seed fails, reads inner(0) on its own and raises the scalar's error
+    # for it, as the per-n call did
     with pytest.warns(NumericalWarning):
         max_terms = specfun._check_y(0.99995, 60.0)
     with pytest.raises(ConvergenceError) as want:
@@ -814,21 +852,39 @@ def test_inner_values_near_y_one_keep_the_capped_error():
     assert got.value.terms_used == want.value.terms_used == specfun._Y_WARN_MAX_TERMS
 
 
-def test_long_sums_take_the_block_and_short_ones_do_not(monkeypatch):
+def test_a_failed_seed_costs_one_series_before_the_error(monkeypatch):
+    # the same call spends one 50,000-term series on its chunk's seed and
+    # one on inner(0), which raises; it sums no block and no recurrence
+    single, steps, block = _count_inner_evaluations(monkeypatch)
+    with pytest.warns(NumericalWarning), pytest.raises(ConvergenceError) as got:
+        log_phi1(0.5, 1.0, 1.5, 60.0, 0.99995)
+    assert got.value.terms_used == specfun._Y_WARN_MAX_TERMS
+    assert len(single) <= 2 and not steps and not block
+
+
+def test_long_sums_take_the_recurrence_or_the_block_and_short_ones_do_not(monkeypatch):
     """The slowest exact-fits fits (tau2 = 4, Z near 500) once summed ~690
-    inner 2F1 one at a time; now their long sums take the block, and only
-    the short ones, as the prior normalizer's, keep the per-n call.  Every
-    normalizer of the 36 exact-fits priors sums under 64 terms, so none of
-    them reaches the block."""
+    inner 2F1 one at a time.  Their long sums, in the x' >= 0 form with
+    beta = 1, now take the recurrence from a few seeds; long sums of the
+    x' < 0 form, or with beta != 1, take the block; and only the short
+    ones, as the prior normalizer's, keep the per-n call.  Every normalizer
+    of the 36 exact-fits priors sums under 64 terms, so none of them
+    reaches either."""
     np = pytest.importorskip("numpy")
-    single, block = _count_inner_evaluations(monkeypatch)
+    single, steps, block = _count_inner_evaluations(monkeypatch)
     shrink(np.full(50, math.sqrt(10.0)), 1.0, HIBParams(0.5, 0.5, 4.0, 0.0))
-    assert len(single) <= 3 and len(block) >= 500
+    assert len(single) <= 3 and len(steps) >= 500 and not block
+    for beta, x in ((1.0, -25.0), (2.0, 50.0)):
+        single.clear()
+        log_phi1(0.5, beta, 8.5, x, 0.75)
+        assert len(block) >= 64 and not single
+        block.clear()
 
     def refuse(*args):
-        raise AssertionError("a short sum took the block")
+        raise AssertionError("a short sum left the per-n series")
 
     monkeypatch.setattr(specfun, "_hyp2f1_block", refuse)
+    monkeypatch.setattr(specfun, "_hyp2f1_recurrence", refuse)
     single.clear()
     for prior in _EXACT_FIT_PRIORS:
         log_normalizer(prior)
@@ -1429,6 +1485,74 @@ def test_log_phi1_batch_rows_match_mpmath():
                 assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (alpha, gamma, x, y)
 
     check()
+
+
+# (alpha, gamma) of the long-sum nets: the digest parameters and a
+# half-Cauchy-like (1/2, 3)
+_LONG_SUM_PARAMS = _DIGEST_PARAMS + ((0.5, 3.0),)
+
+
+@pytest.mark.parametrize("y", [0.25, 0.5, 0.75, 0.9, 0.95, 0.99])
+def test_long_unit_beta_sums_match_mpmath(y):
+    """log phi1 at x >= 0 below the crossover, with beta = 1 and a sum long
+    enough to read its inner 2F1 from the recurrence, against mpmath, to
+    bounds fixed before running: 1e-13 max(1, |ref|) up to y = 0.9, and
+    1e-11 max(1, |ref|) up to y = 0.99.
+
+    The batch holds small x too, 0 to 5, whose values come from the low
+    end of a chunk that the largest x of the call made long; the scalar is
+    checked where its own sum is long, from x = 27 on (x + 8 sqrt(x) + 8 >=
+    64).  Summed per n, the same values were up to 8.3e-11 off at y = 0.99
+    (small x) and 2.0e-13 at (1/2, 17/2, 0.9, 40): each per-n value keeps
+    its own truncation tail, about 1e-12 y/(1 - y) of it, where the
+    recurrence keeps only the seed's, and shrinks it down the chunk.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    np = pytest.importorskip("numpy")
+    bound = 1e-13 if y <= 0.9 else 1e-11
+    for alpha, gamma in _LONG_SUM_PARAMS:
+        x0 = _x0(alpha, gamma, y, False)
+        xs = sorted({x for x in (0.0, 0.5, 5.0, 40.0, min(100.0, x0 * (1.0 - 1e-3))) if x < x0})
+        batch = log_phi1_batch(alpha, 1.0, gamma, np.array(xs), y)
+        for x, got in zip(xs, batch.tolist()):
+            ref = _mpmath_log_phi1(mpmath, alpha, gamma, x, y)
+            assert abs(got - ref) <= bound * max(1.0, abs(ref)), (alpha, gamma, x, got - ref)
+            if x >= 27.0:
+                got = log_phi1(alpha, 1.0, gamma, x, y)
+                assert abs(got - ref) <= bound * max(1.0, abs(ref)), (alpha, gamma, x, got - ref)
+
+
+@pytest.mark.parametrize("y", [0.0, -0.5])
+def test_tilt_cancellation_at_large_gamma_stays_within_its_ulp_bound(y):
+    """log phi1 just inside -x0 at gamma = 1500.5, where |x| = 2698, against
+    mpmath, to absolute bounds in ulps of |x| fixed before running: 6 on the
+    batch and 24 on the scalar.
+
+    There the sum S is about e^|x| and log phi1 = log S - |x| is -0.51, so
+    every absolute error of log S is one of the result.  Two kinds add up:
+    - roundings of numbers near |x|: log S, and the j = 6 multiples of
+      512 log 2 that undo the rescales of S.  The batch adds them in one
+      product and one sum, at most 3 ulps with the log; the scalar adds
+      each to a running offset, at most 3 + j/2.
+    - the relative error of S, which is the tail the stop rule leaves.  The
+      scalar stops at its third term below 1e-12 S, where the term ratio
+      rho is 0.88, and the rest is at most 1e-12 rho/(1 - rho) = 7.5e-12,
+      16.5 ulps.  The batch stops 16 terms after its first check below
+      1e-12 S, which leaves rho^16 of that, 2.2 ulps.
+    Neither path sums the x' < 0 form so that nothing cancels, and the
+    scalar's longer tail is that of its stop rule, three terms in a row.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    np = pytest.importorskip("numpy")
+    gamma = 1500.5
+    xs = _large_tilt_xs(np, gamma, y)
+    x = float(xs[-1])  # just inside -x0
+    ulp = math.ulp(-x)
+    ref = _mpmath_log_phi1(mpmath, 0.5, gamma, x, y)
+    batch = log_phi1_batch(0.5, 1.0, gamma, xs, y)[-1]
+    assert abs(batch - ref) <= 6 * ulp, (batch - ref) / ulp
+    scalar = log_phi1(0.5, 1.0, gamma, x, y)
+    assert abs(scalar - ref) <= 24 * ulp, (scalar - ref) / ulp
 
 
 def test_large_gamma_expansion_at_negative_x_matches_mpmath():
