@@ -253,13 +253,15 @@ def _hyp2f1_series(
     total = 1.0
     term = 1.0
     streak = 0
-    for m in range(1, max_terms + 1):
+    m, limit = 0.0, float(max_terms)  # a float m: no int-to-float conversion per use
+    while m < limit:
+        m += 1.0
         term *= (a + m - 1.0) * (b + m - 1.0) / ((c + m - 1.0) * m) * z
         total += term
         if abs(term) <= rel_tol * abs(total):
             streak += 1
             if streak >= 3 or term == 0.0:
-                return total, m + 1
+                return total, int(m) + 1
         else:
             streak = 0
     needed = -math.log(rel_tol) / (1.0 - abs(z))
@@ -339,7 +341,9 @@ def _hyp2f1_recurrence(alpha: float, gamma: float, y: float, lo: int, top: int,
     """
     f = seed
     values = [f]
-    for n in range(top - 1, lo - 1, -1):
+    n = float(top)
+    for _ in range(top - lo):
+        n -= 1.0
         f = 1.0 + (alpha + n) / (gamma + n) * y * f
         values.append(f)
     values.reverse()
@@ -554,11 +558,12 @@ def _phi1_core(args: Phi1Args, max_terms: int) -> tuple[float, float, int]:
     off = 0.0
     total = inner(0)
     streak = 0
-    n = 0
+    n, k = 0, 0.0  # k is n as a float, for the weight's arithmetic
     converged = False
     while n < max_terms:
         n += 1
-        weight *= (a + n - 1.0) * xabs / ((gamma + n - 1.0) * n)
+        k += 1.0
+        weight *= (a + k - 1.0) * xabs / ((gamma + k - 1.0) * k)
         term = weight * inner(n) if weight else 0.0  # x = 0 needs no inner(1)
         total += term
         if abs(term) <= rel_tol * abs(total):

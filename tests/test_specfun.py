@@ -723,6 +723,80 @@ def test_scalar_path_is_bitwise_unchanged():
     assert digest.hexdigest()[:16] == _SCALAR_DIGEST
 
 
+# ---- the inner 2F1 evaluators' bits -----------------------------------------
+
+
+def _int_counter_series(a, b, c, z, max_terms):
+    """``_hyp2f1_series`` as written with an int term counter, whose every
+    use CPython converts to a float: the reference its float counter must
+    match bit for bit.  Returns ``(value, terms)``, or ``(None, max_terms)``
+    where the series raises."""
+    total = 1.0
+    term = 1.0
+    streak = 0
+    for m in range(1, max_terms + 1):
+        term *= (a + m - 1.0) * (b + m - 1.0) / ((c + m - 1.0) * m) * z
+        total += term
+        if abs(term) <= specfun.DEFAULT_REL_TOL * abs(total):
+            streak += 1
+            if streak >= 3 or term == 0.0:
+                return total, m + 1
+        else:
+            streak = 0
+    return None, max_terms
+
+
+def _int_counter_recurrence(alpha, gamma, y, lo, top, seed):
+    """``_hyp2f1_recurrence`` as written with an int counter n: the
+    reference of its float counter."""
+    f = seed
+    values = [f]
+    for n in range(top - 1, lo - 1, -1):
+        f = 1.0 + (alpha + n) / (gamma + n) * y * f
+        values.append(f)
+    values.reverse()
+    return values
+
+
+def test_inner_evaluators_keep_the_int_counter_bits():
+    """Every value and term count of ``_hyp2f1_series`` and
+    ``_hyp2f1_recurrence`` is that of its int-counter reference, by ==.
+
+    A float counter takes the same IEEE operations in the same order, since
+    every count here is an integer a double holds exactly.  b reaches
+    non-positive integers, whose series stop at a zero term, z runs over
+    (-1, 1), and small budgets make the series raise, with the reference's
+    terms_used.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(
+        a=st.sampled_from([1.0, 0.5]) | st.floats(0.05, 60.0),
+        b=st.floats(-8.0, 60.0) | st.sampled_from([-3.0, -1.0, 0.0]),
+        c=st.floats(0.05, 60.0),
+        z=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        max_terms=st.integers(1, 200) | st.just(100_000),
+        lo=st.integers(0, 400),
+        count=st.integers(0, 300),
+        seed=st.floats(1.0, 1e3),
+    )
+    def check(a, b, c, z, max_terms, lo, count, seed):
+        want = _int_counter_series(a, b, c, z, max_terms)
+        try:
+            got = specfun._hyp2f1_series(a, b, c, z, max_terms)
+        except ConvergenceError as exc:
+            got = None, exc.terms_used
+        assert got == want, (a, b, c, z, max_terms)
+        y = abs(z)
+        top = lo + count
+        want = _int_counter_recurrence(b, c, y, lo, top, seed)
+        assert specfun._hyp2f1_recurrence(b, c, y, lo, top, seed) == want, (b, c, y, lo, top)
+
+    check()
+
+
 # ---- the inner 2F1 block ----------------------------------------------------
 
 
