@@ -45,16 +45,17 @@ x0 is derived once per process.
 
 Below x0, each inner 2F1 takes some 27.6/(1 - y) terms as a series.  A plan
 reads them, in ascending n, from its own ``_InnerSeries``, with no cache
-across calls: a sum estimated at fewer than ``_BLOCK_MIN_TERMS`` terms sums
-each on its own by ``_hyp2f1_series``, and a longer one fills chunks of n at
-once.  In the x' >= 0 form with beta = 1, which every HIB family call has,
-inner(n) = 2F1(1, alpha + n; gamma + n; y) = 1 + y (alpha + n)/(gamma + n)
-inner(n + 1) exactly, so a chunk is one series at its top n and
-``_hyp2f1_recurrence`` down from there, which shrinks the seed's error at
-every step.  Any other chunk is a ``_hyp2f1_block``, a 2-D array evaluator
-(n by rows, the series' terms by columns) whose ratios, running products,
-running sums and stop rule are the scalar loop's, so that every value is
-the per-n series', bit for bit.
+across calls: a sum estimated at fewer than ``_CHUNK_MIN_TERMS`` terms, or
+with beta != 1, sums each on its own by ``_hyp2f1_series``, and a longer
+one with beta = 1, which every HIB family call has (and gamma > alpha in
+the x' < 0 form), fills chunks of n at once.  A chunk is one series at a seed n and ``_hyp2f1_recurrence`` from
+there, by an exact two-term relation in n, run in the direction in which
+it shrinks the seed's error.  In the x' >= 0 form, inner(n) =
+2F1(1, alpha + n; gamma + n; y) = 1 + y (alpha + n)/(gamma + n)
+inner(n + 1), run down from the chunk's top.  In the x' < 0 form, inner(n)
+= F(c) = 2F1(1, alpha; c; y), c = gamma + n, and c (1 - y) F(c) - c +
+(c - alpha) y F(c + 1) = 0, run back from the seed where (1 - y) F(c) >=
+1/2 and forward where it is below 1/2.
 
 No caller sets how a series is summed: every series stops at the relative
 tolerance ``DEFAULT_REL_TOL``, within a term budget that follows from its
@@ -145,23 +146,14 @@ _NO_TERMS = array("d")
 
 # A plan whose outer sum is estimated at fewer terms than this (see _plan)
 # sums each inner 2F1 on its own, by _hyp2f1_series; a longer one fills
-# chunks of them at once (see _InnerSeries).  Two reasons keep short sums
-# per n.  At x = 0 the sum reads inner(0) alone, where a one-row block took
-# 57 us against 21 us per n.  And the prior normalizers' ~25-term sums,
-# which the block would take 2-4x faster, run at every density point of the
-# exact-fits benchmark, whose driver keeps a record of every finished job:
-# with the block on them its runs finished nearly twice the jobs, and its
-# peak RSS rose past the benchmark's 15% bound though the library's own
-# memory did not grow.  Short sums can leave the per-n call once the driver
-# drops those records.
-_BLOCK_MIN_TERMS = 64
-
-# Widest column block of _hyp2f1_block, in series terms, and the most
-# elements of any of its working arrays: 2^13 doubles (64 KiB) stay below
-# glibc's mmap threshold, so the allocator reuses them instead of mapping
-# fresh pages for every chunk.
-_BLOCK_COLUMNS = 256
-_BLOCK_ELEMENTS = 2**13
+# chunks of them from one seed each (see _InnerSeries).  The prior
+# normalizers' ~25-term sums run at every density point of the exact-fits
+# benchmark, whose driver keeps a record of every finished job: with the
+# recurrence on them its runs finished nearly twice the jobs, and its peak
+# RSS rose past the benchmark's 15% bound though the library's own memory
+# did not grow.  Short sums can leave the per-n call once the driver drops
+# those records.
+_CHUNK_MIN_TERMS = 64
 
 # From here on in both arguments, _log_gamma_ratio sums Stirling's series
 # instead of differencing two lgamma values that each round near z log z:
@@ -272,81 +264,54 @@ def _hyp2f1_series(
     )
 
 
-def _hyp2f1_block(
-    a: float, b: np.ndarray, c: np.ndarray, z: float, max_terms: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_hyp2f1_series(a, b[i], c[i], z, max_terms)`` for every i, bit for bit.
+def _hyp2f1_recurrence(alpha: float, shift: int, gamma: float, y: float, lo: int, top: int,
+                       at: int, seed: float) -> list[float]:
+    """F(n) = 2F1(1, alpha + shift n; gamma + n; y) for n = lo, ..., top,
+    ascending, from ``seed``, the value at n = ``at``; y lies in (0, 1).
 
-    Returns ``(values, terms)``, with ``terms[i]`` the scalar's term count,
-    or 0 where row i does not converge within ``max_terms`` (its value is
-    then unset).  z must lie in [0, 1).
+    Each form runs an exact two-term relation away from its seed, in the
+    direction in which a step shrinks a relative error, and each step adds
+    only its own few roundings.
 
-    Rows are the series, columns their terms m.  Each ratio is the scalar's
-    expression, in the scalar's order, and ``np.multiply.accumulate`` and
-    ``np.add.accumulate`` run along each row strictly in order from a column
-    0 that holds the row's carried term or sum, so every entry is the
-    scalar loop's running term or sum, bit for bit.  Each row stops at the
-    scalar's m: the third relative term in a row at most ``DEFAULT_REL_TOL``,
-    or a zero term among them.  The columns come in blocks of about the
-    27.6/(1 - z) terms a series needs (see ``_hyp2f1_series``); a row that
-    has not stopped carries its term, sum and last two stop tests into the
-    next block, and rows come in sub-blocks of at most ``_BLOCK_ELEMENTS``
-    entries.
+    - shift 1: F(n) = 1 + y (alpha + n)/(gamma + n) F(n + 1), the series of
+      F(n) with its first term split off, run downward from ``at`` = ``top``.
+      Every term of F is positive, so each step multiplies a relative error
+      of F(n + 1) by (F(n) - 1)/F(n) < 1: the seed's truncation error
+      shrinks as n falls.
+    - shift 0, with gamma > alpha and c = gamma + n,
+      c (1 - y) F(n) - c + (c - alpha) y F(n + 1) = 0.  Set
+      q = (1 - y) F(n), which falls with n toward 1 - y.  A step backward,
+      F(n) = (1 - (c - alpha)/c y F(n + 1))/(1 - y), multiplies a relative
+      error by (1 - q)/q, and a step forward,
+      F(n + 1) = c (1 - q)/((c - alpha) y), by q/(1 - q).  The caller puts
+      the seed where q >= 1/2, so every step below it shrinks the error;
+      above it, the error grows only until q crosses 1/2 and shrinks from
+      there on.
     """
-    values = np.empty(b.size)
-    terms = np.zeros(b.size, dtype=np.int64)
-    width = min(_BLOCK_COLUMNS, max_terms, int(-math.log(DEFAULT_REL_TOL) / (1.0 - z)) + 4)
-    rows = max(1, _BLOCK_ELEMENTS // (width + 2))
-    with np.errstate(over="ignore", invalid="ignore"):  # as the scalar loop does
-        for start in range(0, b.size, rows):
-            live = np.arange(start, min(start + rows, b.size))
-            bl, cl = b[live, None], c[live, None]
-            term, total = np.ones(live.size), np.ones(live.size)
-            tests = np.zeros((live.size, 2), dtype=bool)  # each row's last two
-            m0 = 1
-            while live.size and m0 <= max_terms:
-                m = np.arange(m0, m0 + min(width, max_terms + 1 - m0), dtype=float)
-                run = np.empty((live.size, m.size + 1))
-                run[:, 0] = term
-                run[:, 1:] = (a + m - 1.0) * (bl + m - 1.0) / ((cl + m - 1.0) * m) * z
-                np.multiply.accumulate(run, axis=1, out=run)
-                sums = run.copy()
-                sums[:, 0] = total
-                np.add.accumulate(sums, axis=1, out=sums)
-                small = np.abs(run[:, 1:]) <= DEFAULT_REL_TOL * np.abs(sums[:, 1:])
-                tests = np.concatenate((tests, small), axis=1)
-                stop = small & ((tests[:, :-2] & tests[:, 1:-1]) | (run[:, 1:] == 0.0))
-                hit = stop.any(axis=1)
-                at = stop[hit].argmax(axis=1)
-                values[live[hit]] = sums[hit, at + 1]
-                terms[live[hit]] = m0 + at + 1
-                going = ~hit
-                live, bl, cl = live[going], bl[going], cl[going]
-                term, total, tests = run[going, -1], sums[going, -1], tests[going, -2:]
-                m0 += m.size
-    return values, terms
-
-
-def _hyp2f1_recurrence(alpha: float, gamma: float, y: float, lo: int, top: int,
-                       seed: float) -> list[float]:
-    """F(n) = 2F1(1, alpha + n; gamma + n; y) for n = lo, ..., top, ascending,
-    from ``seed``, the value at n = top.
-
-    Runs the exact relation F(n) = 1 + y (alpha + n)/(gamma + n) F(n + 1),
-    which is the series of F(n) with its first term split off, downward.
-    Every term of F is positive for y in [0, 1), so each step multiplies a
-    relative error of F(n + 1) by (F(n) - 1)/F(n) < 1 and adds its own few
-    roundings: the seed's truncation error shrinks as n falls, and the
-    roundings of all steps add up to a few times F(n) ulps at most.
-    """
+    n = float(at)
     f = seed
-    values = [f]
-    n = float(top)
-    for _ in range(top - lo):
+    below = []
+    if shift:
+        for _ in range(at - lo):
+            n -= 1.0
+            f = 1.0 + (alpha + n) / (gamma + n) * y * f
+            below.append(f)
+        below.reverse()
+        return below + [seed]
+    p = 1.0 - y
+    for _ in range(at - lo):
         n -= 1.0
-        f = 1.0 + (alpha + n) / (gamma + n) * y * f
+        c = gamma + n
+        f = (1.0 - (c - alpha) / c * y * f) / p
+        below.append(f)
+    below.reverse()
+    values = below + [seed]
+    n, f = float(at), seed
+    for _ in range(top - at):
+        c = gamma + n
+        f = c * (1.0 - p * f) / ((c - alpha) * y)
         values.append(f)
-    values.reverse()
+        n += 1.0
     return values
 
 
@@ -354,20 +319,29 @@ class _InnerSeries:
     """The inner 2F1 values of a plan, inner(n) = 2F1(beta, alpha + shift n;
     gamma + n; y), read by calling it with n = 0, 1, ... in ascending order.
 
-    A plan whose outer sum is estimated at fewer than ``_BLOCK_MIN_TERMS``
-    terms sums each inner(n) on its own, by :func:`_hyp2f1_series`.  A
-    longer one fills ``chunk`` values at once, first the estimate and then
-    twice the last chunk each time a sum reads past it.  In the x' >= 0
-    form with beta = 1, the form of every HIB family call, a chunk is one
-    :func:`_hyp2f1_series` at its top n and :func:`_hyp2f1_recurrence` down
-    from there, which leaves the series' truncation error in that one seed;
-    any other chunk is a :func:`_hyp2f1_block`, the per-n series bit for
-    bit.  A value left unset, because the block could not converge it or
-    its chunk's seed did not converge, is summed on its own when it is
-    read, which raises the per-n ConvergenceError where that series does not
-    converge; one computed ahead and never read raises nothing.  For
-    gamma > alpha a lower n needs fewer terms than the seed's, so no value
-    below a converged seed would have raised.
+    A plan whose outer sum is estimated at fewer than ``_CHUNK_MIN_TERMS``
+    terms, or whose beta is not 1, or whose x' < 0 form (shift 0) has
+    gamma <= alpha, sums each inner(n) on its own, by
+    :func:`_hyp2f1_series`.  Any other sum, in either form, fills ``chunk``
+    values at once, first the estimate and then twice the last chunk each
+    time a sum reads past it: one :func:`_hyp2f1_series` at a seed n and
+    :func:`_hyp2f1_recurrence` from there to both ends of the chunk, which
+    leaves the series' truncation error in that one seed.  In the x' >= 0
+    form the seed is the chunk's top n.  In the x' < 0 form it is the
+    chunk's largest n inside the region where q = (1 - y) inner(n) >= 1/2
+    is sure, since inner(n) >= 1/(1 - alpha y/c) there with c = gamma + n:
+    c <= alpha y/(2y - 1), everywhere when y <= 1/2.  That is the top of
+    the chunk when the region covers it, and its bottom when the region
+    ends below it, where the seed's own error would weigh most in a sum at
+    small |x|; so an x' < 0 seed is itself read from a series further on
+    (see ``_fill``).  A chunk whose seed does not converge is left unset,
+    and each of its values is summed on its own when it is read, which
+    raises the per-n ConvergenceError where that series does not converge;
+    one computed ahead and never read raises nothing.  For gamma > alpha
+    every term ratio of an inner series is below y, so each converges
+    within about 27.6/(1 - y) terms, inside every budget short of
+    y = 0.9994: below that, no value from a converged seed would have
+    raised on its own.
     """
 
     __slots__ = ("beta", "alpha", "shift", "gamma", "y", "max_terms", "chunk", "values")
@@ -376,9 +350,10 @@ class _InnerSeries:
                  max_terms: int, outer_terms: float) -> None:
         self.beta, self.alpha, self.shift, self.gamma = beta, alpha, shift, gamma
         self.y, self.max_terms = y, max_terms
+        chunked = (outer_terms >= _CHUNK_MIN_TERMS and beta == 1.0
+                   and (shift or gamma > alpha))
         # a sum never runs past max_terms, so neither does its first chunk
-        long = outer_terms >= _BLOCK_MIN_TERMS
-        self.chunk = math.ceil(min(outer_terms, max_terms + 1)) if long else 0
+        self.chunk = math.ceil(min(outer_terms, max_terms + 1)) if chunked else 0
         self.values: list[float | None] = []
 
     def __call__(self, n: int) -> float:
@@ -393,24 +368,29 @@ class _InnerSeries:
                               self.y, self.max_terms)[0]
 
     def _fill(self, n: int) -> None:
+        alpha, shift, gamma, y = self.alpha, self.shift, self.gamma, self.y
+        # an x' < 0 seed F(c) is read as the bottom of its own x' >= 0 sequence,
+        # 2F1(1, alpha + m; c + m; y), from a series deep terms on: each step
+        # down multiplies the series' tail, at most 1e-12 y/(1 - y) of it, by
+        # at most y, and y^deep <= (1 - y)/y leaves at most 1e-12
+        deep = 0 if shift else max(0, math.ceil(math.log((1.0 - y) / y) / math.log(y)))
         while n >= len(self.values):
             lo = len(self.values)
             top = lo + self.chunk - 1
-            if self.shift and self.beta == 1.0:
-                try:
-                    seed = _hyp2f1_series(1.0, self.alpha + top, self.gamma + top, self.y,
-                                          self.max_terms)[0]
-                except ConvergenceError:
-                    self.values += [None] * self.chunk
-                else:
-                    self.values += _hyp2f1_recurrence(self.alpha, self.gamma, self.y, lo, top,
-                                                      seed)
+            at = top
+            if not shift and y > 0.5:
+                bound = alpha * y / (2.0 * y - 1.0) - gamma  # the region's last n
+                if bound < top:
+                    at = max(lo, math.floor(bound))
+            try:
+                seed = _hyp2f1_series(1.0, alpha + shift * at + deep, gamma + at + deep, y,
+                                      self.max_terms)[0]
+            except ConvergenceError:
+                self.values += [None] * self.chunk
             else:
-                ns = np.arange(lo, top + 1)
-                values, terms = _hyp2f1_block(self.beta, self.alpha + self.shift * ns,
-                                              self.gamma + ns, self.y, self.max_terms)
-                self.values += [v if t else None
-                                for v, t in zip(values.tolist(), terms.tolist())]
+                if deep:
+                    seed = _hyp2f1_recurrence(alpha, 1, gamma + at, y, 0, deep, deep, seed)[0]
+                self.values += _hyp2f1_recurrence(alpha, shift, gamma, y, lo, top, at, seed)
             self.chunk *= 2
 
 

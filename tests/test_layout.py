@@ -47,7 +47,7 @@ parameters, or a field of ``self``, to ``np.asarray`` or ``np.array`` with
 ``dtype=float``, except ``LogMeanExpAccumulator.add``.  The README's module
 table has one row per module of the package.  And a plan's inner 2F1 values
 have one source, ``specfun._InnerSeries``: no other code of the package
-names ``_hyp2f1_series``, ``_hyp2f1_recurrence`` or ``_hyp2f1_block``.
+names ``_hyp2f1_series`` or ``_hyp2f1_recurrence``.
 """
 
 import ast
@@ -305,13 +305,13 @@ def test_the_array_rule_has_one_home():
     assert "check_reals" not in hibshrink.__all__
 
 
-INNER_EVALUATORS = {"_hyp2f1_series", "_hyp2f1_recurrence", "_hyp2f1_block"}
+INNER_EVALUATORS = {"_hyp2f1_series", "_hyp2f1_recurrence"}
 
 
 def test_the_inner_2f1_has_one_source():
-    # only the inner sequence calls any inner evaluator, the series, the
-    # recurrence in n or the block, so a connection formula near y = 1 has
-    # one place to land
+    # only the inner sequence calls any inner evaluator, the series or the
+    # recurrence in n, so a connection formula near y = 1 has one place to
+    # land
     callers = set()
     for name, path in MODULES.items():
         for top in ast.parse(path.read_text(), filename=str(path)).body:

@@ -326,23 +326,17 @@ def test_tau2_four_moment_work_stops_growing_with_the_tilt(monkeypatch):
     # tau2 = 4 (y = 0.75) once summed ~|x| + 12 sqrt|x| outer terms with a
     # fresh inner 2F1 each (4 s at Z = 1e5); past the crossover, which lies
     # near s' = 170 here, the expansion's term count falls as Z grows, and
-    # it needs no inner 2F1 at all, from either evaluator (a block counts
-    # each of its rows)
+    # it needs no inner 2F1 at all (every recurrence starts from a series)
     prior = HIBParams(0.5, 0.5, 4.0, 0.0)
     p = 15
     calls = []
-    real, real_block = specfun._hyp2f1_series, specfun._hyp2f1_block
+    real = specfun._hyp2f1_series
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    def counting_block(a, b, c, z, max_terms):
-        calls.extend(zip(b.tolist(), c.tolist()))
-        return real_block(a, b, c, z, max_terms)
-
     monkeypatch.setattr(specfun, "_hyp2f1_series", counting)
-    monkeypatch.setattr(specfun, "_hyp2f1_block", counting_block)
     terms, inner_calls = [], []
     for Z in (1e3, 1e4, 1e5):
         state = update(prior, p, Z, 1.0)

@@ -553,7 +553,7 @@ def test_each_x_takes_the_branch_of_its_crossover(monkeypatch, y):
     above = [sign * v for sign in (1.0, -1.0) for v in (x0[sign], x0[sign] * (1.0 + 1e-3), 1e5)]
     values = {}
     for xs, refused in ((small, ("_crossover",)), (below, ("_tail_log", "_tail_row")),
-                        (above, ("_hyp2f1_series", "_hyp2f1_block", "_unit_inner"))):
+                        (above, ("_hyp2f1_series", "_hyp2f1_recurrence", "_unit_inner"))):
         with monkeypatch.context() as m:
             for name in refused:
                 m.setattr(specfun, name, refuse)
@@ -588,62 +588,53 @@ def test_each_crossover_is_derived_once(monkeypatch):
 
 def _count_inner_evaluations(monkeypatch):
     """Record the 2F1 arguments (a, b, c, z) of every inner evaluation for
-    the rest of the test, in three lists: the series summed one by one by
-    _hyp2f1_series (a recurrence's seeds among them), each step of a
-    _hyp2f1_recurrence below its seed, and each row of a _hyp2f1_block."""
-    single, steps, block = [], [], []
-    series = specfun._hyp2f1_series
-    recurrence, rows = specfun._hyp2f1_recurrence, specfun._hyp2f1_block
+    the rest of the test, in two lists: the series summed one by one by
+    _hyp2f1_series (a recurrence's seeds among them), and each step of a
+    _hyp2f1_recurrence, every n of its range but its seed's."""
+    single, steps = [], []
+    series, recurrence = specfun._hyp2f1_series, specfun._hyp2f1_recurrence
 
     def counting_series(a, b, c, z, max_terms):
         single.append((a, b, c, z))
         return series(a, b, c, z, max_terms)
 
-    def counting_recurrence(alpha, gamma, y, lo, top, seed):
-        steps.extend((1.0, alpha + n, gamma + n, y) for n in range(lo, top))
-        return recurrence(alpha, gamma, y, lo, top, seed)
-
-    def counting_block(a, b, c, z, max_terms):
-        block.extend((a, bn, cn, z) for bn, cn in zip(b.tolist(), c.tolist()))
-        return rows(a, b, c, z, max_terms)
+    def counting_recurrence(alpha, shift, gamma, y, lo, top, at, seed):
+        steps.extend((1.0, alpha + shift * n, gamma + n, y)
+                     for n in range(lo, top + 1) if n != at)
+        return recurrence(alpha, shift, gamma, y, lo, top, at, seed)
 
     monkeypatch.setattr(specfun, "_hyp2f1_series", counting_series)
     monkeypatch.setattr(specfun, "_hyp2f1_recurrence", counting_recurrence)
-    monkeypatch.setattr(specfun, "_hyp2f1_block", counting_block)
-    return single, steps, block
+    return single, steps
 
 
 def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
     # every inner 2F1 is evaluated at most once per gamma and term index, as
-    # a seed, a recurrence step or a block row, however many blocks and rows
-    # reach that index; these rows reach |x| = 800, so every sum is long: the
-    # x >= 0 values come from a few seeds and their recurrences, and the
-    # x < 0 values from the block
+    # a seed or a recurrence step, however many blocks reach that index;
+    # these rows reach |x| = 800, so every sum is long, and the values of
+    # both signs of x come from a few seeds and their recurrences
     np = pytest.importorskip("numpy")
     xs = _spread_xs(np)
-    single, steps, block = _count_inner_evaluations(monkeypatch)
+    single, steps = _count_inner_evaluations(monkeypatch)
     whole = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
-    assert steps and block and len(single) <= 3
-    whole_calls = len(single) + len(steps) + len(block)
-    for calls in (single, steps, block):
+    assert steps and len(single) <= 6
+    whole_calls = len(single) + len(steps)
+    for calls in (single, steps):
         calls.clear()
     monkeypatch.setattr(specfun, "_BATCH_BLOCK", 5)
     blocked = log_phi1_batch(0.5, 1.0, 1.5, xs, 0.6)
-    assert 0 < len(single) + len(steps) + len(block) <= whole_calls
+    assert 0 < len(single) + len(steps) <= whole_calls
     assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
     # gammas with distinct fractional parts give each (gamma, n) its own
     # 2F1 arguments in both forms of the series; one sign of x per call,
     # since both signs start from the same 2F1 at n = 0
     gammas = [1.5, 2.25, 3.125]
-    for negative, part in ((False, xs[xs >= 0.0]), (True, xs[xs < 0.0])):
-        for calls in (single, steps, block):
+    for part in (xs[xs >= 0.0], xs[xs < 0.0]):
+        for calls in (single, steps):
             calls.clear()
         rows = log_phi1_batch(0.5, 1.0, gammas, part, 0.6)
-        calls = single + steps + block
-        if negative:
-            assert block and not steps and not single
-        else:
-            assert steps and not block and len(single) <= 3 * len(gammas)
+        calls = single + steps
+        assert steps and len(single) <= 3 * len(gammas)
         assert len(set(calls)) == len(calls)
         for gamma, row in zip(gammas, rows):
             assert np.allclose(row, log_phi1_batch(0.5, 1.0, gamma, part, 0.6), rtol=1e-12, atol=0.0)
@@ -655,14 +646,15 @@ def test_log_phi1_batch_blocks_share_inner_series(monkeypatch):
 # rule, after test_horner_rows_match_the_forward_oracle had held them to the
 # forward sums, with numpy 2.4 on x86-64 (whose log may round differently
 # elsewhere).  The y != 0 digests were recorded again once long x' >= 0
-# sums read their inner 2F1 from the recurrence, after the largest error
-# against mpmath of the values that moved had fallen at every y
+# sums read their inner 2F1 from the recurrence, and again once long x' < 0
+# sums did, each time after the largest error against mpmath of the values
+# that moved had fallen at every y
 _SINGLE_GAMMA_DIGESTS = {
-    -3.0: "c4356903d85625ab",
+    -3.0: "407d6ece804cf9bc",
     0.0: "c7b2e7afff30f9ba",
-    0.25: "83e1505cda154576",
-    0.75: "84055c35bcf24667",
-    0.9: "10b7411e419f0772",
+    0.25: "42c974752922226a",
+    0.75: "a998f79d3a193bf7",
+    0.9: "bbf2a354a23b94fa",
 }
 
 
@@ -698,12 +690,12 @@ _EXACT_FIT_PRIORS = tuple(HIBParams(a, b, tau2, s) for a in (0.5, 1.0) for b in 
 # marginal, then the posterior mean's bytes) of every exact-fits prior at
 # p in {5, 50} and ||y||^2 in {10, 100, 500, 2000}, then scalar log_phi1 at
 # the mixed-sign x of the digest test above, at its four (alpha, gamma) and
-# y in {-3, 0.25, 0.75, 0.9}; recorded once long x' >= 0 sums read their
-# inner 2F1 from the recurrence, after the largest error against mpmath of
-# the log_phi1 values that moved (those of the fits included) had fallen at
-# every y, with numpy 2.4 on x86-64 (whose log may round differently
-# elsewhere)
-_SCALAR_DIGEST = "9b73236d2ced28ee"
+# y in {-3, 0.25, 0.75, 0.9}; recorded once long sums of both forms read
+# their inner 2F1 from the recurrence, after the largest error against
+# mpmath of the log_phi1 values that moved (those of the fits included) had
+# fallen at every y, with numpy 2.4 on x86-64 (whose log may round
+# differently elsewhere)
+_SCALAR_DIGEST = "76f4307dd6e8f049"
 
 
 def test_scalar_path_is_bitwise_unchanged():
@@ -746,15 +738,27 @@ def _int_counter_series(a, b, c, z, max_terms):
     return None, max_terms
 
 
-def _int_counter_recurrence(alpha, gamma, y, lo, top, seed):
-    """``_hyp2f1_recurrence`` as written with an int counter n: the
-    reference of its float counter."""
+def _int_counter_recurrence(alpha, shift, gamma, y, lo, top, at, seed):
+    """``_hyp2f1_recurrence`` as written with int counters n: the reference
+    of its float counters."""
     f = seed
-    values = [f]
-    for n in range(top - 1, lo - 1, -1):
-        f = 1.0 + (alpha + n) / (gamma + n) * y * f
+    below = []
+    if shift:
+        for n in range(at - 1, lo - 1, -1):
+            f = 1.0 + (alpha + n) / (gamma + n) * y * f
+            below.append(f)
+        return below[::-1] + [seed]
+    p = 1.0 - y
+    for n in range(at - 1, lo - 1, -1):
+        c = gamma + n
+        f = (1.0 - (c - alpha) / c * y * f) / p
+        below.append(f)
+    values = below[::-1] + [seed]
+    f = seed
+    for n in range(at, top):
+        c = gamma + n
+        f = c * (1.0 - p * f) / ((c - alpha) * y)
         values.append(f)
-    values.reverse()
     return values
 
 
@@ -766,7 +770,8 @@ def test_inner_evaluators_keep_the_int_counter_bits():
     every count here is an integer a double holds exactly.  b reaches
     non-positive integers, whose series stop at a zero term, z runs over
     (-1, 1), and small budgets make the series raise, with the reference's
-    terms_used.
+    terms_used.  The recurrence runs both forms, the x' < 0 one from a seed
+    anywhere in its range.
     """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -778,109 +783,44 @@ def test_inner_evaluators_keep_the_int_counter_bits():
         c=st.floats(0.05, 60.0),
         z=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
         max_terms=st.integers(1, 200) | st.just(100_000),
+        shift=st.sampled_from([0, 1]),
+        y=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         lo=st.integers(0, 400),
         count=st.integers(0, 300),
+        place=st.floats(0.0, 1.0),
         seed=st.floats(1.0, 1e3),
     )
-    def check(a, b, c, z, max_terms, lo, count, seed):
+    def check(a, b, c, z, max_terms, shift, y, lo, count, place, seed):
         want = _int_counter_series(a, b, c, z, max_terms)
         try:
             got = specfun._hyp2f1_series(a, b, c, z, max_terms)
         except ConvergenceError as exc:
             got = None, exc.terms_used
         assert got == want, (a, b, c, z, max_terms)
-        y = abs(z)
-        top = lo + count
-        want = _int_counter_recurrence(b, c, y, lo, top, seed)
-        assert specfun._hyp2f1_recurrence(b, c, y, lo, top, seed) == want, (b, c, y, lo, top)
+        # gamma > alpha, as the x' < 0 form requires
+        gamma, top = c + abs(b), lo + count
+        at = top if shift else lo + round(place * count)
+        args = (b, shift, gamma, y, lo, top, at, seed)
+        assert specfun._hyp2f1_recurrence(*args) == _int_counter_recurrence(*args), args
 
     check()
 
 
-# ---- the inner 2F1 block ----------------------------------------------------
-
-
-def _series_or_error(a, b, c, z, max_terms):
-    """``_hyp2f1_series``'s (value, terms), or (None, 0) where it raises."""
-    try:
-        return specfun._hyp2f1_series(a, b, c, z, max_terms)
-    except ConvergenceError:
-        return None, 0
-
-
-def _assert_block_is_the_series(np, a, alpha, shift, gamma, z, ns, max_terms):
-    b, c = alpha + shift * ns, gamma + ns
-    values, terms = specfun._hyp2f1_block(a, b, c, z, max_terms)
-    for n, value, used in zip(ns.tolist(), values.tolist(), terms.tolist()):
-        want = _series_or_error(a, alpha + shift * n, gamma + n, z, max_terms)
-        assert (value if used else None, used) == want, (a, alpha, shift, gamma, z, n)
-
-
-def test_inner_block_equals_the_scalar_series_bit_for_bit(monkeypatch):
-    """Every value and term count of _hyp2f1_block is _hyp2f1_series's, by ==.
-
-    Rows n in [start, start + count) of both forms of a plan's inner 2F1: b
-    and c growing with n (shift 1, the x' >= 0 form) and c alone (shift 0).
-    alpha reaches non-positive integers, whose rows hit a zero term.  Half
-    the draws shrink the blocks to 5 columns and 3 rows, so that rows cross
-    many sub-block and column-block edges; the default blocks cross them
-    from y ~ 0.9 on, where a series needs more than 256 terms.  The scalar
-    oracle's cost limits rows to 8 from y = 0.99 on.
-    """
-    np = pytest.importorskip("numpy")
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=80, derandomize=True, deadline=None, database=None)
-    @hypothesis.given(
-        a=st.sampled_from([1.0, 0.5, 1.7]) | st.floats(0.05, 4.0),
-        alpha=st.floats(0.05, 60.0) | st.sampled_from([-4.0, -1.0, 0.0]),
-        shift=st.sampled_from([0, 1]),
-        gamma=st.floats(0.05, 60.0),
-        z=st.floats(0.0, 0.999, exclude_max=True),
-        start=st.integers(0, 400),
-        count=st.integers(1, 300),
-        narrow=st.booleans(),
-    )
-    def check(a, alpha, shift, gamma, z, start, count, narrow):
-        if z >= 0.99:
-            count = min(count, 8)
-        with monkeypatch.context() as m:
-            if narrow:
-                m.setattr(specfun, "_BLOCK_COLUMNS", 5)
-                m.setattr(specfun, "_BLOCK_ELEMENTS", 21)
-            ns = np.arange(start, start + count)
-            _assert_block_is_the_series(np, a, alpha, shift, gamma, z, ns, 100_000)
-
-    check()
-
-
-def test_inner_block_stops_at_a_zero_term_and_at_the_budget(monkeypatch):
-    # alpha = -3 puts a zero term at m = 4 of every shift-0 row and of the
-    # shift-1 rows n <= 3; a budget of 90 terms leaves the shift-1 rows of
-    # y = 0.75 from n ~ 11 on unconverged (they need 78-98), and 2 columns
-    # make the streak of three passing tests span column blocks
-    np = pytest.importorskip("numpy")
-    ns = np.arange(0, 90)
-    for columns in (2, specfun._BLOCK_COLUMNS):
-        monkeypatch.setattr(specfun, "_BLOCK_COLUMNS", columns)
-        for shift in (0, 1):
-            _assert_block_is_the_series(np, 1.0, -3.0, shift, 2.5, 0.75, ns, 100_000)
-            _assert_block_is_the_series(np, 1.7, 0.5, shift, 2.5, 0.75, ns, 90)
-        values, terms = specfun._hyp2f1_block(1.7, 0.5 + ns, 2.5 + ns, 0.75, 90)
-        assert terms.min() == 0 < terms.max()
+# ---- the inner 2F1 sequence ------------------------------------------------
 
 
 def test_inner_values_past_the_budget_raise_when_read_and_only_then():
-    # a budget between the term counts of n = 0 and n = 63 at y = 0.9: the
-    # first chunk computes all 64 values, but only a value that did not
-    # converge raises, when it is read, with the scalar's text and terms_used
+    # a budget between the term counts of n = 0 and n = 63 at y = 0.9: a
+    # long sum with beta != 1 sums each value on its own, and computes
+    # none ahead, so only a value that does not converge raises, when it is
+    # read, with the scalar's text and terms_used
     need = [specfun._hyp2f1_series(1.7, 0.5 + n, 20.5 + n, 0.9, 10**5)[1] for n in (0, 63)]
     budget = (need[0] + need[1]) // 2
-    assert need[0] < budget < need[1] and budget >= specfun._BLOCK_MIN_TERMS
+    assert need[0] < budget < need[1] and budget >= specfun._CHUNK_MIN_TERMS
     inner = specfun._InnerSeries(1.7, 0.5, 1, 20.5, 0.9, budget, 64.0)
     assert inner(0) == specfun._hyp2f1_series(1.7, 0.5, 20.5, 0.9, budget)[0]
-    assert len(inner.values) == 64
+    assert inner(1) == specfun._hyp2f1_series(1.7, 1.5, 21.5, 0.9, budget)[0]
+    assert inner.chunk == 0 and inner.values == []
     with pytest.raises(ConvergenceError) as want:
         specfun._hyp2f1_series(1.7, 63.5, 83.5, 0.9, budget)
     with pytest.raises(ConvergenceError) as got:
@@ -896,7 +836,7 @@ def test_unit_beta_values_past_a_failed_seed_raise_when_read_and_only_then():
     # inner(63) raises the scalar's text and terms_used, when it is read
     need = [specfun._hyp2f1_series(1.0, 0.5 + n, 8.5 + n, 0.9, 10**5)[1] for n in (0, 63)]
     budget = (need[0] + need[1]) // 2
-    assert need[0] < budget < need[1] and budget >= specfun._BLOCK_MIN_TERMS
+    assert need[0] < budget < need[1] and budget >= specfun._CHUNK_MIN_TERMS
     inner = specfun._InnerSeries(1.0, 0.5, 1, 8.5, 0.9, budget, 64.0)
     assert inner(0) == specfun._hyp2f1_series(1.0, 0.5, 8.5, 0.9, budget)[0]
     assert inner.values == [None] * 64
@@ -919,7 +859,7 @@ def test_inner_values_near_y_one_keep_the_capped_error():
     with pytest.raises(ConvergenceError) as want:
         specfun._hyp2f1_series(1.0, 0.5, 1.5, 0.99995, max_terms)
     plan = specfun._plan(0.5, 1.0, 1.5, 0.99995, False, max_terms, 60.0)
-    assert plan.inner.chunk >= specfun._BLOCK_MIN_TERMS
+    assert plan.inner.chunk >= specfun._CHUNK_MIN_TERMS
     with pytest.warns(NumericalWarning), pytest.raises(ConvergenceError) as got:
         log_phi1(0.5, 1.0, 1.5, 60.0, 0.99995)
     assert str(got.value) == str(want.value)
@@ -928,36 +868,40 @@ def test_inner_values_near_y_one_keep_the_capped_error():
 
 def test_a_failed_seed_costs_one_series_before_the_error(monkeypatch):
     # the same call spends one 50,000-term series on its chunk's seed and
-    # one on inner(0), which raises; it sums no block and no recurrence
-    single, steps, block = _count_inner_evaluations(monkeypatch)
+    # one on inner(0), which raises; it runs no recurrence
+    single, steps = _count_inner_evaluations(monkeypatch)
     with pytest.warns(NumericalWarning), pytest.raises(ConvergenceError) as got:
         log_phi1(0.5, 1.0, 1.5, 60.0, 0.99995)
     assert got.value.terms_used == specfun._Y_WARN_MAX_TERMS
-    assert len(single) <= 2 and not steps and not block
+    assert len(single) <= 2 and not steps
 
 
-def test_long_sums_take_the_recurrence_or_the_block_and_short_ones_do_not(monkeypatch):
+def test_long_unit_beta_sums_take_the_recurrence_and_other_sums_do_not(monkeypatch):
     """The slowest exact-fits fits (tau2 = 4, Z near 500) once summed ~690
     inner 2F1 one at a time.  Their long sums, in the x' >= 0 form with
-    beta = 1, now take the recurrence from a few seeds; long sums of the
-    x' < 0 form, or with beta != 1, take the block; and only the short
-    ones, as the prior normalizer's, keep the per-n call.  Every normalizer
-    of the 36 exact-fits priors sums under 64 terms, so none of them
-    reaches either."""
+    beta = 1, now take the recurrence from a few seeds, and so do long
+    beta = 1 sums of the x' < 0 form, from x < 0 at y = 0.75 and from
+    x > 0 at y = -3; long sums with beta != 1, of either form, and the
+    short ones, as the prior normalizer's, keep the per-n call.  Every
+    normalizer of the 36 exact-fits priors sums under 64 terms, so none of
+    them reaches the recurrence."""
     np = pytest.importorskip("numpy")
-    single, steps, block = _count_inner_evaluations(monkeypatch)
+    single, steps = _count_inner_evaluations(monkeypatch)
     shrink(np.full(50, math.sqrt(10.0)), 1.0, HIBParams(0.5, 0.5, 4.0, 0.0))
-    assert len(single) <= 3 and len(steps) >= 500 and not block
-    for beta, x in ((1.0, -25.0), (2.0, 50.0)):
+    assert len(single) <= 3 and len(steps) >= 500
+    for beta, x, y in ((1.0, -25.0, 0.75), (1.0, 25.0, -3.0), (2.0, 50.0, 0.75),
+                       (2.0, -25.0, 0.75)):
         single.clear()
-        log_phi1(0.5, beta, 8.5, x, 0.75)
-        assert len(block) >= 64 and not single
-        block.clear()
+        steps.clear()
+        log_phi1(0.5, beta, 8.5, x, y)
+        if beta == 1.0:
+            assert 0 < len(single) <= 3 and len(steps) >= 64, (x, y)
+        else:
+            assert len(single) >= 64 and not steps, (x, y)
 
     def refuse(*args):
         raise AssertionError("a short sum left the per-n series")
 
-    monkeypatch.setattr(specfun, "_hyp2f1_block", refuse)
     monkeypatch.setattr(specfun, "_hyp2f1_recurrence", refuse)
     single.clear()
     for prior in _EXACT_FIT_PRIORS:
@@ -1594,6 +1538,72 @@ def test_long_unit_beta_sums_match_mpmath(y):
             if x >= 27.0:
                 got = log_phi1(alpha, 1.0, gamma, x, y)
                 assert abs(got - ref) <= bound * max(1.0, abs(ref)), (alpha, gamma, x, got - ref)
+
+
+@pytest.mark.parametrize("y", [-0.5, -1.0, -3.0, -9.0, -99.0])
+def test_long_negative_form_sums_match_mpmath(y):
+    """log phi1 at x > 0 and y < 0, which takes the x' < 0 form at
+    y' = y/(y - 1) = 1/3 ... 0.99, with beta = 1 and x from 40 up to just
+    below the crossover, so that the sum is long and reads its inner 2F1
+    from the recurrence, against mpmath, scalar and batch, to bounds fixed
+    before running: 1e-13 max(1, |ref|) up to y' = 0.9, and 1e-11
+    max(1, |ref|) up to y' = 0.99.
+
+    Summed per n, the same values were up to 8.4e-11 off at y' = 0.99
+    and 5.8e-12 at y' = 0.9, and (1/2, 26, 40, -9) 1.3e-12.  A chunk's
+    seed can sit at its bottom n, where the outer terms of a small |x| are
+    largest, so it is read as the bottom of its own x' >= 0 sequence, with
+    the series' tail shrunk below 1e-12; a plain series there left
+    (1, 50, 40, -99) 2.9e-11 off.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    np = pytest.importorskip("numpy")
+    bound = 1e-13 if y / (y - 1.0) <= 0.9 else 1e-11
+    for alpha, gamma in _LONG_SUM_PARAMS + ((0.5, 26.0),):
+        x0 = _x0(alpha, gamma, y, False)
+        xs = sorted({x for x in (40.0, 60.0, 100.0, x0 * (1.0 - 1e-3)) if x < x0})
+        batch = log_phi1_batch(alpha, 1.0, gamma, np.array(xs), y) if xs else []
+        for x, got_batch in zip(xs, batch):
+            ref = _mpmath_log_phi1(mpmath, alpha, gamma, x, y)
+            for got in (got_batch, log_phi1(alpha, 1.0, gamma, x, y)):
+                assert abs(got - ref) <= bound * max(1.0, abs(ref)), (alpha, gamma, x, got - ref)
+
+
+def test_negative_form_recurrence_grows_an_error_only_boundedly(monkeypatch):
+    """Between its seed and the n at which q = (1 - y) inner(n) falls
+    below 1/2, the forward run of the x' < 0 recurrence multiplies a
+    relative error by q/(1 - q) > 1 a step; from there on by less than 1.
+    Over alpha in [1/2, 1000 1/2], gamma - alpha in {1/2, 1}, y in
+    [0.1, 0.999] and n <= 300, the product up to that crossing stays
+    below 8, a bound fixed before running (measured: 5.5)."""
+    np = pytest.importorskip("numpy")
+    seeds = []
+    real = specfun._hyp2f1_recurrence
+
+    def recording(alpha, shift, gamma, y, lo, top, at, seed):
+        if not shift:
+            seeds.append(at)
+        return real(alpha, shift, gamma, y, lo, top, at, seed)
+
+    monkeypatch.setattr(specfun, "_hyp2f1_recurrence", recording)
+    alphas = np.concatenate([[0.5, 1.0, 1.5, 2.5, 5.5], np.geomspace(10.5, 1000.5, 25)])
+    ys = np.concatenate([np.linspace(0.1, 0.9, 17), np.linspace(0.9, 0.999, 23)])
+    worst = 0.0
+    for alpha in alphas.tolist():
+        for gamma in (alpha + 0.5, alpha + 1.0):
+            for y in ys.tolist():
+                seeds.clear()
+                inner = specfun._InnerSeries(1.0, alpha, 0, gamma, y, 10**5, 301.0)
+                inner(0)
+                [at] = seeds
+                growth = 1.0
+                for value in inner.values[at:-1]:  # each step from n to n + 1
+                    q = (1.0 - y) * value
+                    if q < 0.5:
+                        break
+                    growth *= q / (1.0 - q)
+                worst = max(worst, growth)
+    assert worst < 8.0, worst
 
 
 @pytest.mark.parametrize("y", [0.0, -0.5])
