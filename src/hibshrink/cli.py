@@ -7,8 +7,9 @@ map, seed, tool version) so each artifact is self-describing; CSV numbers
 carry 17 significant digits so doubles round-trip exactly.
 
 Exit codes: 0 success, 1 internal numeric failure, 2 usage or domain
-error (including an output file that cannot be written), 3 series
-convergence failure.  The HIBSHRINK_THREADS environment
+error (including an output file that cannot be written, and an array the
+flags size past what the host will allocate), 3 series convergence
+failure.  The HIBSHRINK_THREADS environment
 variable caps risk-curve parallelism and, at 2 or more, lets each
 marglik-profile chain sum its likelihood rows on one helper process; a
 value that is not an integer of at least 1 exits 2.
@@ -322,6 +323,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONVERGENCE
+    except MemoryError as exc:
+        # the flags asked for the size, which numpy's message names
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return _EXIT_USAGE
     except (AccuracyError, HibshrinkError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC

@@ -501,6 +501,28 @@ def test_marglik_profile_unwritable_output_exit_code(capsys, tmp_path):
     assert err.startswith("error: cannot write ")
 
 
+@pytest.mark.parametrize("callee, argv", [
+    ("risk_curve", ["risk-curve", "--p", "15", "--grid", "0:1:2", "--mc", "1000000000000"]),
+    ("density_lambda", ["prior-density", "--var", "lambda", "--grid", "0:1:1000000000000"]),
+])
+def test_an_allocation_the_host_refuses_exit_code(capsys, monkeypatch, tmp_path, callee, argv):
+    # the flags ask for 7.28 TiB; the callee raises numpy's error for it here,
+    # so that the test allocates nothing
+    message = ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+               " and data type float64")
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, callee, refuse)
+    out = tmp_path / "out.csv"
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err and not out.exists()
+
+
 # ---- one parser per process -------------------------------------------------
 
 
