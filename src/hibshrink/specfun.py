@@ -48,14 +48,14 @@ reads them, in ascending n, from its own ``_InnerSeries``, with no cache
 across calls: a sum estimated at fewer than ``_CHUNK_MIN_TERMS`` terms, or
 with beta != 1, sums each on its own by ``_hyp2f1_series``, and a longer
 one with beta = 1, which every HIB family call has (and gamma > alpha in
-the x' < 0 form), fills chunks of n at once.  A chunk is one series at a seed n and ``_hyp2f1_recurrence`` from
-there, by an exact two-term relation in n, run in the direction in which
-it shrinks the seed's error.  In the x' >= 0 form, inner(n) =
-2F1(1, alpha + n; gamma + n; y) = 1 + y (alpha + n)/(gamma + n)
-inner(n + 1), run down from the chunk's top.  In the x' < 0 form, inner(n)
-= F(c) = 2F1(1, alpha; c; y), c = gamma + n, and c (1 - y) F(c) - c +
-(c - alpha) y F(c + 1) = 0, run back from the seed where (1 - y) F(c) >=
-1/2 and forward where it is below 1/2.
+the x' < 0 form), fills chunks of n at once.  A chunk is one series at a
+seed n and ``_hyp2f1_recurrence`` from there, by an exact two-term
+relation in n, run in the direction in which it shrinks the seed's error.
+In the x' >= 0 form, inner(n) = 2F1(1, alpha + n; gamma + n; y) =
+1 + y (alpha + n)/(gamma + n) inner(n + 1), run down from the chunk's top.
+In the x' < 0 form, inner(n) = F(c) = 2F1(1, alpha; c; y), c = gamma + n,
+and c (1 - y) F(c) - c + (c - alpha) y F(c + 1) = 0, run back from the
+seed where (1 - y) F(c) >= 1/2 and forward where it is below 1/2.
 
 No caller sets how a series is summed: every series stops at the relative
 tolerance ``DEFAULT_REL_TOL``, within a term budget that follows from its
